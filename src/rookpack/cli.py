@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import hashlib
 import json
 import os
 import sys
@@ -20,9 +19,9 @@ from . import __version__
 from .core import (
     Configuration,
     GridParams,
+    InvalidArgument,
     Rook,
     RookError,
-    config_coverage,
 )
 from .bounds import bound_report
 from .constructions import (
@@ -36,6 +35,7 @@ from .constructions import (
 )
 from .solve import (
     SolverBudget,
+    check_witness,
     encode_ilp,
     exact_max_coverage,
     exact_max_packing,
@@ -66,14 +66,21 @@ def config_to_dict(cfg: Configuration) -> dict:
     }
 
 
+def _int(x) -> int:
+    # int() would truncate 3.7 and accept True or "3": take JSON integers only
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def config_from_dict(d: dict) -> Configuration:
     try:
-        g = GridParams(int(d["n"]), int(d["k"]), int(d["l"]))
+        g = GridParams(_int(d["n"]), _int(d["k"]), _int(d["l"]))
         rooks = [
-            Rook(tuple(int(x) for x in r["point"]), frozenset(int(a) for a in r["dirs"]))
+            Rook(tuple(_int(x) for x in r["point"]), frozenset(_int(a) for a in r["dirs"]))
             for r in d["rooks"]
         ]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise RookError(f"malformed configuration file: {e}")
     return Configuration(g, rooks)
 
@@ -117,11 +124,6 @@ def report_to_dict(c, kind: str) -> dict:
 # ---------------------------------------------------------------- cache
 def _cache_dir() -> str:
     return os.environ.get("ROOKPACK_CACHE", DEFAULT_CACHE_DIR)
-
-
-def _instance_hash(mode, g, flags) -> str:
-    blob = f"{mode}|{g.n},{g.k},{g.l}|{flags}".encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class _CacheLock:
@@ -205,29 +207,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if out["valid"] else 1
 
 
-_SOLVERS = {
-    "a": ("min_cover", verify_covering),
-    "b": ("max_pack", verify_packing),
-    "c": ("max_two_pack", None),
-    "coverage": ("max_coverage", None),
-}
-
-
-def _witness_ok(mode, strict, cfg, optimum) -> bool:
-    try:
-        if mode == "a":
-            return len(cfg) == optimum and verify_covering(cfg).valid
-        if mode == "b":
-            return len(cfg) == optimum and verify_packing(cfg).valid
-        if mode == "c":
-            two = "strict" if strict else "closed"
-            return len(cfg) == optimum and verify_two_packing(cfg, mode=two).valid
-        return config_coverage(cfg).popcount() == optimum
-    except RookError:
-        return False
+def _run_solver(mode, g, budget, strict=False, symmetry=False, N=None):
+    """Solve CLI mode a, b, c or coverage on grid g."""
+    if mode == "a":
+        return exact_min_covering(g, budget, symmetry_breaking=symmetry)
+    if mode == "b":
+        return exact_max_packing(g, budget)
+    if mode == "c":
+        return exact_max_two_packing(g, "strict" if strict else "closed", budget)
+    return exact_max_coverage(g, N, budget)
 
 
 def cmd_solve(args) -> int:
+    if args.mode == "coverage" and args.N is None:
+        sys.stderr.write("coverage mode needs --N\n")
+        return EXIT_USAGE
     g = GridParams(args.n, args.k, args.l)
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     flags = []
@@ -238,37 +232,20 @@ def cmd_solve(args) -> int:
     if args.mode == "coverage":
         flags.append(f"N={args.N}")
     flagstr = ",".join(flags)
-    h = _instance_hash(args.mode, g, flagstr)
+    request = {"mode": args.mode, "n": g.n, "k": g.k, "l": g.l, "flags": flagstr}
     directory = _cache_dir()
     suffix = ("_" + flagstr.replace("=", "").replace(",", "_")) if flagstr else ""
-    base = f"solve_{args.mode}{suffix}_{g.n}_{g.k}_{g.l}"
-    rec_path = os.path.join(directory, base + ".json")
-    wit_path = os.path.join(directory, base + "_witness.json")
+    path = os.path.join(directory, f"solve_{args.mode}{suffix}_{g.n}_{g.k}_{g.l}.json")
 
     with _CacheLock(directory):
-        cached = _load_cached(rec_path, wit_path, h, args)
+        cached = _load_cached(path, request, g, args)
         if cached is not None:
             sys.stdout.write(cached)
             return EXIT_OK
 
-        if args.mode == "a":
-            res = exact_min_covering(g, budget, symmetry_breaking=args.symmetry)
-        elif args.mode == "b":
-            res = exact_max_packing(g, budget)
-        elif args.mode == "c":
-            res = exact_max_two_packing(g, "strict" if args.strict else "closed", budget)
-        else:
-            if args.N is None:
-                sys.stderr.write("coverage mode needs --N\n")
-                return EXIT_USAGE
-            res = exact_max_coverage(g, args.N, budget)
-
+        res = _run_solver(args.mode, g, budget, args.strict, args.symmetry, args.N)
         out = {
-            "mode": args.mode,
-            "n": g.n,
-            "k": g.k,
-            "l": g.l,
-            "flags": flagstr,
+            **request,
             "optimum": res.optimum,
             "exact": res.exact,
             "lower_bound": res.lower_bound,
@@ -284,40 +261,38 @@ def cmd_solve(args) -> int:
         if not res.exact:
             sys.stdout.write(text)
             return EXIT_BUDGET
-        with open(rec_path, "w") as f:
+        with open(path + ".tmp", "w") as f:
             f.write(text)
-        with open(wit_path, "w") as f:
-            f.write(
-                dump_json(
-                    {
-                        "version": __version__,
-                        "instance_hash": h,
-                        "optimum": res.optimum,
-                        "config": config_to_dict(res.witness),
-                    }
-                )
-            )
+        os.replace(path + ".tmp", path)
         sys.stdout.write(text)
         return EXIT_OK
 
 
-def _load_cached(rec_path, wit_path, h, args):
-    """Record text if the cached witness still checks out, else None."""
-    if not (os.path.exists(rec_path) and os.path.exists(wit_path)):
-        return None
+def _solver_mode(args) -> str:
+    """SolveResult.mode of the solver that answers a solve request."""
+    if args.mode == "c":
+        return "max_two_pack_strict" if args.strict else "max_two_pack_closed"
+    return {"a": "min_cover", "b": "max_pack", "coverage": "max_coverage"}[args.mode]
+
+
+def _load_cached(path, request, g, args):
+    """Record text if it is exactly what solve writes for the request,
+    with an optimum whose witness still checks out, else None."""
     try:
-        with open(rec_path) as f:
+        with open(path) as f:
             text = f.read()
         record = json.loads(text)
-        wit = load_json(wit_path)
-        if wit.get("version") != __version__ or wit.get("instance_hash") != h:
-            return None
-        cfg = config_from_dict(wit["config"])
-        if not _witness_ok(args.mode, getattr(args, "strict", False), cfg, record["optimum"]):
-            return None
-        return text
-    except (OSError, ValueError, KeyError, RookError):
+        value = _int(record["optimum"])
+        cfg = config_from_dict(record["witness"])
+        expected = {**request, "optimum": value, "exact": True, "lower_bound": value,
+                    "upper_bound": value, "stats": record["stats"],
+                    "witness": config_to_dict(cfg)}
+    except (OSError, ValueError, KeyError, TypeError, RookError):
         return None
+    # comparing text, not values, also rejects 2.0 or true where 2 or 1 was asked
+    if text != dump_json(expected) or cfg.params != g:
+        return None
+    return text if check_witness(_solver_mode(args), cfg, value, args.N) else None
 
 
 def cmd_encode(args) -> int:
@@ -332,10 +307,11 @@ def cmd_encode(args) -> int:
 
 
 def _parse_range(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    lo, sep, hi = spec.partition("..")
+    try:
+        return list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise InvalidArgument(f"bad range {spec!r}, expected N or LO..HI")
 
 
 def cmd_table(args) -> int:
@@ -347,22 +323,10 @@ def cmd_table(args) -> int:
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     rows = ["n,lower,exact,upper,density"]
     for n in ns:
-        g = GridParams(n, args.k, args.l)
-        if args.mode == "a":
-            res = exact_min_covering(g, budget)
-            denom = n ** (args.k - 1)
-        elif args.mode == "b":
-            res = exact_max_packing(g, budget)
-            denom = n ** (args.k - 1)
-        else:
-            res = exact_max_two_packing(g, "closed", budget)
-            denom = n ** (args.k - 2) if args.k >= 2 else 1
-        if res.exact:
-            value = res.optimum
-        elif args.mode == "a":
-            value = res.upper_bound  # best covering found so far
-        else:
-            value = res.lower_bound  # best packing found so far
+        res = _run_solver(args.mode, GridParams(n, args.k, args.l), budget)
+        # best covering or packing found; both bounds equal it when exact
+        value = res.upper_bound if args.mode == "a" else res.lower_bound
+        denom = n ** (args.k - (2 if args.mode == "c" else 1))
         rows.append(
             f"{n},{res.lower_bound},{value},{res.upper_bound},{value / denom:.6f}"
         )
@@ -459,14 +423,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ROOKPACK_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write("ROOKPACK_THREADS must be a positive integer\n")
-            return EXIT_USAGE
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -40,7 +40,11 @@ class InstanceTooLarge(RookError):
 def point_cap() -> int:
     """Bitset size guard, overridable via ROOKPACK_POINT_CAP."""
     raw = os.environ.get("ROOKPACK_POINT_CAP")
-    return int(raw) if raw else DEFAULT_POINT_CAP
+    if not raw:
+        return DEFAULT_POINT_CAP
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise InvalidArgument(f"ROOKPACK_POINT_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

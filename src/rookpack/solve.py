@@ -9,7 +9,7 @@ bounds found so far flagged inexact, never a wrong optimum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .core import (
@@ -17,16 +17,15 @@ from .core import (
     GridParams,
     InvalidArgument,
     Rook,
+    RookError,
     attack_mask,
-    coverage_mask,
+    config_coverage,
     index_point,
     point_index,
 )
 from .bounds import singleton_bound_b, singleton_bound_c, sphere_packing_bounds
 from .constructions import diagonal_covering
 from .verify import verify_covering, verify_packing, verify_two_packing
-
-MODES = ("min_cover", "max_pack", "max_two_pack", "max_coverage")
 
 
 @dataclass(frozen=True)
@@ -106,23 +105,9 @@ class _Instance:
             self.g, [Rook(self.points[pl.pidx], pl.dirs) for pl in chosen]
         )
 
-
-class _Ticker:
-    def __init__(self, budget: SolverBudget, stats: SolveStats):
-        self.budget = budget
-        self.stats = stats
-        self.start = time.perf_counter()
-
-    def tick(self):
-        self.stats.nodes += 1
-        if self.stats.nodes > self.budget.max_nodes:
-            raise _BudgetExhausted
-        if self.stats.nodes % 4096 == 0:
-            if time.perf_counter() - self.start > self.budget.max_seconds:
-                raise _BudgetExhausted
-
-    def elapsed(self):
-        return time.perf_counter() - self.start
+    def placement(self, r: Rook) -> _Placement:
+        row = point_index(r.point, self.g) * len(self.dirsets)
+        return self.placements[row + self.dirsets.index(tuple(sorted(r.dirs)))]
 
 
 def _ceil_div(a, b):
@@ -169,6 +154,40 @@ def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
     return True
 
 
+def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
+    """Run search(inst, tick, stats, best) under the budget.
+
+    search seeds best = [value, placements] and improves it in place;
+    tick() counts a node and raises _BudgetExhausted past the budget.  An
+    inexact result reports capped_bounds(best value) as (lower, upper).
+    """
+    budget = budget or SolverBudget()
+    stats = SolveStats()
+    start = time.perf_counter()
+
+    def tick():
+        stats.nodes += 1
+        if stats.nodes > budget.max_nodes:
+            raise _BudgetExhausted
+        if stats.nodes % 4096 == 0:
+            if time.perf_counter() - start > budget.max_seconds:
+                raise _BudgetExhausted
+
+    inst = _Instance(g)
+    best = [-1, []]
+    exact = True
+    try:
+        search(inst, tick, stats, best)
+    except _BudgetExhausted:
+        exact = False
+    stats.wall_time = time.perf_counter() - start
+    witness = inst.config(best[1]) if best[0] >= 0 else None
+    if exact:
+        return SolveResult(g, mode, best[0], witness, stats, True, best[0], best[0])
+    lower, upper = capped_bounds(best[0])
+    return SolveResult(g, mode, None, witness, stats, False, lower, upper)
+
+
 def exact_min_covering(
     g: GridParams,
     budget: SolverBudget | None = None,
@@ -176,128 +195,96 @@ def exact_min_covering(
 ) -> SolveResult:
     """Minimum number of l-rooks covering H(n, k), by depth-first
     branch-and-bound on the first uncovered point."""
-    budget = budget or SolverBudget()
-    stats = SolveStats()
-    ticker = _Ticker(budget, stats)
-    inst = _Instance(g)
     sphere_lower, _ = sphere_packing_bounds(g)
 
-    seed = _seed_covering(g)
-    best = [len(seed), list(seed.rooks)]
+    def search(inst, tick, stats, best):
+        seed = _seed_covering(g)
+        best[:] = [len(seed), [inst.placement(r) for r in seed.rooks]]
 
-    cover_by_point = [[] for _ in range(inst.npts)]
-    for pl in inst.placements:
-        m = pl.cov
-        while m:
-            low = m & -m
-            cover_by_point[low.bit_length() - 1].append(pl)
-            m ^= low
+        cover_by_point = [[] for _ in range(inst.npts)]
+        for pl in inst.placements:
+            m = pl.cov
+            while m:
+                low = m & -m
+                cover_by_point[low.bit_length() - 1].append(pl)
+                m ^= low
 
-    ball = g.ball
-    used_points = set()
-    chosen = []
+        ball = g.ball
+        used_points = set()
+        chosen = []
 
-    def dfs(covered, depth):
-        ticker.tick()
-        if covered == inst.full:
-            if depth < best[0]:
-                best[0] = depth
-                best[1] = [Rook(inst.points[pl.pidx], pl.dirs) for pl in chosen]
-            return
-        uncov = inst.npts - covered.bit_count()
-        if depth + _ceil_div(uncov, ball) >= best[0]:
-            stats.pruned += 1
-            return
-        p = ((~covered) & inst.full)
-        p = (p & -p).bit_length() - 1
-        cands = cover_by_point[p]
-        if depth == 0 and symmetry_breaking:
-            cands = [pl for pl in cands if _axis_perm_canonical(inst, pl)]
-        for pl in cands:
-            if pl.pidx in used_points:
-                continue
-            used_points.add(pl.pidx)
-            chosen.append(pl)
-            dfs(covered | pl.cov, depth + 1)
-            chosen.pop()
-            used_points.remove(pl.pidx)
+        def dfs(covered, depth):
+            tick()
+            if covered == inst.full:
+                if depth < best[0]:
+                    best[0] = depth
+                    best[1] = list(chosen)
+                return
+            uncov = inst.npts - covered.bit_count()
+            if depth + _ceil_div(uncov, ball) >= best[0]:
+                stats.pruned += 1
+                return
+            p = ((~covered) & inst.full)
+            p = (p & -p).bit_length() - 1
+            cands = cover_by_point[p]
+            if depth == 0 and symmetry_breaking:
+                cands = [pl for pl in cands if _axis_perm_canonical(inst, pl)]
+            for pl in cands:
+                if pl.pidx in used_points:
+                    continue
+                used_points.add(pl.pidx)
+                chosen.append(pl)
+                dfs(covered | pl.cov, depth + 1)
+                chosen.pop()
+                used_points.remove(pl.pidx)
 
-    exact = True
-    try:
         dfs(0, 0)
-    except _BudgetExhausted:
-        exact = False
-    stats.wall_time = ticker.elapsed()
-    witness = Configuration(g, best[1])
-    if exact:
-        return SolveResult(g, "min_cover", best[0], witness, stats, True, best[0], best[0])
-    return SolveResult(g, "min_cover", None, witness, stats, False, sphere_lower, best[0])
+
+    return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
 
 
-def _greedy_max(inst, compatible):
-    chosen = []
-    for pl in inst.placements:
-        if all(compatible(pl, q) for q in chosen):
-            chosen.append(pl)
-    return chosen
-
-
-def _max_independent(g, mode, budget, conflict_free, unit, unit_mask_attr):
-    """Shared include/exclude search for max_pack and max_two_pack.
+def _max_independent(g, mode, budget, conflict_free, unit, unit_mask_attr, upper):
+    """Shared include/exclude search for max_pack and max_two_pack,
+    seeded with the greedy pick in placement order.
 
     conflict_free(a, b) says two placements can coexist; unit is the
     number of exclusively-consumed resource bits per rook (lines or
     points) and unit_mask_attr names the placement bitset holding them.
+    upper is the closed-form bound reported when the budget runs out.
     """
-    budget = budget or SolverBudget()
-    stats = SolveStats()
-    ticker = _Ticker(budget, stats)
-    inst = _Instance(g)
 
-    seed = _greedy_max(inst, conflict_free)
-    best = [len(seed), list(seed)]
+    def search(inst, tick, stats, best):
+        seed = []
+        for pl in inst.placements:
+            if all(conflict_free(pl, q) for q in seed):
+                seed.append(pl)
+        best[:] = [len(seed), seed]
 
-    def dfs(cands, chosen):
-        ticker.tick()
-        if len(chosen) > best[0]:
-            best[0] = len(chosen)
-            best[1] = list(chosen)
-        if not cands:
-            return
-        union = 0
-        for pl in cands:
-            union |= getattr(pl, unit_mask_attr)
-        cap = len(chosen) + (union.bit_count() // unit if unit else len(cands))
-        if cap <= best[0]:
-            stats.pruned += 1
-            return
-        head, tail = cands[0], cands[1:]
-        sub = [q for q in tail if conflict_free(head, q)]
-        chosen.append(head)
-        dfs(sub, chosen)
-        chosen.pop()
-        dfs(tail, chosen)
+        def dfs(cands, chosen):
+            tick()
+            if len(chosen) > best[0]:
+                best[0] = len(chosen)
+                best[1] = list(chosen)
+            if not cands:
+                return
+            union = 0
+            for pl in cands:
+                union |= getattr(pl, unit_mask_attr)
+            cap = len(chosen) + (union.bit_count() // unit if unit else len(cands))
+            if cap <= best[0]:
+                stats.pruned += 1
+                return
+            head, tail = cands[0], cands[1:]
+            sub = [q for q in tail if conflict_free(head, q)]
+            chosen.append(head)
+            dfs(sub, chosen)
+            chosen.pop()
+            dfs(tail, chosen)
 
-    exact = True
-    try:
         dfs(inst.placements, [])
-    except _BudgetExhausted:
-        exact = False
-    stats.wall_time = ticker.elapsed()
-    witness = inst.config(best[1])
-    if exact:
-        return SolveResult(g, mode, best[0], witness, stats, True, best[0], best[0])
+
     # any feasible configuration is a valid lower bound for a max problem
-    upper = _max_upper_bound(g, mode)
-    return SolveResult(g, mode, None, witness, stats, False, best[0], upper)
-
-
-def _max_upper_bound(g, mode):
-    if mode == "max_pack":
-        return int(singleton_bound_b(g))
-    if g.l >= 2:
-        return int(singleton_bound_c(g))
-    return g.num_points
+    return _solve(g, mode, budget, search, lambda value: (value, upper))
 
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
@@ -310,8 +297,9 @@ def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> Solv
             and not (b.att >> a.pidx) & 1
         )
 
+    upper = int(singleton_bound_b(g))
     # each rook in a packing consumes its l covered lines exclusively
-    return _max_independent(g, "max_pack", budget, free, g.l, "line_cov")
+    return _max_independent(g, "max_pack", budget, free, g.l, "line_cov", upper)
 
 
 def exact_max_two_packing(
@@ -334,8 +322,8 @@ def exact_max_two_packing(
             return a.pidx != b.pidx and a.att & b.att == 0
 
         unit, attr = g.l * (g.n - 1), "att"
-    result = _max_independent(g, f"max_two_pack_{mode}", budget, free, unit, attr)
-    return result
+    upper = int(singleton_bound_c(g))
+    return _max_independent(g, f"max_two_pack_{mode}", budget, free, unit, attr, upper)
 
 
 def exact_max_coverage(
@@ -344,51 +332,42 @@ def exact_max_coverage(
     """Maximum number of points covered by exactly N l-rooks."""
     if N < 0:
         raise InvalidArgument("need N >= 0")
-    budget = budget or SolverBudget()
-    stats = SolveStats()
-    ticker = _Ticker(budget, stats)
-    inst = _Instance(g)
-    if N > inst.npts:
-        raise InvalidArgument(f"cannot place {N} rooks on {inst.npts} points")
+    if N > g.num_points:
+        raise InvalidArgument(f"cannot place {N} rooks on {g.num_points} points")
     ball = g.ball
-    best = [-1, []]
-    chosen = []
-    used = set()
 
-    def dfs(i, covered):
-        ticker.tick()
-        if len(chosen) == N:
-            c = covered.bit_count()
-            if c > best[0]:
-                best[0] = c
-                best[1] = list(chosen)
-            return
-        remaining_slots = N - len(chosen)
-        if len(inst.placements) - i < remaining_slots:
-            return
-        if covered.bit_count() + remaining_slots * ball <= best[0]:
-            stats.pruned += 1
-            return
-        pl = inst.placements[i]
-        if pl.pidx not in used:
-            used.add(pl.pidx)
-            chosen.append(pl)
-            dfs(i + 1, covered | pl.cov)
-            chosen.pop()
-            used.remove(pl.pidx)
-        dfs(i + 1, covered)
+    def search(inst, tick, stats, best):
+        chosen = []
+        used = set()
 
-    exact = True
-    try:
+        def dfs(i, covered):
+            tick()
+            if len(chosen) == N:
+                c = covered.bit_count()
+                if c > best[0]:
+                    best[0] = c
+                    best[1] = list(chosen)
+                return
+            remaining_slots = N - len(chosen)
+            if len(inst.placements) - i < remaining_slots:
+                return
+            if covered.bit_count() + remaining_slots * ball <= best[0]:
+                stats.pruned += 1
+                return
+            pl = inst.placements[i]
+            if pl.pidx not in used:
+                used.add(pl.pidx)
+                chosen.append(pl)
+                dfs(i + 1, covered | pl.cov)
+                chosen.pop()
+                used.remove(pl.pidx)
+            dfs(i + 1, covered)
+
         dfs(0, 0)
-    except _BudgetExhausted:
-        exact = False
-    stats.wall_time = ticker.elapsed()
-    witness = inst.config(best[1]) if best[0] >= 0 else None
-    if exact:
-        return SolveResult(g, "max_coverage", best[0], witness, stats, True, best[0], best[0])
-    return SolveResult(
-        g, "max_coverage", None, witness, stats, False, max(best[0], 0), min(N * ball, inst.npts)
+
+    return _solve(
+        g, "max_coverage", budget, search,
+        lambda value: (max(value, 0), min(N * ball, g.num_points)),
     )
 
 
@@ -529,16 +508,22 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     return {"mode": mode, "variables": len(names), "constraints": constraints}
 
 
-def witness_valid(result: SolveResult) -> bool:
-    """Check a solver witness against the verifier for its mode."""
-    w = result.witness
-    if w is None:
+def check_witness(mode: str, witness, value, N=None) -> bool:
+    """True when witness certifies value for the solver mode: value rooks
+    passing the verifier of min_cover, max_pack or
+    max_two_pack_{closed,strict}, or N rooks covering value points."""
+    if witness is None:
         return False
-    if result.mode == "min_cover":
-        return verify_covering(w).valid
-    if result.mode == "max_pack":
-        return verify_packing(w).valid
-    if result.mode.startswith("max_two_pack"):
-        mode = "strict" if result.mode.endswith("strict") else "closed"
-        return verify_two_packing(w, mode).valid
-    return True
+    try:
+        if mode == "max_coverage":
+            return len(witness) == N and config_coverage(witness).popcount() == value
+        if len(witness) != value:
+            return False
+        if mode == "min_cover":
+            return verify_covering(witness).valid
+        if mode == "max_pack":
+            return verify_packing(witness).valid
+        two = mode.removeprefix("max_two_pack_")
+        return two != mode and verify_two_packing(witness, two).valid
+    except RookError:
+        return False

@@ -7,11 +7,10 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Configuration,
-    GridParams,
     InvalidArgument,
     RookError,
     attack_mask,
@@ -81,7 +80,7 @@ def verify_covering(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> Verif
     return _report(violations, cap)
 
 
-def _line_key(point, axis, g):
+def _line_key(point, axis):
     """Identity of the axis line through point along axis."""
     return (axis,) + point[:axis] + point[axis + 1 :]
 
@@ -97,11 +96,11 @@ def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> Verify
     on_line = {}
     for i, r in enumerate(c.rooks):
         for axis in range(g.k):
-            on_line.setdefault(_line_key(r.point, axis, g), []).append(i)
+            on_line.setdefault(_line_key(r.point, axis), []).append(i)
     violations = []
     for i, r in enumerate(c.rooks):
         for axis in r.dirs:
-            for j in on_line[_line_key(r.point, axis, g)]:
+            for j in on_line[_line_key(r.point, axis)]:
                 if j != i:
                     violations.append(
                         Violation("attack", point=point_index(c.rooks[j].point, g), rooks=(i, j))

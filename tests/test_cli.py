@@ -10,7 +10,6 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from rookpack import __version__
 from rookpack.cli import main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "rookpack", "schemas")
@@ -25,7 +24,6 @@ def run(capsys, *argv):
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("ROOKPACK_CACHE", str(tmp_path / "cache"))
-    monkeypatch.delenv("ROOKPACK_THREADS", raising=False)
     return tmp_path
 
 
@@ -137,33 +135,32 @@ def test_solve_and_cache_verbatim(capsys, tmp_path):
     _validate(doc, "solve_result.schema.json")
     cache = tmp_path / "cache"
     records = sorted(p.name for p in cache.iterdir() if p.suffix == ".json")
-    assert "solve_a_3_3_2.json" in records
-    assert "solve_a_3_3_2_witness.json" in records
+    assert records == ["solve_a_3_3_2.json"]  # one record per instance, no temp file
     code, second, _ = run(capsys, *argv)
     assert code == 0
     assert second == first  # byte-identical replay from cache
 
 
 def test_solve_witness_file_shape(capsys, tmp_path):
-    run(capsys, "solve", "b", "--n", "2", "--k", "2", "--l", "2")
-    wit = json.loads((tmp_path / "cache" / "solve_b_2_2_2_witness.json").read_text())
-    assert wit["version"] == __version__
-    assert len(wit["instance_hash"]) == 16
-    assert wit["optimum"] == 2
-    assert len(wit["config"]["rooks"]) == 2
+    _, out, _ = run(capsys, "solve", "b", "--n", "2", "--k", "2", "--l", "2")
+    record = (tmp_path / "cache" / "solve_b_2_2_2.json").read_text()
+    assert record == out
+    doc = json.loads(record)
+    assert doc["optimum"] == 2
+    assert len(doc["witness"]["rooks"]) == 2
 
 
 def test_solve_poisoned_cache_recomputed(capsys, tmp_path):
     argv = ("solve", "a", "--n", "2", "--k", "2", "--l", "2")
     code, first, _ = run(capsys, *argv)
     assert code == 0
-    wit_path = tmp_path / "cache" / "solve_a_2_2_2_witness.json"
-    wit = json.loads(wit_path.read_text())
-    poisoned = dict(wit)
-    poisoned["config"] = dict(wit["config"])
+    rec_path = tmp_path / "cache" / "solve_a_2_2_2.json"
+    rec = json.loads(rec_path.read_text())
+    poisoned = dict(rec)
+    poisoned["witness"] = dict(rec["witness"])
     # duplicate the second rook: no longer a usable witness
-    poisoned["config"]["rooks"] = [wit["config"]["rooks"][1]] * 2
-    wit_path.write_text(json.dumps(poisoned))
+    poisoned["witness"]["rooks"] = [rec["witness"]["rooks"][1]] * 2
+    rec_path.write_text(json.dumps(poisoned))
     code, again, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(again)["optimum"] == 2
@@ -171,8 +168,24 @@ def test_solve_poisoned_cache_recomputed(capsys, tmp_path):
     d1, d2 = json.loads(first), json.loads(again)
     d1["stats"] = d2["stats"] = None
     assert d1 == d2
-    healed = json.loads(wit_path.read_text())
-    assert healed["config"] == wit["config"]
+    healed = json.loads(rec_path.read_text())
+    assert healed["witness"] == rec["witness"]
+
+
+def test_solve_record_of_other_instance_recomputed(capsys, tmp_path):
+    argv = ("solve", "b", "--n", "2", "--k", "2", "--l", "1")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    rec_path = tmp_path / "cache" / "solve_b_2_2_1.json"
+    # the witness still checks out, but on H(2, 2); 2.0 is not the integer 2
+    for edit in (3, 2.0):
+        edited = json.loads(first)
+        edited["n"] = edit
+        rec_path.write_text(json.dumps(edited, indent=2) + "\n")
+        code, again, _ = run(capsys, *argv)
+        assert code == 0
+        assert '"n": 2,' in again
+        assert rec_path.read_text() == again
 
 
 def test_solve_budget_exit(capsys, tmp_path):
@@ -225,6 +238,12 @@ def test_table_empty_range(capsys):
     assert code == 2 and "empty" in err
 
 
+def test_table_bad_range(capsys):
+    code, _, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
+                       "--n", "x..3")
+    assert code == 2 and "range" in err
+
+
 def test_compose_round_trips(capsys, tmp_path):
     diag = str(tmp_path / "diag.json")
     run(capsys, "construct", "diagonal_covering", "--n", "2", "--k", "2", "--out", diag)
@@ -263,10 +282,25 @@ def test_exit_code_io_on_truncated_json(capsys, tmp_path):
     assert code == 3
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("ROOKPACK_THREADS", "zero")
-    code, _, err = run(capsys, "bounds", "--n", "2", "--k", "2", "--l", "1")
-    assert code == 2 and "ROOKPACK_THREADS" in err
-    monkeypatch.setenv("ROOKPACK_THREADS", "2")
-    code, out, _ = run(capsys, "bounds", "--n", "2", "--k", "2", "--l", "1")
+def test_config_file_integers_only(capsys, tmp_path):
+    good = {"n": 3, "k": 2, "l": 2, "rooks": [{"point": [1, 1], "dirs": [0, 1]}]}
+    for key, bad in [("n", 3.7), ("n", True), ("point", [0.9, 1]), ("point", [False, 1])]:
+        doc = json.loads(json.dumps(good))
+        if key == "n":
+            doc["n"] = bad
+        else:
+            doc["rooks"][0]["point"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "pack", str(path))
+        assert code == 2 and "integer" in err, (key, bad)
+
+
+def test_point_cap_env_validation(capsys, monkeypatch):
+    for raw in ("abc", "0", "-5"):
+        monkeypatch.setenv("ROOKPACK_POINT_CAP", raw)
+        code, _, err = run(capsys, "solve", "a", "--n", "2", "--k", "2", "--l", "2")
+        assert code == 2 and "ROOKPACK_POINT_CAP" in err, raw
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "4")
+    code, _, _ = run(capsys, "solve", "a", "--n", "2", "--k", "2", "--l", "2")
     assert code == 0

@@ -4,10 +4,11 @@ import io
 
 import pytest
 
-from rookpack.core import GridParams
+from rookpack.core import Configuration, GridParams, Rook
 from rookpack.solve import (
     SolverBudget,
     brute_force_max_coverage,
+    check_witness,
     encode_ilp,
     enumerate_max_packing,
     enumerate_max_two_packing,
@@ -16,7 +17,6 @@ from rookpack.solve import (
     exact_max_packing,
     exact_max_two_packing,
     exact_min_covering,
-    witness_valid,
 )
 from rookpack.verify import verify_covering, verify_packing, verify_two_packing
 
@@ -96,12 +96,38 @@ def test_witnesses_valid_and_deterministic():
     g = GridParams(3, 3, 2)
     r1 = exact_min_covering(g)
     r2 = exact_min_covering(g)
-    assert witness_valid(r1)
+    assert check_witness(r1.mode, r1.witness, r1.optimum)
     assert r1.witness.rooks == r2.witness.rooks
     assert r1.stats.nodes == r2.stats.nodes
     p1 = exact_max_two_packing(g)
-    assert witness_valid(p1)
+    assert check_witness(p1.mode, p1.witness, p1.optimum)
     assert p1.witness.rooks == exact_max_two_packing(g).witness.rooks
+
+
+def test_check_witness_rejects_wrong_size():
+    g = GridParams(3, 3, 2)
+    for res in (exact_min_covering(g), exact_max_packing(g),
+                exact_max_two_packing(g, "closed"), exact_max_two_packing(g, "strict")):
+        assert check_witness(res.mode, res.witness, res.optimum)
+        assert not check_witness(res.mode, res.witness, res.optimum - 1)
+        assert not check_witness(res.mode, res.witness, res.optimum + 1)
+    assert not check_witness("min_cover", None, 7)
+
+
+def test_check_witness_max_coverage():
+    g = GridParams(4, 2, 2)
+    res = exact_max_coverage(g, 3)
+    assert res.exact and res.optimum == 15
+    assert check_witness("max_coverage", res.witness, 15, N=3)
+    # two of the three rooks cover fewer than 15 points: not a 3-rook witness
+    short = Configuration(g, res.witness.rooks[:2])
+    assert not check_witness("max_coverage", short, 15, N=3)
+    assert not check_witness("max_coverage", short, 12, N=3)
+    # three rooks that cover fewer points than claimed
+    line = Configuration(g, [Rook((0, i), (0, 1)) for i in range(3)])
+    assert check_witness("max_coverage", line, 13, N=3)
+    assert not check_witness("max_coverage", line, 15, N=3)
+    assert not check_witness("max_coverage", None, 15, N=3)
 
 
 def test_symmetry_breaking_same_optimum():
@@ -109,7 +135,7 @@ def test_symmetry_breaking_same_optimum():
     plain = exact_min_covering(g)
     sym = exact_min_covering(g, symmetry_breaking=True)
     assert sym.exact and sym.optimum == plain.optimum
-    assert witness_valid(sym)
+    assert check_witness(sym.mode, sym.witness, sym.optimum)
 
 
 def test_budget_exhaustion():
