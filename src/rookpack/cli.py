@@ -96,8 +96,6 @@ def load_json(path):
 
 def _frac(x):
     """Exact JSON spelling for a Fraction; plain int when integral."""
-    if x is None:
-        return None
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return x
@@ -154,14 +152,23 @@ def cmd_bounds(args) -> int:
         "a_lower": rep.a_lower,
         "a_upper": rep.a_upper,
         "b_upper": _frac(rep.b_upper),
-        "asymptotic": {
-            key: _frac(val) if isinstance(val, Fraction) else val
-            for key, val in rep.asymptotic.items()
-        },
+        "asymptotic": {key: _frac(val) for key, val in rep.asymptotic.items()},
     }
     if rep.c_upper is not None:
         out["c_upper"] = _frac(rep.c_upper)
     sys.stdout.write(dump_json(out))
+    return EXIT_OK
+
+
+def _write_config(cfg, path, head, **extra) -> int:
+    """Configuration JSON to stdout, or to the file path with the summary
+    {**head, rooks, out} on stdout; extra fields go to stdout either way."""
+    doc = config_to_dict(cfg)
+    if path:
+        with open(path, "w") as f:
+            f.write(dump_json(doc))
+        doc = {**head, "rooks": len(cfg), "out": path}
+    sys.stdout.write(dump_json({**doc, **extra}))
     return EXIT_OK
 
 
@@ -184,17 +191,7 @@ def cmd_construct(args) -> int:
         extra["axis_report"] = list(axis_report)
     else:
         cfg = fn(**params)
-    doc = config_to_dict(cfg)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(dump_json(doc))
-        summary = {"name": name, "rooks": len(cfg), "out": args.out, **extra}
-        sys.stdout.write(dump_json(summary))
-    else:
-        if extra:
-            doc.update(extra)
-        sys.stdout.write(dump_json(doc))
-    return EXIT_OK
+    return _write_config(cfg, args.out, {"name": name}, **extra)
 
 
 def cmd_verify(args) -> int:
@@ -350,14 +347,7 @@ def cmd_compose(args) -> int:
         out_cfg = stack(cfg, args.copies if args.copies is not None else cfg.params.n)
     else:
         out_cfg = extend_covering(cfg)
-    doc = config_to_dict(out_cfg)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(dump_json(doc))
-        sys.stdout.write(dump_json({"op": args.op, "rooks": len(out_cfg), "out": args.out}))
-    else:
-        sys.stdout.write(dump_json(doc))
-    return EXIT_OK
+    return _write_config(out_cfg, args.out, {"op": args.op})
 
 
 # ---------------------------------------------------------------- wiring

@@ -149,56 +149,6 @@ def c_k2_construction(n: int, k: int) -> Configuration:
     return _sorted_config(g, rooks)
 
 
-def _kuhn_matching(adj, rows, cols):
-    """Maximum bipartite matching (rows -> cols) by augmenting paths."""
-    match_row = {}
-    match_col = {}
-
-    def try_augment(r, seen):
-        for c in adj[r]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or try_augment(match_col[c], seen):
-                match_row[r] = c
-                match_col[c] = r
-                return True
-        return False
-
-    for r in rows:
-        try_augment(r, set())
-    return match_row, match_col
-
-
-def _min_line_cover(points):
-    """Minimum set of grid rows/columns covering all the given (x, y)
-    points (Konig's theorem on the row/column incidence graph)."""
-    if not points:
-        return [], []
-    rows = sorted({x for x, _ in points})
-    cols = sorted({y for _, y in points})
-    adj = {r: sorted({y for x, y in points if x == r}) for r in rows}
-    match_row, match_col = _kuhn_matching(adj, rows, cols)
-
-    # alternating reachability from unmatched rows
-    seen_rows = {r for r in rows if r not in match_row}
-    seen_cols = set()
-    frontier = list(seen_rows)
-    while frontier:
-        r = frontier.pop()
-        for c in adj[r]:
-            if c in seen_cols:
-                continue
-            seen_cols.add(c)
-            r2 = match_col.get(c)
-            if r2 is not None and r2 not in seen_rows:
-                seen_rows.add(r2)
-                frontier.append(r2)
-    cover_rows = [r for r in rows if r not in seen_rows]
-    cover_cols = [c for c in cols if c in seen_cols]
-    return cover_rows, cover_cols
-
-
 def _cross_cover(points):
     """Rows R and columns C such that every (x, y) point lies in an R-row
     or a C-column, minimizing max(|R|, |C|).
@@ -295,8 +245,8 @@ def a32_covering(a: int, b: int) -> Configuration:
             continue
         rows, cols = _cross_cover(uncovered)
         for t in range(max(len(rows), len(cols))):
-            r = rows[t] if t < len(rows) else rows[t % len(rows)] if rows else None
-            c = cols[t] if t < len(cols) else cols[t % len(cols)] if cols else None
+            r = rows[t % len(rows)] if rows else None
+            c = cols[t % len(cols)] if cols else None
             # pad the short side with any free coordinate on the line
             cand = []
             if r is not None and c is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
 
 DEFAULT_POINT_CAP = 1 << 24
 MAX_INDEX = 2**63 - 1
@@ -165,11 +164,6 @@ def index_point(idx: int, g: GridParams) -> tuple:
         coords.append(idx % g.n)
         idx //= g.n
     return tuple(reversed(coords))
-
-
-def all_points(g: GridParams):
-    """Points of the grid in index order."""
-    return product(range(g.n), repeat=g.k)
 
 
 def covers(r: Rook, p, g: GridParams) -> bool:

@@ -114,26 +114,11 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _trivial_covering(g: GridParams) -> Configuration:
-    """All points with first coordinate 0, attacking along axis 0."""
-    from itertools import product
-
-    dirs = frozenset(range(g.l))
-    rooks = [Rook((0,) + rest, dirs) for rest in product(range(g.n), repeat=g.k - 1)]
-    return Configuration(g, rooks)
-
-
 def _seed_covering(g: GridParams) -> Configuration:
-    if g.l == g.k:
-        return diagonal_covering(g.n, g.k)
+    """The modular diagonal attacking along axes 0..l-1: every axis-0 line
+    holds exactly one diagonal point, so this covers H(n, k)."""
     dirs = frozenset(range(g.l))
-    diag = Configuration(
-        g,
-        [Rook(r.point, dirs) for r in diagonal_covering(g.n, g.k).rooks],
-    )
-    if verify_covering(diag).valid:
-        return diag
-    return _trivial_covering(g)
+    return Configuration(g, [Rook(r.point, dirs) for r in diagonal_covering(g.n, g.k).rooks])
 
 
 def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
@@ -146,10 +131,7 @@ def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
         # perm maps original axis perm[i] onto axis i of the image
         q = tuple(p[perm[i]] for i in range(g.k))
         qdirs = sorted(i for i in range(g.k) if perm[i] in pl.dirs)
-        qidx = 0
-        for x in q:
-            qidx = qidx * g.n + x
-        if (qidx, qdirs) < key:
+        if (point_index(q, g), qdirs) < key:
             return False
     return True
 
@@ -316,13 +298,15 @@ def exact_max_two_packing(
             return a.cov & b.cov == 0
 
         unit, attr = g.ball, "cov"
+        upper = int(singleton_bound_c(g))
     else:
 
         def free(a, b):
             return a.pidx != b.pidx and a.att & b.att == 0
 
         unit, attr = g.l * (g.n - 1), "att"
-    upper = int(singleton_bound_c(g))
+        # strict attack sets are pairwise disjoint, each of unit points
+        upper = g.num_points // unit if unit else g.num_points
     return _max_independent(g, f"max_two_pack_{mode}", budget, free, unit, attr, upper)
 
 
@@ -471,18 +455,10 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     names = [_var_name(pl) for pl in inst.placements]
     lines = []
     constraints = 0
-    if mode == "min_cover":
-        lines.append("Minimize")
-    else:
-        lines.append("Maximize")
+    lines.append("Minimize" if mode == "min_cover" else "Maximize")
     lines.append(" obj: " + " + ".join(names))
     lines.append("Subject To")
-    if mode == "min_cover":
-        for p in range(inst.npts):
-            covering = [names[pl.index] for pl in inst.placements if (pl.cov >> p) & 1]
-            lines.append(f" cover_{p}: " + " + ".join(covering) + " >= 1")
-            constraints += 1
-    elif mode == "max_pack":
+    if mode == "max_pack":
         for i, a in enumerate(inst.placements):
             for b in inst.placements[i + 1 :]:
                 if a.pidx == b.pidx:
@@ -496,9 +472,10 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
                 lines.append(f" point_{p}: " + " + ".join(here) + " <= 1")
                 constraints += 1
     else:
+        row, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
         for p in range(inst.npts):
             covering = [names[pl.index] for pl in inst.placements if (pl.cov >> p) & 1]
-            lines.append(f" cover2_{p}: " + " + ".join(covering) + " <= 1")
+            lines.append(f" {row}_{p}: " + " + ".join(covering) + f" {sense} 1")
             constraints += 1
     lines.append("Binary")
     for name in names:

@@ -31,8 +31,7 @@ class Violation:
     """One diagnostic record.
 
     kind is one of "uncovered" (point index set), "attack" (pair of rook
-    indices), "double" (point index plus the two rook indices), or
-    "duplicate" (pair of rook indices sharing a point).
+    indices) or "double" (point index plus the two rook indices).
     """
 
     kind: str
@@ -59,25 +58,25 @@ def _report(violations, cap):
     return VerifyReport(total == 0, tuple(violations[:cap]), total)
 
 
+def _point_report(bits, cap, make_violation):
+    """One violation per set bit: make_violation(point) for the lowest cap
+    points in ascending order, and a popcount for the rest."""
+    violations = []
+    while bits and len(violations) < cap:
+        low = bits & -bits
+        violations.append(make_violation(low.bit_length() - 1))
+        bits ^= low
+    total = len(violations) + bits.bit_count()
+    return VerifyReport(total == 0, tuple(violations), total)
+
+
 def verify_covering(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Valid iff every grid point lies in some rook's closed coverage."""
     g = c.params
     g.check_bitset()
     bits = config_coverage(c).bits
     missing = ((1 << g.num_points) - 1) & ~bits
-    violations = []
-    idx = 0
-    while missing:
-        low = missing & -missing
-        violations.append(Violation("uncovered", point=low.bit_length() - 1))
-        missing ^= low
-        idx += 1
-        if idx >= 4 * cap and cap:
-            # enough for diagnostics; count the rest cheaply
-            rest = missing.bit_count()
-            total = len(violations) + rest
-            return VerifyReport(False, tuple(violations[:cap]), total)
-    return _report(violations, cap)
+    return _point_report(missing, cap, lambda p: Violation("uncovered", point=p))
 
 
 def _line_key(point, axis):
@@ -129,17 +128,12 @@ def verify_two_packing(
     for m in masks:
         doubled |= seen & m
         seen |= m
-    violations = []
-    while doubled:
-        low = doubled & -doubled
-        doubled ^= low
-        p = low.bit_length() - 1
+
+    def double(p):
         owners = tuple(i for i, m in enumerate(masks) if (m >> p) & 1)[:2]
-        violations.append(Violation("double", point=p, rooks=owners))
-        if cap and len(violations) >= 4 * cap:
-            total = len(violations) + doubled.bit_count()
-            return VerifyReport(False, tuple(sorted(violations, key=lambda v: v.point)[:cap]), total)
-    return _report(violations, cap)
+        return Violation("double", point=p, rooks=owners)
+
+    return _point_report(doubled, cap, double)
 
 
 def min_pairwise_distance(c: Configuration) -> int:

@@ -141,6 +141,27 @@ def test_solve_and_cache_verbatim(capsys, tmp_path):
     assert second == first  # byte-identical replay from cache
 
 
+def test_solve_flag_records_replay(capsys, tmp_path):
+    cases = [
+        (("solve", "c", "--n", "2", "--k", "3", "--l", "2"), 2, "solve_c_2_3_2.json"),
+        (("solve", "c", "--n", "2", "--k", "3", "--l", "2", "--strict"), 4,
+         "solve_c_strict_2_3_2.json"),
+        (("solve", "a", "--n", "3", "--k", "3", "--l", "2", "--symmetry"), 7,
+         "solve_a_sym_3_3_2.json"),
+    ]
+    for argv, optimum, record in cases:
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(first)
+        assert doc["optimum"] == optimum and doc["exact"]
+        _validate(doc, "solve_result.schema.json")
+        assert (tmp_path / "cache" / record).read_text() == first
+        code, second, _ = run(capsys, *argv)
+        assert code == 0 and second == first
+    records = sorted(p.name for p in (tmp_path / "cache").iterdir() if p.suffix == ".json")
+    assert records == sorted(record for _, _, record in cases)
+
+
 def test_solve_witness_file_shape(capsys, tmp_path):
     _, out, _ = run(capsys, "solve", "b", "--n", "2", "--k", "2", "--l", "2")
     record = (tmp_path / "cache" / "solve_b_2_2_2.json").read_text()

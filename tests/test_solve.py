@@ -88,8 +88,9 @@ def test_solver_matches_oracles():
         b = exact_max_packing(g)
         assert b.exact and b.optimum == enumerate_max_packing(g)
         if l >= 2:
-            c = exact_max_two_packing(g, "closed")
-            assert c.exact and c.optimum == enumerate_max_two_packing(g, "closed")
+            for mode in ("closed", "strict"):
+                c = exact_max_two_packing(g, mode)
+                assert c.exact and c.optimum == enumerate_max_two_packing(g, mode)
 
 
 def test_witnesses_valid_and_deterministic():
@@ -144,6 +145,15 @@ def test_budget_exhaustion():
     assert res.optimum is None
     assert res.lower_bound <= 7 <= res.upper_bound
     assert res.stats.nodes <= 60  # stops promptly once the budget trips
+
+
+def test_capped_strict_two_packing_bounds_bracket_optimum():
+    for n, k, l in [(2, 2, 2), (3, 3, 2), (2, 3, 3), (2, 4, 2)]:
+        g = GridParams(n, k, l)
+        opt = exact_max_two_packing(g, "strict").optimum
+        for max_nodes in (0, 1, 3, 10, 100):
+            res = exact_max_two_packing(g, "strict", SolverBudget(max_nodes=max_nodes))
+            assert res.lower_bound <= opt <= res.upper_bound, (n, k, l, max_nodes)
 
 
 def test_budget_time_limit():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rookpack.core import Configuration, GridParams, Rook, config_coverage
+from rookpack.core import Configuration, GridParams, Rook, config_coverage, covers, point_index
 from rookpack.constructions import diagonal_covering, distance3_code
 from rookpack.verify import (
     UndefinedDistance,
@@ -157,6 +157,42 @@ def test_violation_cap():
     assert len(rep.violations) == 10
     assert rep.total_violations == 64
     assert rep.capped
+
+
+def test_two_packing_violation_cap():
+    g = GridParams(4, 3, 2)
+    pts = list(itertools.product(range(4), repeat=3))
+    rooks = [Rook(p, frozenset((0, 1))) for p in pts[::5]]
+    c = Configuration(g, rooks)
+    owners = {
+        point_index(p, g): tuple(i for i, r in enumerate(rooks) if covers(r, p, g))
+        for p in pts
+    }
+    doubled = sorted(i for i, own in owners.items() if len(own) >= 2)
+    cap = 3
+    assert len(doubled) > 4 * cap
+    rep = verify_two_packing(c, "closed", cap=cap)
+    assert not rep.valid and rep.capped
+    assert rep.total_violations == len(doubled)
+    assert [v.point for v in rep.violations] == doubled[:cap]
+    assert [v.rooks for v in rep.violations] == [owners[p][:2] for p in doubled[:cap]]
+
+
+def test_violation_cap_zero():
+    g = GridParams(3, 2, 2)
+    bad = Configuration(g, [Rook((0, 0), full(2)), Rook((0, 1), full(2))])
+    for rep, total in [
+        (verify_covering(Configuration(g, []), cap=0), 9),
+        (verify_covering(bad, cap=0), 2),
+        (verify_two_packing(bad, "closed", cap=0), 3),
+        (verify_two_packing(bad, "strict", cap=0), 1),
+    ]:
+        assert not rep.valid and rep.capped
+        assert rep.violations == () and rep.total_violations == total
+    for rep in (verify_covering(diagonal_covering(3, 2), cap=0),
+                verify_two_packing(reference_two_packing(), "closed", cap=0)):
+        assert rep.valid and not rep.capped
+        assert rep.violations == () and rep.total_violations == 0
 
 
 def test_violations_sorted_and_deterministic():
