@@ -1,6 +1,6 @@
 """Exact branch-and-bound solvers for the three rook optimization
-problems, a max-coverage solver, naive enumeration oracles, and an
-integer-program file writer.
+problems, a max-coverage solver, and an integer-program file writer.
+The enumeration oracles that check them are in rookpack.oracles.
 
 All solvers run under a mandatory budget: exceeding it returns the best
 bounds found so far flagged inexact, never a wrong optimum.
@@ -79,6 +79,7 @@ class _Instance:
         self.points = [index_point(i, g) for i in range(self.npts)]
         self.dirsets = list(combinations(range(g.k), g.l))
         self.lines_per_axis = g.n ** (g.k - 1)
+        self._by_unit = {}
         self.placements = []
         for pidx in range(self.npts):
             p = self.points[pidx]
@@ -108,6 +109,48 @@ class _Instance:
     def placement(self, r: Rook) -> _Placement:
         row = point_index(r.point, self.g) * len(self.dirsets)
         return self.placements[row + self.dirsets.index(tuple(sorted(r.dirs)))]
+
+    def by_unit(self, attr):
+        """by_unit(attr)[u] is the mask, over placement indices, of the
+        placements whose bitset attr ("line_cov", "cov" or "att") holds
+        bit u; built once per attr."""
+        table = self._by_unit.get(attr)
+        if table is not None:
+            return table
+        g, D = self.g, len(self.dirsets)
+        if attr == "line_cov":
+            rows = [bytearray((len(self.placements) + 7) >> 3) for _ in range(g.k * self.lines_per_axis)]
+            for pl in self.placements:
+                byte, bit = pl.index >> 3, 1 << (pl.index & 7)
+                m = pl.line_cov
+                while m:
+                    low = m & -m
+                    rows[low.bit_length() - 1][byte] |= bit
+                    m ^= low
+            table = [int.from_bytes(r, "little") for r in rows]
+        else:
+            # a rook reaches p from p itself or along one of p's k lines
+            lines = self.by_unit("line_cov")
+            weights = [g.n ** (g.k - 1 - a) for a in range(g.k)]
+            table = []
+            for i in range(self.npts):
+                here = ((1 << D) - 1) << (i * D)
+                m = here
+                for a, w in enumerate(weights):  # line ids as in _line_id
+                    m |= lines[a * self.lines_per_axis + i // (w * g.n) * w + i % w]
+                table.append(m if attr == "cov" else m ^ here)
+        self._by_unit[attr] = table
+        return table
+
+    def at_points(self, points):
+        """Mask of every placement sitting on a point of the bitset points."""
+        block = (1 << len(self.dirsets)) - 1
+        mask = 0
+        while points:
+            p = points.bit_length() - 1
+            mask |= block << (p * len(self.dirsets))
+            points ^= 1 << p
+        return mask
 
 
 def _ceil_div(a, b):
@@ -225,45 +268,107 @@ def exact_min_covering(
     return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
 
 
-def _max_independent(g, mode, budget, conflict_free, unit, unit_mask_attr, upper):
+def _union(table, bits):
+    """OR of table[u] over the set bits u of bits."""
+    mask = 0
+    while bits:
+        u = bits.bit_length() - 1
+        mask |= table[u]
+        bits ^= 1 << u
+    return mask
+
+
+# The placements that cannot coexist with pl, pl included, as a mask over
+# placement indices, in each mode of _max_independent.
+_CONFLICTS = {
+    # rooks covering pl's point, and rooks on a point pl covers
+    "max_pack": lambda inst, pl: inst.by_unit("cov")[pl.pidx] | inst.at_points(pl.cov),
+    # rooks covering a point pl covers
+    "max_two_pack_closed": lambda inst, pl: _union(inst.by_unit("cov"), pl.cov),
+    # rooks attacking a point pl attacks, and rooks on pl's point
+    "max_two_pack_strict": lambda inst, pl: (
+        _union(inst.by_unit("att"), pl.att) | inst.at_points(1 << pl.pidx)
+    ),
+}
+
+
+def _max_independent(g, mode, budget, unit, unit_attr, upper):
     """Shared include/exclude search for max_pack and max_two_pack,
     seeded with the greedy pick in placement order.
 
-    conflict_free(a, b) says two placements can coexist; unit is the
-    number of exclusively-consumed resource bits per rook (lines or
-    points) and unit_mask_attr names the placement bitset holding them.
-    upper is the closed-form bound reported when the budget runs out.
+    Candidate sets are ints over placement indices: the head is the lowest
+    set bit, and the include child keeps the tail minus the head's
+    _CONFLICTS[mode] mask, computed once per head.  unit is the number of
+    exclusively-consumed resource bits per rook (lines or points) and
+    unit_attr names the placement bitset holding them.  upper is the
+    closed-form bound reported when the budget runs out.
     """
+    conflicts = _CONFLICTS[mode]
 
     def search(inst, tick, stats, best):
-        seed = []
-        for pl in inst.placements:
-            if all(conflict_free(pl, q) for q in seed):
-                seed.append(pl)
+        pls = inst.placements
+        full = (1 << len(pls)) - 1
+        keep = [None] * len(pls)
+
+        def allowed(i):
+            if keep[i] is None:
+                keep[i] = full ^ conflicts(inst, pls[i])
+            return keep[i]
+
+        seed, cands = [], full
+        while cands:
+            i = (cands & -cands).bit_length() - 1
+            seed.append(pls[i])
+            cands &= allowed(i)
         best[:] = [len(seed), seed]
 
-        def dfs(cands, chosen):
-            tick()
-            if len(chosen) > best[0]:
-                best[0] = len(chosen)
-                best[1] = list(chosen)
-            if not cands:
-                return
-            union = 0
-            for pl in cands:
-                union |= getattr(pl, unit_mask_attr)
-            cap = len(chosen) + (union.bit_count() // unit if unit else len(cands))
-            if cap <= best[0]:
-                stats.pruned += 1
-                return
-            head, tail = cands[0], cands[1:]
-            sub = [q for q in tail if conflict_free(head, q)]
-            chosen.append(head)
-            dfs(sub, chosen)
-            chosen.pop()
-            dfs(tail, chosen)
+        by_unit = inst.by_unit(unit_attr)
+        nunits = len(by_unit)
+        unit_masks = [getattr(pl, unit_attr) for pl in pls]
 
-        dfs(inst.placements, [])
+        chosen = []
+
+        def dfs(cands, depth):
+            # A node is pruned when depth + bound <= best, the bound being
+            # (units the candidates reach) // unit, or the candidate count
+            # when unit is 0.  No candidate reaches more than unit units, so
+            # the bound never exceeds the count and count <= slack prunes
+            # without a recount.  Dropping the head loses at most unit
+            # reached units, so lo..hi brackets them along the exclude chain
+            # (the next turn of the loop); a turn recounts only when the
+            # bracket cannot decide.
+            lo, hi = 0, nunits
+            while True:
+                tick()
+                if depth > best[0]:
+                    best[0] = depth
+                    best[1] = list(chosen)
+                if not cands:
+                    return
+                slack = best[0] - depth
+                need = (slack + 1) * unit
+                count = cands.bit_count()
+                if count <= slack or hi < need:
+                    stats.pruned += 1
+                    return
+                if lo < need:
+                    # few candidates: OR their masks; many: test every unit
+                    if 3 * count < 2 * nunits:
+                        lo = hi = _union(unit_masks, cands).bit_count()
+                    else:
+                        lo = hi = nunits - list(map(cands.__and__, by_unit)).count(0)
+                    if hi < need:
+                        stats.pruned += 1
+                        return
+                low = cands & -cands
+                cands ^= low
+                i = low.bit_length() - 1
+                chosen.append(pls[i])
+                dfs(cands & allowed(i), depth + 1)
+                chosen.pop()
+                lo -= unit
+
+        dfs(full, 0)
 
     # any feasible configuration is a valid lower bound for a max problem
     return _solve(g, mode, budget, search, lambda value: (value, upper))
@@ -271,17 +376,9 @@ def _max_independent(g, mode, budget, conflict_free, unit, unit_mask_attr, upper
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
     """Maximum number of l-rooks with no rook attacking another."""
-
-    def free(a, b):
-        return (
-            a.pidx != b.pidx
-            and not (a.att >> b.pidx) & 1
-            and not (b.att >> a.pidx) & 1
-        )
-
     upper = int(singleton_bound_b(g))
     # each rook in a packing consumes its l covered lines exclusively
-    return _max_independent(g, "max_pack", budget, free, g.l, "line_cov", upper)
+    return _max_independent(g, "max_pack", budget, g.l, "line_cov", upper)
 
 
 def exact_max_two_packing(
@@ -293,21 +390,13 @@ def exact_max_two_packing(
     if g.l < 2:
         raise InvalidArgument("two-packing needs l >= 2")
     if mode == "closed":
-
-        def free(a, b):
-            return a.cov & b.cov == 0
-
         unit, attr = g.ball, "cov"
         upper = int(singleton_bound_c(g))
     else:
-
-        def free(a, b):
-            return a.pidx != b.pidx and a.att & b.att == 0
-
         unit, attr = g.l * (g.n - 1), "att"
         # strict attack sets are pairwise disjoint, each of unit points
         upper = g.num_points // unit if unit else g.num_points
-    return _max_independent(g, f"max_two_pack_{mode}", budget, free, unit, attr, upper)
+    return _max_independent(g, f"max_two_pack_{mode}", budget, unit, attr, upper)
 
 
 def exact_max_coverage(
@@ -353,83 +442,6 @@ def exact_max_coverage(
         g, "max_coverage", budget, search,
         lambda value: (max(value, 0), min(N * ball, g.num_points)),
     )
-
-
-def brute_force_max_coverage(g: GridParams, N: int) -> int:
-    """Oracle: exhaustive enumeration over all N-subsets of placements
-    with distinct points."""
-    inst = _Instance(g)
-    if N == 0:
-        return 0
-    best = 0
-    for combo in combinations(inst.placements, N):
-        if len({pl.pidx for pl in combo}) < N:
-            continue
-        bits = 0
-        for pl in combo:
-            bits |= pl.cov
-        best = max(best, bits.bit_count())
-    return best
-
-
-def enumerate_min_covering(g: GridParams, max_size: int = 5):
-    """Oracle: smallest covering found by subset enumeration, or None if
-    every covering needs more than max_size rooks."""
-    inst = _Instance(g)
-    for s in range(max_size + 1):
-        for combo in combinations(inst.placements, s):
-            if len({pl.pidx for pl in combo}) < s:
-                continue
-            bits = 0
-            for pl in combo:
-                bits |= pl.cov
-            if bits == inst.full:
-                return s
-    return None
-
-
-def _enumerate_max(inst, conflict_free):
-    best = [0]
-
-    def dfs(i, count):
-        if count > best[0]:
-            best[0] = count
-        for j in range(i, len(inst.placements)):
-            pl = inst.placements[j]
-            if all(conflict_free(pl, q) for q in stack_):
-                stack_.append(pl)
-                dfs(j + 1, count + 1)
-                stack_.pop()
-
-    stack_ = []
-    dfs(0, 0)
-    return best[0]
-
-
-def enumerate_max_packing(g: GridParams) -> int:
-    """Oracle: maximum packing size by exhaustive valid-prefix search."""
-    inst = _Instance(g)
-
-    def free(a, b):
-        return a.pidx != b.pidx and not (a.att >> b.pidx) & 1 and not (b.att >> a.pidx) & 1
-
-    return _enumerate_max(inst, free)
-
-
-def enumerate_max_two_packing(g: GridParams, mode: str = "closed") -> int:
-    """Oracle: maximum two-packing size by exhaustive valid-prefix search."""
-    inst = _Instance(g)
-    if mode == "closed":
-
-        def free(a, b):
-            return a.cov & b.cov == 0
-
-    else:
-
-        def free(a, b):
-            return a.pidx != b.pidx and a.att & b.att == 0
-
-    return _enumerate_max(inst, free)
 
 
 def _var_name(pl: _Placement) -> str:

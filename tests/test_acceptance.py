@@ -29,13 +29,15 @@ from rookpack.constructions import (
     extend_covering,
     stack,
 )
-from rookpack.solve import (
-    SolverBudget,
+from rookpack.oracles import (
     brute_force_max_coverage,
-    encode_ilp,
     enumerate_max_packing,
     enumerate_max_two_packing,
     enumerate_min_covering,
+)
+from rookpack.solve import (
+    SolverBudget,
+    encode_ilp,
     exact_max_coverage,
     exact_max_packing,
     exact_max_two_packing,

@@ -5,14 +5,20 @@ import io
 import pytest
 
 from rookpack.core import Configuration, GridParams, Rook
-from rookpack.solve import (
-    SolverBudget,
+from rookpack.oracles import (
+    _oracle_clashes,
+    _oracle_rooks,
     brute_force_max_coverage,
-    check_witness,
-    encode_ilp,
     enumerate_max_packing,
     enumerate_max_two_packing,
     enumerate_min_covering,
+)
+from rookpack.solve import (
+    _CONFLICTS,
+    SolverBudget,
+    _Instance,
+    check_witness,
+    encode_ilp,
     exact_max_coverage,
     exact_max_packing,
     exact_max_two_packing,
@@ -78,6 +84,7 @@ def test_solver_matches_oracles():
     grids = [
         (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (4, 2, 2),
         (2, 3, 2), (2, 3, 3), (3, 3, 3), (4, 2, 1), (2, 3, 1),
+        (1, 2, 2), (1, 3, 2),
     ]
     for n, k, l in grids:
         g = GridParams(n, k, l)
@@ -91,6 +98,68 @@ def test_solver_matches_oracles():
             for mode in ("closed", "strict"):
                 c = exact_max_two_packing(g, mode)
                 assert c.exact and c.optimum == enumerate_max_two_packing(g, mode)
+
+
+def test_conflict_masks_match_coordinates():
+    # every conflict mask of the packing kernels against the oracles' clash
+    # sets, which core.covers decides point by point, on each grid with
+    # n^k <= 64, n = 1 included
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                inst = _Instance(g)
+                rooks = _oracle_rooks(g)
+                assert [(r.rook.point, r.rook.dirs) for r in rooks] == [
+                    (inst.points[pl.pidx], frozenset(pl.dirs)) for pl in inst.placements
+                ]
+                for mode, conflicts in _CONFLICTS.items():
+                    if mode == "max_pack" or l >= 2:
+                        want = [sum(map((1).__lshift__, c)) for c in _oracle_clashes(rooks, mode)]
+                        got = [conflicts(inst, pl) for pl in inst.placements]
+                        assert got == want, (g, mode)
+
+
+def _rooks(res):
+    return [(r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks]
+
+
+def test_packing_search_tree_pinned():
+    # node and pruned counts and witnesses of the include/exclude search:
+    # a kernel change that reshapes the tree shows up here
+    b = exact_max_packing(GridParams(3, 3, 2))
+    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (102_273, 51_077, 10)
+    assert _rooks(b) == [
+        ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((0, 1, 2), (0, 2)),
+        ((0, 2, 2), (0, 2)), ((1, 0, 2), (1, 2)), ((1, 1, 0), (0, 1)),
+        ((1, 1, 1), (0, 1)), ((2, 0, 2), (1, 2)), ((2, 2, 0), (0, 1)),
+        ((2, 2, 1), (0, 1)),
+    ]
+    closed = exact_max_two_packing(GridParams(3, 3, 2), "closed")
+    assert (closed.stats.nodes, closed.stats.pruned, closed.optimum) == (1_645, 728, 4)
+    assert _rooks(closed) == [
+        ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)), ((1, 2, 2), (0, 2)),
+    ]
+    strict = exact_max_two_packing(GridParams(3, 3, 2), "strict")
+    assert (strict.stats.nodes, strict.stats.pruned, strict.optimum) == (45, 14, 6)
+    assert _rooks(strict) == [
+        ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)),
+        ((1, 2, 2), (1, 2)), ((2, 1, 2), (1, 2)), ((2, 2, 2), (0, 2)),
+    ]
+    line = [(293, 139), (681, 332), (1_457, 719), (2_997, 1_488), (6_093, 3_035)]
+    for n, counts in zip(range(4, 9), line):
+        res = exact_max_packing(GridParams(n, 2, 1))
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (*counts, 2 * n - 2)
+    assert _rooks(exact_max_packing(GridParams(4, 2, 1))) == [
+        ((0, 0), (0,)), ((0, 1), (0,)), ((0, 2), (0,)),
+        ((1, 3), (1,)), ((2, 3), (1,)), ((3, 3), (1,)),
+    ]
+    capped = exact_max_packing(GridParams(12, 2, 1), SolverBudget(60_000, 1e9))
+    assert (capped.exact, capped.lower_bound, capped.upper_bound) == (False, 22, 24)
+    assert len(capped.witness) == 22
+    capped = exact_max_packing(GridParams(2, 7, 5), SolverBudget(20_000, 1e9))
+    assert (capped.exact, capped.lower_bound) == (False, 64)
+    assert check_witness(capped.mode, capped.witness, 64)
 
 
 def test_witnesses_valid_and_deterministic():
