@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import mul
 
 DEFAULT_POINT_CAP = 1 << 24
 MAX_INDEX = 2**63 - 1
@@ -69,6 +70,11 @@ class GridParams:
         return self.n**self.k
 
     @property
+    def weights(self) -> list:
+        """Index stride of each axis: n^(k-1-axis)."""
+        return [self.n ** (self.k - 1 - a) for a in range(self.k)]
+
+    @property
     def ball(self) -> int:
         """Closed coverage size of a single rook: l(n-1)+1."""
         return self.l * (self.n - 1) + 1
@@ -111,11 +117,12 @@ class Configuration:
         rooks = tuple(rooks)
         g = params
         seen = set()
+        axes = frozenset(range(g.k))
         for r in rooks:
             g.check_point(r.point)
             if len(r.dirs) != g.l:
                 raise InvalidArgument(f"rook at {r.point} has {len(r.dirs)} dirs, expected {g.l}")
-            if not r.dirs <= set(range(g.k)):
+            if not r.dirs <= axes:
                 raise InvalidArgument(f"rook at {r.point} has axes outside 0..{g.k - 1}")
             if r.point in seen:
                 raise InvalidArgument(f"duplicate rook point {r.point}")
@@ -153,6 +160,13 @@ def point_index(p, g: GridParams) -> int:
     for x in p:
         idx = idx * g.n + x
     return idx
+
+
+def rook_indices(c: Configuration) -> list:
+    """point_index of every rook, in rook order, without re-checking points
+    the Configuration already checked."""
+    weights = c.params.weights
+    return [sum(map(mul, r.point, weights)) for r in c.rooks]
 
 
 def index_point(idx: int, g: GridParams) -> tuple:
@@ -209,8 +223,15 @@ def attack_set(r: Rook, g: GridParams) -> CoverageMap:
 
 
 def config_coverage(c: Configuration) -> CoverageMap:
-    """Union of the closed coverage of every rook."""
-    bits = 0
-    for r in c.rooks:
-        bits |= coverage_mask(r, c.params)
-    return CoverageMap(c.params, bits)
+    """Union of the closed coverage of every rook: the union of its l
+    lines, each marked by one strided slice assignment."""
+    g = c.params
+    g.check_bitset()
+    n, weights = g.n, g.weights
+    hit = bytearray(b"0") * g.num_points  # hit[x] is the digit of bit x
+    line = b"1" * n
+    for r, base in zip(c.rooks, rook_indices(c)):
+        for a in r.dirs:
+            start = base - r.point[a] * weights[a]
+            hit[start : start + n * weights[a] : weights[a]] = line
+    return CoverageMap(g, int(hit[::-1], 2))  # base 2 has no digit limit

@@ -18,7 +18,6 @@ from .core import (
     InvalidArgument,
     Rook,
     RookError,
-    attack_mask,
     config_coverage,
     index_point,
     point_index,
@@ -79,27 +78,31 @@ class _Instance:
         self.points = [index_point(i, g) for i in range(self.npts)]
         self.dirsets = list(combinations(range(g.k), g.l))
         self.lines_per_axis = g.n ** (g.k - 1)
+        self.weights = g.weights
         self._by_unit = {}
         self.placements = []
-        for pidx in range(self.npts):
-            p = self.points[pidx]
+        # a placement covers the union of its lines; each line mask is a
+        # per-axis pattern of n points shifted to the line's first point
+        patterns = [sum(1 << v * w for v in range(g.n)) for w in self.weights]
+        for pidx, p in enumerate(self.points):
+            line_masks = [pat << (pidx - x * w) for pat, x, w in zip(patterns, p, self.weights)]
+            line_bits = [1 << line for line in self._line_ids(pidx)]
             for d in self.dirsets:
-                r = Rook(p, d)
-                att = attack_mask(r, g)
-                cov = att | (1 << pidx)
-                lines = 0
+                cov = lines = 0
                 for a in d:
-                    lines |= 1 << self._line_id(p, a)
+                    cov |= line_masks[a]
+                    lines |= line_bits[a]
                 self.placements.append(
-                    _Placement(len(self.placements), pidx, d, cov, att, lines)
+                    _Placement(len(self.placements), pidx, d, cov, cov ^ (1 << pidx), lines)
                 )
 
-    def _line_id(self, p, axis):
-        proj = 0
-        for i in range(self.g.k):
-            if i != axis:
-                proj = proj * self.g.n + p[i]
-        return axis * self.lines_per_axis + proj
+    def _line_ids(self, pidx):
+        """Id of the axis-a line through point pidx, for each axis a."""
+        n = self.g.n
+        return [
+            a * self.lines_per_axis + pidx // (w * n) * w + pidx % w
+            for a, w in enumerate(self.weights)
+        ]
 
     def config(self, chosen):
         return Configuration(
@@ -131,13 +134,12 @@ class _Instance:
         else:
             # a rook reaches p from p itself or along one of p's k lines
             lines = self.by_unit("line_cov")
-            weights = [g.n ** (g.k - 1 - a) for a in range(g.k)]
             table = []
             for i in range(self.npts):
                 here = ((1 << D) - 1) << (i * D)
                 m = here
-                for a, w in enumerate(weights):  # line ids as in _line_id
-                    m |= lines[a * self.lines_per_axis + i // (w * g.n) * w + i % w]
+                for line in self._line_ids(i):
+                    m |= lines[line]
                 table.append(m if attr == "cov" else m ^ here)
         self._by_unit[attr] = table
         return table

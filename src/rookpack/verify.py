@@ -7,17 +7,11 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import (
-    Configuration,
-    InvalidArgument,
-    RookError,
-    attack_mask,
-    config_coverage,
-    coverage_mask,
-    point_index,
-)
+from .core import Configuration, InvalidArgument, RookError, config_coverage, rook_indices
 
 DEFAULT_VIOLATION_CAP = 64
 
@@ -58,53 +52,49 @@ def _report(violations, cap):
     return VerifyReport(total == 0, tuple(violations[:cap]), total)
 
 
-def _point_report(bits, cap, make_violation):
-    """One violation per set bit: make_violation(point) for the lowest cap
-    points in ascending order, and a popcount for the rest."""
-    violations = []
-    while bits and len(violations) < cap:
-        low = bits & -bits
-        violations.append(make_violation(low.bit_length() - 1))
-        bits ^= low
-    total = len(violations) + bits.bit_count()
-    return VerifyReport(total == 0, tuple(violations), total)
-
-
 def verify_covering(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Valid iff every grid point lies in some rook's closed coverage."""
-    g = c.params
-    g.check_bitset()
-    bits = config_coverage(c).bits
-    missing = ((1 << g.num_points) - 1) & ~bits
-    return _point_report(missing, cap, lambda p: Violation("uncovered", point=p))
-
-
-def _line_key(point, axis):
-    """Identity of the axis line through point along axis."""
-    return (axis,) + point[:axis] + point[axis + 1 :]
+    covered = config_coverage(c).bits  # refuses an over-cap grid first
+    missing = ((1 << c.params.num_points) - 1) & ~covered
+    violations = []
+    while missing and len(violations) < cap:
+        low = missing & -missing
+        violations.append(Violation("uncovered", point=low.bit_length() - 1))
+        missing ^= low
+    total = len(violations) + missing.bit_count()
+    return VerifyReport(total == 0, tuple(violations), total)
 
 
 def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Valid iff no rook attacks another rook's point.
 
     Checked per axis line: rook i attacks rook j exactly when they share
-    a line whose axis is among i's directions.  This is linear in
-    rooks * k instead of quadratic in rooks.
+    a line whose axis is among i's directions.  Rooks are counted per
+    line id, a*N + (index of the line's first point) for axis a, so this
+    is linear in rooks * k and allocates nothing per grid point.
     """
-    g = c.params
+    N, weights = c.params.num_points, c.params.weights
+    index = rook_indices(c)
+    ids = [[a * N + b - r.point[a] * w for r, b in zip(c.rooks, index)] for a, w in enumerate(weights)]
+    counts = Counter(chain.from_iterable(ids))
+    attacked = {ids[a][i] for i, r in enumerate(c.rooks) for a in r.dirs if counts[ids[a][i]] > 1}
     on_line = {}
-    for i, r in enumerate(c.rooks):
-        for axis in range(g.k):
-            on_line.setdefault(_line_key(r.point, axis), []).append(i)
-    violations = []
-    for i, r in enumerate(c.rooks):
-        for axis in r.dirs:
-            for j in on_line[_line_key(r.point, axis)]:
-                if j != i:
-                    violations.append(
-                        Violation("attack", point=point_index(c.rooks[j].point, g), rooks=(i, j))
-                    )
+    for a in {line // N for line in attacked}:
+        for i, line in enumerate(ids[a]):
+            if line in attacked:
+                on_line.setdefault(line, []).append(i)
+    violations = [
+        Violation("attack", point=index[j], rooks=(i, j))
+        for line, on in on_line.items()
+        for i in on
+        if line // N in c.rooks[i].dirs
+        for j in on
+        if j != i
+    ]
     return _report(violations, cap)
+
+
+_SATURATING_INC = bytes(min(v + 1, 2) for v in range(256))
 
 
 def verify_two_packing(
@@ -115,25 +105,45 @@ def verify_two_packing(
     mode="closed" (default): closed coverage sets pairwise disjoint.
     mode="strict": only open attack sets must be disjoint; a rook may
     stand on a point attacked by another rook.
+
+    Each point counts the rooks reaching it, saturating at 2, raised by
+    one strided slice per rook line.  A rook's own point lies on all its
+    lines, so it is reset to its count before the rook plus one (closed)
+    or plus none (strict).
     """
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     g = c.params
     g.check_bitset()
-    masks = []
-    for r in c.rooks:
-        masks.append(coverage_mask(r, g) if mode == "closed" else attack_mask(r, g))
-    seen = 0
-    doubled = 0
-    for m in masks:
-        doubled |= seen & m
-        seen |= m
+    n, N, weights = g.n, g.num_points, g.weights
+    index = rook_indices(c)
+    reached = bytearray(N)
+    for r, b in zip(c.rooks, index):
+        before = reached[b]
+        for a in r.dirs:
+            start = b - r.point[a] * weights[a]
+            line = slice(start, start + n * weights[a], weights[a])
+            reached[line] = reached[line].translate(_SATURATING_INC)
+        reached[b] = min(before + (mode == "closed"), 2)
 
-    def double(p):
-        owners = tuple(i for i, m in enumerate(masks) if (m >> p) & 1)[:2]
-        return Violation("double", point=p, rooks=owners)
-
-    return _point_report(doubled, cap, double)
+    # owners of the lowest cap doubled points: one more pass, by line id
+    lowest, p = [], reached.find(2)
+    while p >= 0 and len(lowest) < cap:
+        lowest.append(p)
+        p = reached.find(2, p + 1)
+    wanted = {}
+    for p in lowest:
+        for a, w in enumerate(weights):
+            wanted.setdefault(a * N + p - p // w % n * w, []).append(p)
+    owners = {p: [] for p in lowest}
+    for i, (r, b) in enumerate(zip(c.rooks, index)):
+        for a in r.dirs:
+            for p in wanted.get(a * N + b - r.point[a] * weights[a], ()):
+                if (p != b or mode == "closed") and owners[p][-1:] != [i]:
+                    owners[p].append(i)
+    total = reached.count(2)
+    violations = tuple(Violation("double", point=p, rooks=tuple(owners[p][:2])) for p in lowest)
+    return VerifyReport(total == 0, violations, total)
 
 
 def min_pairwise_distance(c: Configuration) -> int:

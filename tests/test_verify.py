@@ -2,13 +2,26 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from rookpack.core import Configuration, GridParams, Rook, config_coverage, covers, point_index
-from rookpack.constructions import diagonal_covering, distance3_code
+from rookpack.core import (
+    Configuration,
+    GridParams,
+    InstanceTooLarge,
+    Rook,
+    attacks,
+    config_coverage,
+    coverage_mask,
+    covers,
+    point_index,
+)
+from rookpack.constructions import a32_covering, diagonal_covering, distance3_code
 from rookpack.verify import (
     UndefinedDistance,
+    VerifyReport,
+    Violation,
     coverage_count,
     min_pairwise_distance,
     verify_covering,
@@ -210,3 +223,106 @@ def test_bad_mode_rejected():
     c = Configuration(g, [Rook((0, 0), full(2))])
     with pytest.raises(Exception):
         verify_two_packing(c, "open")
+
+
+def reference_reports(c):
+    """Every verifier's full violation list, from core.covers/core.attacks
+    on each point and rook pair; a report at cap keeps the first cap."""
+    g, rooks = c.params, c.rooks
+    pts = list(itertools.product(range(g.n), repeat=g.k))
+    uncovered = [
+        Violation("uncovered", point=point_index(p, g))
+        for p in pts
+        if not any(covers(r, p, g) for r in rooks)
+    ]
+    attack = sorted(
+        (
+            Violation("attack", point=point_index(other.point, g), rooks=(i, j))
+            for i, r in enumerate(rooks)
+            for j, other in enumerate(rooks)
+            if i != j and attacks(r, other.point, g)
+        ),
+        key=lambda v: (v.point, v.rooks),
+    )
+    doubles = {}
+    for mode, reaches in (("closed", covers), ("strict", attacks)):
+        doubles[mode] = []
+        for p in pts:
+            owners = tuple(i for i, r in enumerate(rooks) if reaches(r, p, g))
+            if len(owners) >= 2:
+                doubles[mode].append(Violation("double", point=point_index(p, g), rooks=owners[:2]))
+    return {"cover": uncovered, "pack": attack, **doubles}
+
+
+def random_configurations(seed, count):
+    rng = random.Random(seed)
+    grids = [
+        GridParams(n, k, l)
+        for n in range(1, 6)
+        for k in range(1, 5)
+        if n**k <= 256
+        for l in range(1, k + 1)
+    ]
+    for _ in range(count):
+        g = rng.choice(grids)
+        pts = list(itertools.product(range(g.n), repeat=g.k))
+        chosen = rng.sample(pts, rng.randint(0, min(len(pts), rng.choice((2, 6, 20)))))
+        yield Configuration(g, [Rook(p, rng.sample(range(g.k), g.l)) for p in chosen])
+
+
+def test_verifiers_match_coordinate_reference():
+    for c in random_configurations(17, 250):
+        ref = reference_reports(c)
+        for cap in (0, 1, 3, 64):
+            got = {
+                "cover": verify_covering(c, cap),
+                "pack": verify_packing(c, cap),
+                "closed": verify_two_packing(c, "closed", cap),
+                "strict": verify_two_packing(c, "strict", cap),
+            }
+            for key, violations in ref.items():
+                want = VerifyReport(not violations, tuple(violations[:cap]), len(violations))
+                assert got[key] == want, (c, key, cap)
+
+
+def test_config_coverage_is_union_of_rook_masks():
+    configs = list(random_configurations(23, 200))
+    configs += [a32_covering(8, 3), diagonal_covering(5, 4)]
+    for c in configs:
+        union = 0
+        for r in c.rooks:
+            union |= coverage_mask(r, c.params)
+        assert config_coverage(c).bits == union
+
+
+def test_bitset_verifiers_refuse_over_cap_grid_before_allocating(monkeypatch):
+    monkeypatch.delenv("ROOKPACK_POINT_CAP", raising=False)
+    g = GridParams(2, 25, 1)  # 2^25 points, over the default cap
+    c = Configuration(g, [Rook((0,) * 25, {0}), Rook((1,) + (0,) * 24, {3})])
+    for check in (
+        verify_covering,
+        verify_two_packing,
+        lambda c: verify_two_packing(c, "strict"),
+        config_coverage,
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLarge):
+                check(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_packing_on_grid_over_the_bitset_cap(monkeypatch):
+    monkeypatch.delenv("ROOKPACK_POINT_CAP", raising=False)
+    g = GridParams(2, 40, 1)  # 2^40 points: packings need no per-point memory
+    rooks = [
+        Rook((0,) * 40, {0}),  # attacks the next rook along axis 0
+        Rook((1,) + (0,) * 39, {1}),
+        Rook((0, 1, 1) + (0,) * 37, {2}),
+    ]
+    rep = verify_packing(Configuration(g, rooks))
+    assert not rep.valid and rep.total_violations == 1
+    assert rep.violations == (Violation("attack", point=1 << 39, rooks=(0, 1)),)
