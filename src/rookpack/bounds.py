@@ -34,6 +34,17 @@ def singleton_bound_b(g: GridParams) -> Fraction:
     return Fraction(g.k * g.n ** (g.k - 1), g.l)
 
 
+def incidence_bound_b(g: GridParams) -> Fraction:
+    """(Line, point) clique bound on packings: k n^k / (l(n-1) + k).
+
+    The placements at a point q and the placements attacking along the
+    axis-a line through q pairwise conflict, so each of these k n^k
+    cliques holds at most one rook of a packing, and every rook lies in
+    exactly l(n-1) + k of them.  Below singleton_bound_b when l < k.
+    """
+    return Fraction(g.k * g.num_points, g.l * (g.n - 1) + g.k)
+
+
 def singleton_bound_c(g: GridParams) -> Fraction:
     """Plane counting bound on two-packings: C(k,2) n^(k-2) / C(l,2).
 
@@ -145,6 +156,7 @@ class BoundReport:
     a_lower: int
     a_upper: int
     b_upper: Fraction
+    b_incidence: Fraction
     c_upper: Fraction | None
     asymptotic: dict
 
@@ -177,6 +189,7 @@ def bound_report(g: GridParams) -> BoundReport:
         a_lower=a_lower,
         a_upper=a_upper,
         b_upper=singleton_bound_b(g),
+        b_incidence=incidence_bound_b(g),
         c_upper=c_upper,
         asymptotic=asym,
     )

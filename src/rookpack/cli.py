@@ -152,6 +152,7 @@ def cmd_bounds(args) -> int:
         "a_lower": rep.a_lower,
         "a_upper": rep.a_upper,
         "b_upper": _frac(rep.b_upper),
+        "b_incidence": _frac(rep.b_incidence),
         "asymptotic": {key: _frac(val) for key, val in rep.asymptotic.items()},
     }
     if rep.c_upper is not None:

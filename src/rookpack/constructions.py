@@ -18,7 +18,6 @@ from .core import (
     Rook,
     RookError,
     config_coverage,
-    point_index,
 )
 from .bounds import is_prime, largest_prime_power
 from .verify import verify_covering, verify_packing, verify_two_packing
@@ -37,7 +36,8 @@ class ConstructionInfeasible(RookError):
 
 
 def _sorted_config(g, rooks):
-    return Configuration(g, sorted(rooks, key=lambda r: point_index(r.point, g)))
+    # tuple order is the big-endian point-index order
+    return Configuration(g, sorted(rooks, key=lambda r: r.point))
 
 
 def _diagonal_points(n, k):

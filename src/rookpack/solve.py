@@ -22,7 +22,7 @@ from .core import (
     index_point,
     point_index,
 )
-from .bounds import singleton_bound_b, singleton_bound_c, sphere_packing_bounds
+from .bounds import incidence_bound_b, singleton_bound_b, singleton_bound_c, sphere_packing_bounds
 from .constructions import diagonal_covering
 from .verify import verify_covering, verify_packing, verify_two_packing
 
@@ -56,14 +56,17 @@ class _BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Placement:
     index: int
     pidx: int
     dirs: tuple
     cov: int
-    att: int
     line_cov: int  # lines the rook covers (its dirs axes)
+
+    @property
+    def att(self) -> int:
+        return self.cov ^ (1 << self.pidx)
 
 
 class _Instance:
@@ -93,7 +96,7 @@ class _Instance:
                     cov |= line_masks[a]
                     lines |= line_bits[a]
                 self.placements.append(
-                    _Placement(len(self.placements), pidx, d, cov, cov ^ (1 << pidx), lines)
+                    _Placement(len(self.placements), pidx, d, cov, lines)
                 )
 
     def _line_ids(self, pidx):
@@ -185,8 +188,9 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     """Run search(inst, tick, stats, best) under the budget.
 
     search seeds best = [value, placements] and improves it in place;
-    tick() counts a node and raises _BudgetExhausted past the budget.  An
-    inexact result reports capped_bounds(best value) as (lower, upper).
+    tick() counts a node and raises _BudgetExhausted past the budget.  A
+    capped run reports capped_bounds(best value) as (lower, upper), and is
+    exact when both equal the best value.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -209,9 +213,9 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
         exact = False
     stats.wall_time = time.perf_counter() - start
     witness = inst.config(best[1]) if best[0] >= 0 else None
-    if exact:
-        return SolveResult(g, mode, best[0], witness, stats, True, best[0], best[0])
-    lower, upper = capped_bounds(best[0])
+    lower, upper = (best[0], best[0]) if exact else capped_bounds(best[0])
+    if lower == upper == best[0]:
+        return SolveResult(g, mode, best[0], witness, stats, True, lower, upper)
     return SolveResult(g, mode, None, witness, stats, False, lower, upper)
 
 
@@ -283,8 +287,11 @@ def _union(table, bits):
 # The placements that cannot coexist with pl, pl included, as a mask over
 # placement indices, in each mode of _max_independent.
 _CONFLICTS = {
-    # rooks covering pl's point, and rooks on a point pl covers
-    "max_pack": lambda inst, pl: inst.by_unit("cov")[pl.pidx] | inst.at_points(pl.cov),
+    # rooks on a point pl covers (its own included), and rooks attacking
+    # pl's point along one of its k lines
+    "max_pack": lambda inst, pl: inst.at_points(pl.cov) | _union(
+        inst.by_unit("line_cov"), sum(1 << line for line in inst._line_ids(pl.pidx))
+    ),
     # rooks covering a point pl covers
     "max_two_pack_closed": lambda inst, pl: _union(inst.by_unit("cov"), pl.cov),
     # rooks attacking a point pl attacks, and rooks on pl's point
@@ -294,16 +301,17 @@ _CONFLICTS = {
 }
 
 
-def _max_independent(g, mode, budget, unit, unit_attr, upper):
+def _max_independent(g, mode, budget, cap_for, upper):
     """Shared include/exclude search for max_pack and max_two_pack,
     seeded with the greedy pick in placement order.
 
     Candidate sets are ints over placement indices: the head is the lowest
     set bit, and the include child keeps the tail minus the head's
-    _CONFLICTS[mode] mask, computed once per head.  unit is the number of
-    exclusively-consumed resource bits per rook (lines or points) and
-    unit_attr names the placement bitset holding them.  upper is the
-    closed-form bound reported when the budget runs out.
+    _CONFLICTS[mode] mask, computed once per head.  cap_for(inst) gives
+    cap(cands), a bound on the rooks any subset of cands can hold that
+    never exceeds the candidate count and falls by at most one when a
+    candidate leaves.  upper is the closed-form bound reported when the
+    budget runs out.
     """
     conflicts = _CONFLICTS[mode]
 
@@ -324,22 +332,17 @@ def _max_independent(g, mode, budget, unit, unit_attr, upper):
             cands &= allowed(i)
         best[:] = [len(seed), seed]
 
-        by_unit = inst.by_unit(unit_attr)
-        nunits = len(by_unit)
-        unit_masks = [getattr(pl, unit_attr) for pl in pls]
-
+        cap = cap_for(inst)
         chosen = []
 
         def dfs(cands, depth):
-            # A node is pruned when depth + bound <= best, the bound being
-            # (units the candidates reach) // unit, or the candidate count
-            # when unit is 0.  No candidate reaches more than unit units, so
-            # the bound never exceeds the count and count <= slack prunes
-            # without a recount.  Dropping the head loses at most unit
-            # reached units, so lo..hi brackets them along the exclude chain
-            # (the next turn of the loop); a turn recounts only when the
-            # bracket cannot decide.
-            lo, hi = 0, nunits
+            # A node is pruned when depth + cap(cands) <= best.  The cap
+            # never exceeds the candidate count, so count <= slack prunes
+            # without a recount.  Dropping the head lowers the cap by at
+            # most one, so lo..hi brackets it along the exclude chain (the
+            # next turn of the loop); a turn recounts only when the bracket
+            # cannot decide.
+            lo, hi = 0, len(pls)
             while True:
                 tick()
                 if depth > best[0]:
@@ -348,18 +351,12 @@ def _max_independent(g, mode, budget, unit, unit_attr, upper):
                 if not cands:
                     return
                 slack = best[0] - depth
-                need = (slack + 1) * unit
-                count = cands.bit_count()
-                if count <= slack or hi < need:
+                if cands.bit_count() <= slack or hi <= slack:
                     stats.pruned += 1
                     return
-                if lo < need:
-                    # few candidates: OR their masks; many: test every unit
-                    if 3 * count < 2 * nunits:
-                        lo = hi = _union(unit_masks, cands).bit_count()
-                    else:
-                        lo = hi = nunits - list(map(cands.__and__, by_unit)).count(0)
-                    if hi < need:
+                if lo <= slack:
+                    lo = hi = cap(cands)
+                    if hi <= slack:
                         stats.pruned += 1
                         return
                 low = cands & -cands
@@ -368,7 +365,7 @@ def _max_independent(g, mode, budget, unit, unit_attr, upper):
                 chosen.append(pls[i])
                 dfs(cands & allowed(i), depth + 1)
                 chosen.pop()
-                lo -= unit
+                lo -= 1
 
         dfs(full, 0)
 
@@ -376,11 +373,107 @@ def _max_independent(g, mode, budget, unit, unit_attr, upper):
     return _solve(g, mode, budget, search, lambda value: (value, upper))
 
 
+def _unit_cap(inst, unit, unit_attr):
+    """cap for _max_independent when each rook holds unit points of its
+    placement bitset unit_attr alone: the points the candidates reach,
+    // unit, or the candidate count when unit is 0."""
+    by_unit = inst.by_unit(unit_attr)
+    nunits = len(by_unit)
+    unit_masks = [getattr(pl, unit_attr) for pl in inst.placements]
+
+    def cap(cands):
+        if not unit:
+            return cands.bit_count()
+        # few candidates: OR their masks; many: test every unit
+        if 3 * cands.bit_count() < 2 * nunits:
+            return _union(unit_masks, cands).bit_count() // unit
+        return (nunits - list(map(cands.__and__, by_unit)).count(0)) // unit
+
+    return cap
+
+
+def _repeat(pattern, width, count):
+    """count copies of the width-bit pattern, laid end to end."""
+    return pattern * (((1 << width * count) - 1) // ((1 << width) - 1))
+
+
+def _window(step, span):
+    """Shift amounts that, applied in turn as x |= x >> t, make x the OR of
+    x >> j*step over 0 <= j < span (likewise for <<); each doubles the
+    window covered, the last tops it up."""
+    shifts, s = [], 1
+    while s < span:
+        t = min(s, span - s)
+        shifts.append(t * step)
+        s += t
+    return shifts
+
+
+def _clique_counter(inst):
+    """counts(cands) -> (lines, cliques) for a mask of candidate placements:
+    the axis-a lines, over all a, holding a candidate attacking along a, and
+    the pairs (axis a, point q) whose clique meets the candidates.  That
+    clique is every placement at q plus those on q's axis-a line attacking
+    along a; no two of them fit in one packing.
+
+    Placement p*D + j is the j-th direction set at point p, so each point
+    owns a D-bit block.  Per axis, a few shifts on whole masks OR each block
+    into its first bit, gather those bits along the axis onto the points
+    with x_a = 0, and spread them back along the line.
+    """
+    g, D, npts = inst.g, len(inst.dirsets), inst.npts
+    n = g.n
+    starts = _repeat(1, D, npts)
+    fold = _window(1, D)
+    axes = []
+    for a, w in enumerate(inst.weights):
+        # placements attacking along a, and the block starts of the points
+        # with x_a = 0: the first w of every n*w points
+        along = _repeat(sum(1 << j for j, d in enumerate(inst.dirsets) if a in d), D, npts)
+        plane = _repeat(_repeat(1, D, w), n * w * D, npts // (n * w))
+        line = _window(w * D, n)
+        axes.append((along, fold + line, plane, line))
+
+    def counts(cands):
+        occupied = cands
+        for t in fold:
+            occupied |= occupied >> t
+        occupied &= starts
+        lines = cliques = 0
+        for along, gather, plane, line in axes:
+            heads = cands & along
+            for t in gather:
+                heads |= heads >> t
+            heads &= plane
+            lines += heads.bit_count()
+            for t in line:
+                heads |= heads << t
+            cliques += (heads | occupied).bit_count()
+        return lines, cliques
+
+    return counts
+
+
+def _pack_cap(inst):
+    """cap for packings.  A rook holds its l lines alone, and lies in
+    exactly l(n-1)+k of the cliques of _clique_counter (l(n-1) as an
+    attacker, k as the occupant of its point), each of which holds at most
+    one rook; so both counts, divided by those, cap the packing."""
+    g = inst.g
+    counts = _clique_counter(inst)
+    per_rook = g.l * (g.n - 1) + g.k
+
+    def cap(cands):
+        lines, cliques = counts(cands)
+        return min(lines // g.l, cliques // per_rook)
+
+    return cap
+
+
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
     """Maximum number of l-rooks with no rook attacking another."""
-    upper = int(singleton_bound_b(g))
-    # each rook in a packing consumes its l covered lines exclusively
-    return _max_independent(g, "max_pack", budget, g.l, "line_cov", upper)
+    upper = int(min(incidence_bound_b(g), singleton_bound_b(g)))
+    return _max_independent(g, "max_pack", budget, _pack_cap, upper)
 
 
 def exact_max_two_packing(
@@ -398,7 +491,9 @@ def exact_max_two_packing(
         unit, attr = g.l * (g.n - 1), "att"
         # strict attack sets are pairwise disjoint, each of unit points
         upper = g.num_points // unit if unit else g.num_points
-    return _max_independent(g, f"max_two_pack_{mode}", budget, unit, attr, upper)
+    return _max_independent(
+        g, f"max_two_pack_{mode}", budget, lambda inst: _unit_cap(inst, unit, attr), upper
+    )
 
 
 def exact_max_coverage(
@@ -458,8 +553,9 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     sink; one binary variable y_<pointindex>_<dirmask> per placement.
 
     min_cover: minimize sum y s.t. each point is covered at least once.
-    max_pack: maximize sum y s.t. attacking pairs and co-located
-    placements are mutually exclusive.
+    max_pack: maximize sum y s.t. for each axis a and point q, the
+    placements at q and those attacking along q's axis-a line hold at
+    most one rook (k n^k rows; every conflicting pair shares one).
     max_two_pack: maximize sum y s.t. each point lies in at most one
     chosen closed coverage set.
     """
@@ -473,17 +569,19 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     lines.append(" obj: " + " + ".join(names))
     lines.append("Subject To")
     if mode == "max_pack":
-        for i, a in enumerate(inst.placements):
-            for b in inst.placements[i + 1 :]:
-                if a.pidx == b.pidx:
-                    continue
-                if (a.att >> b.pidx) & 1 or (b.att >> a.pidx) & 1:
-                    lines.append(f" pair_{a.index}_{b.index}: {names[a.index]} + {names[b.index]} <= 1")
-                    constraints += 1
-        for p in range(inst.npts):
-            here = [names[pl.index] for pl in inst.placements if pl.pidx == p]
-            if len(here) > 1:
-                lines.append(f" point_{p}: " + " + ".join(here) + " <= 1")
+        # the (line, point) cliques of _clique_counter: the placements at
+        # q and those attacking along q's axis-a line, at most one each
+        by_line = inst.by_unit("line_cov")
+        block = (1 << len(inst.dirsets)) - 1
+        for q in range(inst.npts):
+            for a, line in enumerate(inst._line_ids(q)):
+                m = by_line[line] | block << q * len(inst.dirsets)
+                row = []
+                while m:
+                    low = m & -m
+                    row.append(names[low.bit_length() - 1])
+                    m ^= low
+                lines.append(f" clique_{q}_{a}: " + " + ".join(row) + " <= 1")
                 constraints += 1
     else:
         row, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")

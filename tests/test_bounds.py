@@ -140,6 +140,7 @@ def test_bound_report():
     rep = bound_report(GridParams(3, 3, 2))
     assert rep.a_lower == 6 and rep.a_upper == 9
     assert rep.b_upper == Fraction(27, 2)
+    assert rep.b_incidence == Fraction(81, 7)
     assert rep.c_upper == 9
     rep1 = bound_report(GridParams(3, 3, 1))
     assert rep1.c_upper is None

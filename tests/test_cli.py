@@ -52,6 +52,7 @@ def test_bounds_json(capsys):
     doc = json.loads(out)
     assert doc["a_lower"] == 6 and doc["a_upper"] == 9
     assert doc["b_upper"] == "27/2"
+    assert doc["b_incidence"] == "81/7"
     assert doc["c_upper"] == 9
     _validate(doc, "bound_report.schema.json")
 
@@ -217,6 +218,17 @@ def test_solve_budget_exit(capsys, tmp_path):
     assert not doc["exact"] and doc["optimum"] is None
     # inexact runs are not cached
     assert not (tmp_path / "cache" / "solve_a_3_3_2.json").exists()
+
+
+def test_solve_capped_with_meeting_bounds_is_exact(capsys, tmp_path):
+    # the greedy seed of c(5,3,3) meets the plane bound 5, so a run cut at
+    # 100 nodes has proved the optimum: exact, exit 0, cached
+    code, out, _ = run(capsys, "solve", "c", "--n", "5", "--k", "3", "--l", "3",
+                       "--max-nodes", "100")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] and doc["optimum"] == doc["lower_bound"] == doc["upper_bound"] == 5
+    assert (tmp_path / "cache" / "solve_c_5_3_3.json").read_text() == out
 
 
 def test_solve_coverage(capsys):

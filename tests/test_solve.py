@@ -1,10 +1,14 @@
 """Exact solver, enumeration oracles, and the ILP encoder."""
 
 import io
+import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from rookpack.core import Configuration, GridParams, Rook
+from rookpack.bounds import incidence_bound_b, singleton_bound_b
+from rookpack.core import Configuration, GridParams, Rook, covers
 from rookpack.oracles import (
     _oracle_clashes,
     _oracle_rooks,
@@ -16,6 +20,7 @@ from rookpack.oracles import (
 from rookpack.solve import (
     _CONFLICTS,
     SolverBudget,
+    _clique_counter,
     _Instance,
     check_witness,
     encode_ilp,
@@ -120,6 +125,97 @@ def test_conflict_masks_match_coordinates():
                         assert got == want, (g, mode)
 
 
+def test_clique_counter_matches_coordinates():
+    # the shift-and-mask counts against the lines and (line, point) cliques
+    # that core.covers finds rook by rook, on seeded random candidate sets;
+    # n = 1, k = 1, l = k and one direction set per point included
+    rng = random.Random(20)
+    grids = [(1, 1, 1), (1, 3, 2), (6, 1, 1), (3, 2, 1), (4, 2, 2), (2, 3, 1),
+             (3, 3, 2), (2, 4, 2), (2, 4, 4), (3, 4, 2), (2, 5, 3)]
+    for n, k, l in grids:
+        g = GridParams(n, k, l)
+        inst = _Instance(g)
+        counts = _clique_counter(inst)
+        rooks = [Rook(inst.points[pl.pidx], pl.dirs) for pl in inst.placements]
+        # the axis-a lines a rook attacks along, and the cliques (a, q) it
+        # meets: it sits on q, or covers q from across q's axis-a line
+        lines = [{(a, r.point[:a] + r.point[a + 1 :]) for a in r.dirs} for r in rooks]
+        cliques = [
+            {(a, q) for q in inst.points for a in range(k)
+             if covers(r, q, g) and (q == r.point or q[a] != r.point[a])}
+            for r in rooks
+        ]
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            for _ in range(4):
+                chosen = [i for i in range(len(rooks)) if rng.random() < density]
+                want = (len(set().union(*(lines[i] for i in chosen))),
+                        len(set().union(*(cliques[i] for i in chosen))))
+                assert counts(sum(1 << i for i in chosen)) == want, (g, chosen)
+
+
+def test_incidence_bound_b_counting_proof():
+    # on every grid with n^k <= 64, the k n^k (line, point) cliques built
+    # from coordinates are cliques of the oracles' packing clashes, and
+    # every rook lies in exactly l(n-1)+k of them: so no packing beats
+    # incidence_bound_b; the oracle optimum stays below it where it is quick
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                rooks = _oracle_rooks(g)
+                clashes = _oracle_clashes(rooks, "max_pack")
+                members = {}
+                for i, r in enumerate(rooks):
+                    p = r.rook.point
+                    met = {(a, p) for a in range(k)}
+                    met |= {(a, p[:a] + (v,) + p[a + 1 :]) for a in r.rook.dirs for v in range(n)}
+                    assert len(met) == l * (n - 1) + k
+                    for c in met:
+                        members.setdefault(c, set()).add(i)
+                assert len(members) == k * n ** k
+                for clique in members.values():
+                    assert all(clique <= clashes[i] for i in clique), g
+                bound = incidence_bound_b(g)
+                assert bound == Fraction(k * n ** k, l * (n - 1) + k)
+                assert bound <= singleton_bound_b(g)
+                assert (bound < singleton_bound_b(g)) == (l < k)
+    for n, k, l in [(2, 2, 1), (3, 2, 1), (4, 2, 1), (5, 2, 1), (3, 2, 2), (2, 3, 1),
+                    (2, 3, 2), (2, 3, 3), (3, 3, 3), (4, 2, 2), (1, 3, 2)]:
+        g = GridParams(n, k, l)
+        assert enumerate_max_packing(g) <= incidence_bound_b(g)
+
+
+def test_encode_ilp_max_pack_cliques_are_the_clashes():
+    # two placements share a row of the clique model iff they clash in the
+    # oracles, on every grid with n^k <= 64; k n^k rows
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                buf = io.StringIO()
+                summary = encode_ilp(g, "max_pack", buf)
+                assert summary["constraints"] == k * n ** k
+                inst = _Instance(g)
+                var = {f"y_{pl.pidx}_{sum(1 << a for a in pl.dirs)}": pl.index
+                       for pl in inst.placements}
+                share = [{i} for i in range(len(var))]
+                for row in re.findall(r"^ clique_\d+_\d+: (.*) <= 1$", buf.getvalue(), re.M):
+                    ids = {var[name] for name in row.split(" + ")}
+                    for i in ids:
+                        share[i] |= ids
+                assert share == [set(c) for c in _oracle_clashes(_oracle_rooks(g), "max_pack")], g
+
+
+def test_capped_result_with_meeting_bounds_is_exact():
+    # the greedy seeds of c(5,3,3) and c(4,2,2) meet the plane bound, so a
+    # node cap that trips later has still proved the optimum
+    res = exact_max_two_packing(GridParams(5, 3, 3), "closed", SolverBudget(max_nodes=100))
+    assert (res.exact, res.optimum, res.lower_bound, res.upper_bound) == (True, 5, 5, 5)
+    assert check_witness(res.mode, res.witness, 5)
+    res = exact_max_two_packing(GridParams(4, 2, 2), "closed", SolverBudget(max_nodes=0))
+    assert (res.exact, res.optimum) == (True, 1)
+
+
 def _rooks(res):
     return [(r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks]
 
@@ -128,7 +224,7 @@ def test_packing_search_tree_pinned():
     # node and pruned counts and witnesses of the include/exclude search:
     # a kernel change that reshapes the tree shows up here
     b = exact_max_packing(GridParams(3, 3, 2))
-    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (102_273, 51_077, 10)
+    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (5_749, 2_873, 10)
     assert _rooks(b) == [
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((0, 1, 2), (0, 2)),
         ((0, 2, 2), (0, 2)), ((1, 0, 2), (1, 2)), ((1, 1, 0), (0, 1)),
@@ -146,17 +242,21 @@ def test_packing_search_tree_pinned():
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)),
         ((1, 2, 2), (1, 2)), ((2, 1, 2), (1, 2)), ((2, 2, 2), (0, 2)),
     ]
-    line = [(293, 139), (681, 332), (1_457, 719), (2_997, 1_488), (6_093, 3_035)]
-    for n, counts in zip(range(4, 9), line):
+    # the clique bound is 2n - 2 at the root, so the greedy seed's 2n - 2
+    # rooks close b(n, 2, 1) in 4n + 1 nodes
+    for n in range(4, 21):
         res = exact_max_packing(GridParams(n, 2, 1))
-        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (*counts, 2 * n - 2)
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (4 * n + 1, 2 * n - 3, 2 * n - 2)
     assert _rooks(exact_max_packing(GridParams(4, 2, 1))) == [
         ((0, 0), (0,)), ((0, 1), (0,)), ((0, 2), (0,)),
         ((1, 3), (1,)), ((2, 3), (1,)), ((3, 3), (1,)),
     ]
     capped = exact_max_packing(GridParams(12, 2, 1), SolverBudget(60_000, 1e9))
-    assert (capped.exact, capped.lower_bound, capped.upper_bound) == (False, 22, 24)
+    assert (capped.exact, capped.lower_bound, capped.upper_bound) == (True, 22, 22)
     assert len(capped.witness) == 22
+    capped = exact_max_packing(GridParams(3, 3, 1), SolverBudget(100_000, 1e9))
+    assert (capped.stats.nodes, capped.exact, capped.optimum) == (1_453, True, 15)
+    assert check_witness(capped.mode, capped.witness, 15)
     capped = exact_max_packing(GridParams(2, 7, 5), SolverBudget(20_000, 1e9))
     assert (capped.exact, capped.lower_bound) == (False, 64)
     assert check_witness(capped.mode, capped.witness, 64)
