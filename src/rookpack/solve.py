@@ -8,6 +8,8 @@ bounds found so far flagged inexact, never a wrong optimum.
 
 from __future__ import annotations
 
+import heapq
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -158,10 +160,6 @@ class _Instance:
         return mask
 
 
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
 def _seed_covering(g: GridParams) -> Configuration:
     """The modular diagonal attacking along axes 0..l-1: every axis-0 line
     holds exactly one diagonal point, so this covers H(n, k)."""
@@ -219,57 +217,103 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     return SolveResult(g, mode, None, witness, stats, False, lower, upper)
 
 
+def _greedy_covering(inst: _Instance):
+    """Placements covering H(n, k), at distinct points: each the one with
+    the most uncovered points, the lowest index on ties.
+
+    A gain only falls as points get covered, so a lazy min-heap of keys
+    (ball - gain) * P + index, with P placements, holds a stale gain for
+    each placement and rescores only its top.
+    """
+    pls, ball = inst.placements, inst.g.ball
+    P = len(pls)
+    heap = list(range(P))  # every gain is ball at first
+    uncovered, used, chosen = inst.full, set(), []
+    while uncovered:
+        key = heap[0]
+        pl = pls[key % P]
+        if pl.pidx in used:
+            heapq.heappop(heap)
+            continue
+        fresh = (ball - (pl.cov & uncovered).bit_count()) * P + pl.index
+        if fresh != key:
+            heapq.heapreplace(heap, fresh)
+            continue
+        heapq.heappop(heap)
+        used.add(pl.pidx)
+        chosen.append(pl)
+        uncovered &= ~pl.cov
+    return chosen
+
+
 def exact_min_covering(
     g: GridParams,
     budget: SolverBudget | None = None,
     symmetry_breaking: bool = False,
 ) -> SolveResult:
     """Minimum number of l-rooks covering H(n, k), by depth-first
-    branch-and-bound on the first uncovered point."""
+    branch-and-bound on the first uncovered point, seeded with the better
+    of the modular diagonal and the greedy covering.
+
+    live is a mask over placement indices: the candidates for the first
+    uncovered point p are by_unit("cov")[p] & live, taken lowest first.
+    A taken rook's point leaves the child's live, and once a candidate's
+    subtree is searched it leaves live for its later siblings, so each
+    covering is reached through one order of its rooks only.  With
+    symmetry_breaking the root keeps only the placements that are
+    minimal under axis permutations.
+    """
     sphere_lower, _ = sphere_packing_bounds(g)
 
     def search(inst, tick, stats, best):
         seed = _seed_covering(g)
         best[:] = [len(seed), [inst.placement(r) for r in seed.rooks]]
+        greedy = _greedy_covering(inst)
+        if len(greedy) < best[0]:
+            best[:] = [len(greedy), greedy]
 
-        cover_by_point = [[] for _ in range(inst.npts)]
-        for pl in inst.placements:
-            m = pl.cov
-            while m:
-                low = m & -m
-                cover_by_point[low.bit_length() - 1].append(pl)
-                m ^= low
-
-        ball = g.ball
-        used_points = set()
+        pls, full, npts, ball = inst.placements, inst.full, inst.npts, g.ball
+        by_point = inst.by_unit("cov")
+        D = len(inst.dirsets)
+        block = (1 << D) - 1
         chosen = []
 
-        def dfs(covered, depth):
-            tick()
-            if covered == inst.full:
-                if depth < best[0]:
-                    best[0] = depth
-                    best[1] = list(chosen)
-                return
-            uncov = inst.npts - covered.bit_count()
-            if depth + _ceil_div(uncov, ball) >= best[0]:
-                stats.pruned += 1
-                return
-            p = ((~covered) & inst.full)
-            p = (p & -p).bit_length() - 1
-            cands = cover_by_point[p]
-            if depth == 0 and symmetry_breaking:
-                cands = [pl for pl in cands if _axis_perm_canonical(inst, pl)]
-            for pl in cands:
-                if pl.pidx in used_points:
-                    continue
-                used_points.add(pl.pidx)
-                chosen.append(pl)
-                dfs(covered | pl.cov, depth + 1)
-                chosen.pop()
-                used_points.remove(pl.pidx)
+        def branch(covered, live, depth, cands):
+            # cands hold the placements covering covered's first zero bit.
+            # A child at depth + 1 needs at least (npts - c) / ball more
+            # rooks after its c covered points, so it is pruned when
+            # depth + 1 + ceil((npts - c) / ball) >= best, which is
+            # c < npts - (best - depth - 2) * ball.
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                pl = pls[low.bit_length() - 1]
+                child = covered | pl.cov
+                tick()
+                if child == full:
+                    if depth + 1 < best[0]:
+                        best[0] = depth + 1
+                        best[1] = chosen + [pl]
+                elif child.bit_count() < npts - (best[0] - depth - 2) * ball:
+                    stats.pruned += 1
+                else:
+                    chosen.append(pl)
+                    rest = live & ~(block << pl.pidx * D)
+                    p = ((child + 1) & ~child).bit_length() - 1
+                    branch(child, rest, depth + 1, by_point[p] & rest)
+                    chosen.pop()
+                live ^= low
 
-        dfs(0, 0)
+        tick()  # the root, pruned when ceil(npts / ball) >= best
+        if (best[0] - 1) * ball >= npts:
+            live = (1 << len(pls)) - 1
+            root = by_point[0]
+            if symmetry_breaking:
+                root = sum(1 << pl.index for pl in pls if root >> pl.index & 1
+                           and _axis_perm_canonical(inst, pl))
+            branch(0, live, 0, root)
+        else:
+            stats.pruned += 1
 
     return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
 
@@ -314,6 +358,10 @@ def _max_independent(g, mode, budget, cap_for, upper):
     budget runs out.
     """
     conflicts = _CONFLICTS[mode]
+    # a two-packing whose incumbent meets upper is proven optimal, so its
+    # search stops there (dfs returns True); mode b's root bound is upper
+    # already, and it keeps the tree that prunes its way back to the root
+    stop = math.inf if mode == "max_pack" else upper
 
     def search(inst, tick, stats, best):
         pls = inst.placements
@@ -348,6 +396,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 if depth > best[0]:
                     best[0] = depth
                     best[1] = list(chosen)
+                if best[0] >= stop:
+                    return True
                 if not cands:
                     return
                 slack = best[0] - depth
@@ -363,7 +413,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(pls[i])
-                dfs(cands & allowed(i), depth + 1)
+                if dfs(cands & allowed(i), depth + 1):
+                    return True
                 chosen.pop()
                 lo -= 1
 

@@ -1,6 +1,7 @@
 """Exact solver, enumeration oracles, and the ILP encoder."""
 
 import io
+import math
 import random
 import re
 from fractions import Fraction
@@ -214,6 +215,9 @@ def test_capped_result_with_meeting_bounds_is_exact():
     assert check_witness(res.mode, res.witness, 5)
     res = exact_max_two_packing(GridParams(4, 2, 2), "closed", SolverBudget(max_nodes=0))
     assert (res.exact, res.optimum) == (True, 1)
+    # and the search stops there instead of running to the cap
+    res = exact_max_two_packing(GridParams(5, 3, 3), "closed", SolverBudget(max_nodes=60_000))
+    assert (res.exact, res.optimum) == (True, 5) and res.stats.nodes < 100
 
 
 def _rooks(res):
@@ -237,7 +241,7 @@ def test_packing_search_tree_pinned():
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)), ((1, 2, 2), (0, 2)),
     ]
     strict = exact_max_two_packing(GridParams(3, 3, 2), "strict")
-    assert (strict.stats.nodes, strict.stats.pruned, strict.optimum) == (45, 14, 6)
+    assert (strict.stats.nodes, strict.stats.pruned, strict.optimum) == (39, 9, 6)
     assert _rooks(strict) == [
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)),
         ((1, 2, 2), (1, 2)), ((2, 1, 2), (1, 2)), ((2, 2, 2), (0, 2)),
@@ -260,6 +264,56 @@ def test_packing_search_tree_pinned():
     capped = exact_max_packing(GridParams(2, 7, 5), SolverBudget(20_000, 1e9))
     assert (capped.exact, capped.lower_bound) == (False, 64)
     assert check_witness(capped.mode, capped.witness, 64)
+
+
+def test_covering_search_tree_pinned():
+    # node and pruned counts of the covering search: sibling exclusion,
+    # the bound test and the greedy seed each reshape these trees
+    for nkl, sym, counts in [
+        ((3, 3, 2), False, (167_438, 150_105, 7)),
+        ((3, 3, 2), True, (47_959, 43_216, 7)),
+        ((4, 3, 3), False, (105_420, 88_885, 8)),
+        ((5, 2, 2), False, (1_904, 1_530, 5)),
+        ((6, 2, 2), False, (24_501, 20_349, 6)),
+    ]:
+        res = exact_min_covering(GridParams(*nkl), symmetry_breaking=sym)
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, (nkl, sym)
+    capped = exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000_000, 1e9))
+    assert (capped.exact, capped.lower_bound, capped.upper_bound) == (False, 10, 12)
+    assert check_witness(capped.mode, capped.witness, 12)
+    # the greedy seed meets the sphere bound, which proves it at the root
+    for nkl, value in [((2, 7, 7), 16), ((3, 4, 4), 9)]:
+        res = exact_min_covering(GridParams(*nkl))
+        assert (res.exact, res.optimum, res.stats.nodes) == (True, value, 1)
+        assert check_witness(res.mode, res.witness, value)
+
+
+def test_covering_symmetry_and_oracles_agree():
+    # on every grid with n^k <= 64 that closes within 200k nodes, the
+    # optimum with symmetry breaking equals the one without, both
+    # witnesses verify, and the enumeration oracle agrees where plain
+    # subset enumeration is affordable (the cost rule of criterion 8)
+    budget = SolverBudget(200_000, 1e9)
+    closed = enumerated = 0
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                plain = exact_min_covering(g, budget)
+                sym = exact_min_covering(g, budget, symmetry_breaking=True)
+                for res in (plain, sym):
+                    assert check_witness(res.mode, res.witness, res.upper_bound), (g, res)
+                    assert res.lower_bound <= min(plain.upper_bound, sym.upper_bound), g
+                if not (plain.exact and sym.exact):
+                    continue
+                closed += 1
+                assert sym.optimum == plain.optimum, g
+                P = n ** k * math.comb(k, l)
+                cost = sum(math.comb(P, s) * max(s, 1) for s in range(plain.optimum + 1))
+                if plain.optimum <= 5 and cost <= 3_000_000:
+                    enumerated += 1
+                    assert enumerate_min_covering(g, max_size=plain.optimum) == plain.optimum, g
+    assert closed >= 115 and enumerated >= 97
 
 
 def test_witnesses_valid_and_deterministic():
