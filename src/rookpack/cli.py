@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except RookError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_IO
     except OSError as e:

@@ -134,9 +134,9 @@ class Configuration:
         return len(self.rooks)
 
     def sorted_rooks(self):
-        """Rooks in canonical order (by point index)."""
-        g = self.params
-        return sorted(self.rooks, key=lambda r: point_index(r.point, g))
+        """Rooks in canonical order: by point tuple, which is the big-endian
+        point-index order without re-checking the points."""
+        return sorted(self.rooks, key=lambda r: r.point)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .core import (
     point_index,
 )
 from .bounds import incidence_bound_b, singleton_bound_b, singleton_bound_c, sphere_packing_bounds
-from .constructions import diagonal_covering
 from .verify import verify_covering, verify_packing, verify_two_packing
 
 
@@ -33,6 +32,12 @@ from .verify import verify_covering, verify_packing, verify_two_packing
 class SolverBudget:
     max_nodes: int = 5_000_000
     max_seconds: float = 60.0
+
+    def __post_init__(self):
+        # NaN fails the comparison; 0 and inf are valid caps
+        if not (self.max_nodes >= 0 and self.max_seconds >= 0):
+            raise InvalidArgument(f"budget needs max_nodes >= 0 and max_seconds >= 0, "
+                                  f"got {self.max_nodes} and {self.max_seconds}")
 
 
 @dataclass
@@ -64,7 +69,6 @@ class _Placement:
     pidx: int
     dirs: tuple
     cov: int
-    line_cov: int  # lines the rook covers (its dirs axes)
 
     @property
     def att(self) -> int:
@@ -73,7 +77,7 @@ class _Placement:
 
 class _Instance:
     """Placement table for one grid: every (point, direction-set) pair in
-    lexicographic order, with precomputed coverage and line bitsets."""
+    lexicographic order, with precomputed coverage bitsets."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
@@ -84,6 +88,8 @@ class _Instance:
         self.dirsets = list(combinations(range(g.k), g.l))
         self.lines_per_axis = g.n ** (g.k - 1)
         self.weights = g.weights
+        # along[a]: the D-bit mask of the direction sets containing axis a
+        self.along = [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(g.k)]
         self._by_unit = {}
         self.placements = []
         # a placement covers the union of its lines; each line mask is a
@@ -91,15 +97,11 @@ class _Instance:
         patterns = [sum(1 << v * w for v in range(g.n)) for w in self.weights]
         for pidx, p in enumerate(self.points):
             line_masks = [pat << (pidx - x * w) for pat, x, w in zip(patterns, p, self.weights)]
-            line_bits = [1 << line for line in self._line_ids(pidx)]
             for d in self.dirsets:
-                cov = lines = 0
+                cov = 0
                 for a in d:
                     cov |= line_masks[a]
-                    lines |= line_bits[a]
-                self.placements.append(
-                    _Placement(len(self.placements), pidx, d, cov, lines)
-                )
+                self.placements.append(_Placement(len(self.placements), pidx, d, cov))
 
     def _line_ids(self, pidx):
         """Id of the axis-a line through point pidx, for each axis a."""
@@ -114,31 +116,26 @@ class _Instance:
             self.g, [Rook(self.points[pl.pidx], pl.dirs) for pl in chosen]
         )
 
-    def placement(self, r: Rook) -> _Placement:
-        row = point_index(r.point, self.g) * len(self.dirsets)
-        return self.placements[row + self.dirsets.index(tuple(sorted(r.dirs)))]
-
     def by_unit(self, attr):
         """by_unit(attr)[u] is the mask, over placement indices, of the
-        placements whose bitset attr ("line_cov", "cov" or "att") holds
-        bit u; built once per attr."""
+        placements on line u attacking along it ("line", u a line id of
+        _line_ids), or of those covering ("cov") or attacking ("att") point
+        u; built once per attr."""
         table = self._by_unit.get(attr)
         if table is not None:
             return table
         g, D = self.g, len(self.dirsets)
-        if attr == "line_cov":
-            rows = [bytearray((len(self.placements) + 7) >> 3) for _ in range(g.k * self.lines_per_axis)]
-            for pl in self.placements:
-                byte, bit = pl.index >> 3, 1 << (pl.index & 7)
-                m = pl.line_cov
-                while m:
-                    low = m & -m
-                    rows[low.bit_length() - 1][byte] |= bit
-                    m ^= low
-            table = [int.from_bytes(r, "little") for r in rows]
+        if attr == "line":
+            # placement s*D + j is the j-th direction set at point s, so the
+            # axis-a line from the x_a = 0 point s holds along[a] in the
+            # blocks of s + v*w; those s in index order are in line-id order
+            table = []
+            for along, w in zip(self.along, self.weights):
+                row = _repeat(along, w * D, g.n)
+                table += [row << s * D for s in range(self.npts) if s // w % g.n == 0]
         else:
             # a rook reaches p from p itself or along one of p's k lines
-            lines = self.by_unit("line_cov")
+            lines = self.by_unit("line")
             table = []
             for i in range(self.npts):
                 here = ((1 << D) - 1) << (i * D)
@@ -158,13 +155,6 @@ class _Instance:
             mask |= block << (p * len(self.dirsets))
             points ^= 1 << p
         return mask
-
-
-def _seed_covering(g: GridParams) -> Configuration:
-    """The modular diagonal attacking along axes 0..l-1: every axis-0 line
-    holds exactly one diagonal point, so this covers H(n, k)."""
-    dirs = frozenset(range(g.l))
-    return Configuration(g, [Rook(r.point, dirs) for r in diagonal_covering(g.n, g.k).rooks])
 
 
 def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
@@ -266,15 +256,15 @@ def exact_min_covering(
     sphere_lower, _ = sphere_packing_bounds(g)
 
     def search(inst, tick, stats, best):
-        seed = _seed_covering(g)
-        best[:] = [len(seed), [inst.placement(r) for r in seed.rooks]]
-        greedy = _greedy_covering(inst)
-        if len(greedy) < best[0]:
-            best[:] = [len(greedy), greedy]
-
         pls, full, npts, ball = inst.placements, inst.full, inst.npts, g.ball
-        by_point = inst.by_unit("cov")
         D = len(inst.dirsets)
+        # the modular diagonal attacking along axes 0..l-1 (direction set
+        # 0): every axis-0 line holds one point of coordinate sum 0 mod n
+        seed = [pls[i * D] for i, p in enumerate(inst.points) if sum(p) % g.n == 0]
+        seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
+        best[:] = [len(seed), seed]
+
+        by_point = inst.by_unit("cov")
         block = (1 << D) - 1
         chosen = []
 
@@ -334,7 +324,7 @@ _CONFLICTS = {
     # rooks on a point pl covers (its own included), and rooks attacking
     # pl's point along one of its k lines
     "max_pack": lambda inst, pl: inst.at_points(pl.cov) | _union(
-        inst.by_unit("line_cov"), sum(1 << line for line in inst._line_ids(pl.pidx))
+        inst.by_unit("line"), sum(1 << line for line in inst._line_ids(pl.pidx))
     ),
     # rooks covering a point pl covers
     "max_two_pack_closed": lambda inst, pl: _union(inst.by_unit("cov"), pl.cov),
@@ -477,10 +467,10 @@ def _clique_counter(inst):
     starts = _repeat(1, D, npts)
     fold = _window(1, D)
     axes = []
-    for a, w in enumerate(inst.weights):
+    for along, w in zip(inst.along, inst.weights):
         # placements attacking along a, and the block starts of the points
         # with x_a = 0: the first w of every n*w points
-        along = _repeat(sum(1 << j for j, d in enumerate(inst.dirsets) if a in d), D, npts)
+        along = _repeat(along, D, npts)
         plane = _repeat(_repeat(1, D, w), n * w * D, npts // (n * w))
         line = _window(w * D, n)
         axes.append((along, fold + line, plane, line))
@@ -593,10 +583,7 @@ def exact_max_coverage(
 
 
 def _var_name(pl: _Placement) -> str:
-    mask = 0
-    for a in pl.dirs:
-        mask |= 1 << a
-    return f"y_{pl.pidx}_{mask}"
+    return f"y_{pl.pidx}_{sum(1 << a for a in pl.dirs)}"
 
 
 def encode_ilp(g: GridParams, mode: str, out) -> dict:
@@ -614,38 +601,30 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
         raise InvalidArgument(f"unknown ilp mode {mode!r}")
     inst = _Instance(g)
     names = [_var_name(pl) for pl in inst.placements]
-    lines = []
-    constraints = 0
-    lines.append("Minimize" if mode == "min_cover" else "Maximize")
-    lines.append(" obj: " + " + ".join(names))
-    lines.append("Subject To")
+    # rows are (name, mask over placement indices, sense)
     if mode == "max_pack":
         # the (line, point) cliques of _clique_counter: the placements at
         # q and those attacking along q's axis-a line, at most one each
-        by_line = inst.by_unit("line_cov")
-        block = (1 << len(inst.dirsets)) - 1
-        for q in range(inst.npts):
-            for a, line in enumerate(inst._line_ids(q)):
-                m = by_line[line] | block << q * len(inst.dirsets)
-                row = []
-                while m:
-                    low = m & -m
-                    row.append(names[low.bit_length() - 1])
-                    m ^= low
-                lines.append(f" clique_{q}_{a}: " + " + ".join(row) + " <= 1")
-                constraints += 1
+        by_line = inst.by_unit("line")
+        rows = [(f"clique_{q}_{a}", by_line[line] | inst.at_points(1 << q), "<=")
+                for q in range(inst.npts) for a, line in enumerate(inst._line_ids(q))]
     else:
-        row, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
-        for p in range(inst.npts):
-            covering = [names[pl.index] for pl in inst.placements if (pl.cov >> p) & 1]
-            lines.append(f" {row}_{p}: " + " + ".join(covering) + f" {sense} 1")
-            constraints += 1
+        prefix, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
+        rows = [(f"{prefix}_{p}", m, sense) for p, m in enumerate(inst.by_unit("cov"))]
+    lines = ["Minimize" if mode == "min_cover" else "Maximize", " obj: " + " + ".join(names),
+             "Subject To"]
+    for name, m, sense in rows:
+        terms = []
+        while m:
+            low = m & -m
+            terms.append(names[low.bit_length() - 1])
+            m ^= low
+        lines.append(f" {name}: " + " + ".join(terms) + f" {sense} 1")
     lines.append("Binary")
-    for name in names:
-        lines.append(f" {name}")
+    lines += [f" {name}" for name in names]
     lines.append("End")
     out.write("\n".join(lines) + "\n")
-    return {"mode": mode, "variables": len(names), "constraints": constraints}
+    return {"mode": mode, "variables": len(names), "constraints": len(rows)}
 
 
 def check_witness(mode: str, witness, value, N=None) -> bool:

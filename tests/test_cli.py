@@ -11,6 +11,8 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from rookpack.cli import main
+from rookpack.core import InvalidArgument
+from rookpack.solve import SolverBudget
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "rookpack", "schemas")
 
@@ -220,6 +222,21 @@ def test_solve_budget_exit(capsys, tmp_path):
     assert not (tmp_path / "cache" / "solve_a_3_3_2.json").exists()
 
 
+def test_budget_that_cannot_be_met_is_rejected(capsys, tmp_path):
+    # a negative cap or a NaN clock is a usage error, not a cap of 0 or no
+    # clock at all; 0 and inf stay valid caps
+    with pytest.raises(InvalidArgument):
+        SolverBudget(max_nodes=-1)
+    for flag, value in (("--max-nodes", "-1"), ("--max-seconds", "nan"), ("--max-seconds", "-1")):
+        for argv in (("solve", "a", "--n", "3", "--k", "3", "--l", "2"),
+                     ("table", "--mode", "b", "--k", "5", "--l", "1", "--n", "3..3")):
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 2 and out == "" and "budget" in err, (argv, flag, value)
+    assert not (tmp_path / "cache").exists()
+    SolverBudget(max_nodes=0, max_seconds=0)
+    SolverBudget(max_seconds=float("inf"))
+
+
 def test_solve_capped_with_meeting_bounds_is_exact(capsys, tmp_path):
     # the greedy seed of c(5,3,3) meets the plane bound 5, so a run cut at
     # 100 nodes has proved the optimum: exact, exit 0, cached
@@ -313,6 +330,12 @@ def test_exit_code_io_on_truncated_json(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "verify", "cover", str(tmp_path / "missing.json"))
     assert code == 3
+    # a file that is not UTF-8 is a parse error, for verify and compose alike
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{\x00\x80")
+    for argv in (("verify", "cover", str(binary)), ("compose", "stack", str(binary))):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "parse error" in err, argv
 
 
 def test_config_file_integers_only(capsys, tmp_path):

@@ -207,6 +207,29 @@ def test_encode_ilp_max_pack_cliques_are_the_clashes():
                 assert share == [set(c) for c in _oracle_clashes(_oracle_rooks(g), "max_pack")], g
 
 
+def test_encode_ilp_cover_rows_are_coverage():
+    # each cover_p row of min_cover and cover2_p row of max_two_pack names
+    # exactly the placements that core.covers says reach p, on every grid
+    # with n^k <= 64; n^k rows
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                inst = _Instance(g)
+                names = [(f"y_{pl.pidx}_{sum(1 << a for a in pl.dirs)}",
+                          Rook(inst.points[pl.pidx], pl.dirs)) for pl in inst.placements]
+                for mode, row, sense in (("min_cover", "cover", ">="),
+                                         ("max_two_pack", "cover2", "<=")):
+                    buf = io.StringIO()
+                    assert encode_ilp(g, mode, buf)["constraints"] == n ** k
+                    rows = re.findall(rf"^ {row}_(\d+): (.*) {sense} 1$", buf.getvalue(), re.M)
+                    assert [int(p) for p, _ in rows] == list(range(n ** k)), (g, mode)
+                    for p, terms in rows:
+                        q = inst.points[int(p)]
+                        want = [name for name, r in names if covers(r, q, g)]
+                        assert terms.split(" + ") == want, (g, mode, p)
+
+
 def test_capped_result_with_meeting_bounds_is_exact():
     # the greedy seeds of c(5,3,3) and c(4,2,2) meet the plane bound, so a
     # node cap that trips later has still proved the optimum
