@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import io
 import json
 import os
 import sys
@@ -295,12 +296,14 @@ def _load_cached(path, request, g, args):
 
 def cmd_encode(args) -> int:
     g = GridParams(args.n, args.k, args.l)
+    text = io.StringIO()
+    summary = encode_ilp(g, args.mode, text)  # a rejected instance leaves --out untouched
     if args.out:
         with open(args.out, "w") as f:
-            summary = encode_ilp(g, args.mode, f)
+            f.write(text.getvalue())
         sys.stdout.write(dump_json(summary))
     else:
-        encode_ilp(g, args.mode, sys.stdout)
+        sys.stdout.write(text.getvalue())
     return EXIT_OK
 
 

@@ -9,7 +9,8 @@ available axis index.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product, repeat, starmap
+from operator import add, attrgetter
 
 from .core import (
     Configuration,
@@ -37,7 +38,7 @@ class ConstructionInfeasible(RookError):
 
 def _sorted_config(g, rooks):
     # tuple order is the big-endian point-index order
-    return Configuration(g, sorted(rooks, key=lambda r: r.point))
+    return Configuration(g, sorted(rooks, key=attrgetter("point")))
 
 
 def _diagonal_points(n, k):
@@ -113,14 +114,16 @@ def block_packing(n: int, k: int, t: int) -> Configuration:
     if n < 2 or k < 1 or t < 1:
         raise InvalidParams("need n >= 2, k >= 1, t >= 1")
     g = GridParams(n, k * t, t)
-    rooks = []
-    for p in product(range(n), repeat=k * t):
-        sums = [sum(p[j * t : (j + 1) * t]) % n for j in range(k)]
-        zero = [j for j in range(k) if sums[j] == 0]
-        if len(zero) == 1:
-            j = zero[0]
-            rooks.append(Rook(p, frozenset(range(j * t, (j + 1) * t))))
-    return _sorted_config(g, rooks)
+    blocks = [(b, sum(b) % n == 0) for b in product(range(n), repeat=t)]
+    # tails over blocks j..k-1 in point order: `none` with no zero-sum
+    # block, `one` with exactly one, paired with that block's axes
+    none, one = [()], []
+    for j in reversed(range(k)):
+        dirs = frozenset(range(j * t, (j + 1) * t))
+        one = [(b + p, d) for b, zero in blocks for p, d in (zip(none, repeat(dirs)) if zero else one)]
+        if j:
+            none = [b + p for b, zero in blocks if not zero for p in none]
+    return Configuration(g, list(starmap(Rook, one)))  # already in point order
 
 
 def c_k2_construction(n: int, k: int) -> Configuration:
@@ -285,17 +288,19 @@ def b_k2_inductive(n: int, k: int) -> Configuration:
     sub = b_k2_inductive(n, m)
     sub_points = {r.point for r in sub.rooks}
     label_layers = n // m
+    # x = m*floors + offsets with distinct floors; sum(x) = sum(offsets)
+    # mod m, so the offsets alone pick the coordinate and the axes
+    offsets = []
+    for off in product(range(m), repeat=m):
+        coord = (sum(off) - 1) % m  # congruence class j picks coordinate j (1-indexed)
+        offsets.append((off, coord, frozenset((coord, m))))
     rooks = []
-    for x in product(range(n), repeat=m):
-        floors = tuple(v // m for v in x)
-        if len(set(floors)) != m:
-            continue
-        r = sum(x) % m
-        coord = (r - 1) % m  # congruence class j picks coordinate j (1-indexed)
-        label = floors[coord]
-        if x in sub_points:
-            continue  # would attack every stacked copy along the last axis
-        rooks.append(Rook(x + (label,), frozenset((coord, m))))
+    for floors in permutations(range(label_layers), m):
+        base = [f * m for f in floors]
+        for off, coord, dirs in offsets:
+            x = tuple(map(add, base, off))
+            if x not in sub_points:  # else it would attack every stacked copy along the last axis
+                rooks.append(Rook(x + (floors[coord],), dirs))
     for z in range(label_layers, n):
         for r in sub.rooks:
             rooks.append(Rook(r.point + (z,), r.dirs))

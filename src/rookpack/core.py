@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
+from operator import attrgetter, mul
 
 DEFAULT_POINT_CAP = 1 << 24
 MAX_INDEX = 2**63 - 1
@@ -90,11 +91,25 @@ class GridParams:
         if len(p) != self.k:
             raise InvalidPoint(f"point {p} has length {len(p)}, expected {self.k}")
         for x in p:
+            if type(x) is not int:  # bool and float would pass the range check
+                raise InvalidPoint(f"coordinate {x!r} of {p} is not an integer")
             if not 0 <= x < self.n:
                 raise InvalidPoint(f"coordinate {x} of {p} outside [0, {self.n - 1}]")
 
+    def check_dirs(self, point, dirs):
+        if len(dirs) != self.l:
+            raise InvalidArgument(f"rook at {point} has {len(dirs)} dirs, expected {self.l}")
+        for a in dirs:
+            if type(a) is not int:
+                raise InvalidArgument(f"rook at {point} has a non-integer axis {a!r}")
+            if not 0 <= a < self.k:
+                raise InvalidArgument(f"rook at {point} has axes outside 0..{self.k - 1}")
 
-@dataclass(frozen=True)
+
+_set = object.__setattr__  # frozen dataclasses set their fields through it
+
+
+@dataclass(frozen=True, slots=True)  # constructions hold 10^5 of them
 class Rook:
     """A lattice point plus the set of axes it attacks along."""
 
@@ -102,8 +117,31 @@ class Rook:
     dirs: frozenset
 
     def __init__(self, point, dirs):
-        object.__setattr__(self, "point", tuple(point))
-        object.__setattr__(self, "dirs", frozenset(dirs))
+        _set(self, "point", tuple(point))
+        _set(self, "dirs", frozenset(dirs))
+
+
+_POINT, _DIRS = attrgetter("point"), attrgetter("dirs")
+
+
+def _all_valid(g, rooks) -> bool:
+    """True only if every rook passes check_point and check_dirs and the
+    points are distinct: the same rules as Configuration's per-rook loop,
+    tested a whole column at a time."""
+    points = list(map(_POINT, rooks))
+    dirs = list(map(_DIRS, rooks))
+    coords = list(chain.from_iterable(points))
+    if not (set(map(type, coords)) <= {int} and set(map(type, chain.from_iterable(dirs))) <= {int}):
+        return False
+    # only ints from here: no 1.0 or True merges with 1 in a set, no NaN
+    # slips past min and max
+    values = set(coords)
+    return (
+        len(set(points)) == len(points)
+        and set(map(len, points)) <= {g.k}
+        and (not values or (min(values) >= 0 and max(values) < g.n))
+        and all(len(d) == g.l and min(d) >= 0 and max(d) < g.k for d in set(dirs))
+    )
 
 
 @dataclass(frozen=True)
@@ -116,17 +154,15 @@ class Configuration:
     def __init__(self, params, rooks):
         rooks = tuple(rooks)
         g = params
-        seen = set()
-        axes = frozenset(range(g.k))
-        for r in rooks:
-            g.check_point(r.point)
-            if len(r.dirs) != g.l:
-                raise InvalidArgument(f"rook at {r.point} has {len(r.dirs)} dirs, expected {g.l}")
-            if not r.dirs <= axes:
-                raise InvalidArgument(f"rook at {r.point} has axes outside 0..{g.k - 1}")
-            if r.point in seen:
-                raise InvalidArgument(f"duplicate rook point {r.point}")
-            seen.add(r.point)
+        if not _all_valid(g, rooks):
+            # the first bad rook raises, with its own message
+            seen = set()
+            for r in rooks:
+                g.check_point(r.point)
+                g.check_dirs(r.point, r.dirs)
+                if r.point in seen:
+                    raise InvalidArgument(f"duplicate rook point {r.point}")
+                seen.add(r.point)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "rooks", rooks)
 

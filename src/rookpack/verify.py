@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress, repeat
+from operator import contains, itemgetter, mul, not_, sub
 
 from .core import Configuration, InvalidArgument, RookError, config_coverage, rook_indices
 
@@ -69,28 +70,39 @@ def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> Verify
     """Valid iff no rook attacks another rook's point.
 
     Checked per axis line: rook i attacks rook j exactly when they share
-    a line whose axis is among i's directions.  Rooks are counted per
-    line id, a*N + (index of the line's first point) for axis a, so this
-    is linear in rooks * k and allocates nothing per grid point.
+    a line whose axis is among i's directions.  An axis-a line is named
+    by the index of its first point, and each axis is checked with whole
+    columns of line ids, so this is linear in rooks * k and allocates
+    nothing per grid point.  Rooks are grouped by line only on the bad
+    lines.
     """
-    N, weights = c.params.num_points, c.params.weights
     index = rook_indices(c)
-    ids = [[a * N + b - r.point[a] * w for r, b in zip(c.rooks, index)] for a, w in enumerate(weights)]
-    counts = Counter(chain.from_iterable(ids))
-    attacked = {ids[a][i] for i, r in enumerate(c.rooks) for a in r.dirs if counts[ids[a][i]] > 1}
-    on_line = {}
-    for a in {line // N for line in attacked}:
-        for i, line in enumerate(ids[a]):
-            if line in attacked:
-                on_line.setdefault(line, []).append(i)
-    violations = [
-        Violation("attack", point=index[j], rooks=(i, j))
-        for line, on in on_line.items()
-        for i in on
-        if line // N in c.rooks[i].dirs
-        for j in on
-        if j != i
-    ]
+    points = [r.point for r in c.rooks]
+    dirs = [r.dirs for r in c.rooks]
+    violations = []
+    for a, w in enumerate(c.params.weights):
+        ids = list(map(sub, index, map(mul, map(itemgetter(a), points), repeat(w))))
+        along = list(map(contains, dirs, repeat(a)))
+        attackers = list(compress(ids, along))
+        attacked = set(attackers)
+        # bad lines: an attacker's line that holds a second rook
+        bad = attacked.intersection(compress(ids, map(not_, along)))
+        if len(attacked) < len(attackers):
+            counts = Counter(attackers)
+            bad.update(compress(counts, map((1).__lt__, counts.values())))
+        if not bad:
+            continue
+        on_line = {}
+        for i in compress(range(len(ids)), map(bad.__contains__, ids)):
+            on_line.setdefault(ids[i], []).append(i)
+        violations += [
+            Violation("attack", point=index[j], rooks=(i, j))
+            for on in on_line.values()
+            for i in on
+            if a in dirs[i]
+            for j in on
+            if j != i
+        ]
     return _report(violations, cap)
 
 

@@ -270,6 +270,16 @@ def test_encode(capsys, tmp_path):
     assert "y_0_3" in open(path).read()
 
 
+def test_encode_rejected_instance_leaves_out_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "prog.lp"
+    path.write_text("kept\n")
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "4")
+    code, out, err = run(capsys, "encode", "min_cover", "--n", "3", "--k", "2", "--l", "1",
+                         "--out", str(path))
+    assert code == 2 and out == "" and "cap" in err
+    assert path.read_text() == "kept\n"
+
+
 def test_table(capsys):
     code, out, _ = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
                        "--n", "2..4")

@@ -132,6 +132,37 @@ def test_block_packing():
         block_packing(1, 2, 2)
 
 
+def block_packing_reference(n, k, t):
+    """The per-point definition: scan all n^(kt) points, keep those with
+    exactly one zero block sum."""
+    g = GridParams(n, k * t, t)
+    rooks = []
+    for p in itertools.product(range(n), repeat=k * t):
+        sums = [sum(p[j * t : (j + 1) * t]) % n for j in range(k)]
+        zero = [j for j in range(k) if sums[j] == 0]
+        if len(zero) == 1:
+            j = zero[0]
+            rooks.append(Rook(p, frozenset(range(j * t, (j + 1) * t))))
+    return Configuration(g, sorted(rooks, key=lambda r: r.point))
+
+
+def test_block_packing_matches_per_point_reference():
+    # every grid of at most 5000 points, except that H(n, 1) (one rook at
+    # 0) stops at n = 100 and 5000: the scan of all n <= 5000 takes 30 s
+    cases = [
+        (n, k, t)
+        for k in range(1, 13)  # 2^13 > 5000
+        for t in range(1, 13)
+        for n in itertools.takewhile(lambda n: n ** (k * t) <= 5000, itertools.count(2))
+        if k * t > 1 or n <= 100 or n == 5000
+    ]
+    assert (5000, 1, 1) in cases and (2, 3, 4) in cases and (70, 1, 2) in cases
+    for n, k, t in cases:
+        got, want = block_packing(n, k, t), block_packing_reference(n, k, t)
+        assert got.params == want.params
+        assert got.rooks == want.rooks, (n, k, t)
+
+
 # --- pairwise two-packings ---
 
 
@@ -225,6 +256,42 @@ def test_b_k2_inductive_step():
     assert len(c) >= 3 * n ** 2 // 2 - 7 * n  # guarantee with C_3 = 7
     c4 = b_k2_inductive(4, 3)
     assert verify_packing(c4).valid
+
+
+def b_k2_inductive_reference(n, k):
+    """The per-point definition: scan all n^(k-1) columns and keep those
+    whose coordinates lie in distinct floors v // (k-1)."""
+    g = GridParams(n, k, 2)
+    if k == 2:
+        return Configuration(g, [Rook((i, i), frozenset((0, 1))) for i in range(n)])
+    m = k - 1
+    sub = b_k2_inductive_reference(n, m)
+    sub_points = {r.point for r in sub.rooks}
+    rooks = []
+    for x in itertools.product(range(n), repeat=m):
+        floors = tuple(v // m for v in x)
+        if len(set(floors)) != m or x in sub_points:
+            continue
+        coord = (sum(x) % m - 1) % m
+        rooks.append(Rook(x + (floors[coord],), frozenset((coord, m))))
+    for z in range(n // m, n):
+        for r in sub.rooks:
+            rooks.append(Rook(r.point + (z,), r.dirs))
+    return Configuration(g, sorted(rooks, key=lambda r: r.point))
+
+
+def test_b_k2_matches_per_point_reference():
+    cases = [
+        (n, k)
+        for k in range(2, 5)
+        for n in range(1, 37)
+        if n % math.factorial(k - 1) ** 2 == 0
+    ]
+    assert (36, 4) in cases and len(cases) == 36 + 9 + 1
+    for n, k in cases:
+        got, want = b_k2_inductive(n, k), b_k2_inductive_reference(n, k)
+        assert got.params == want.params
+        assert got.rooks == want.rooks, (n, k)
 
 
 def test_b_k2_divisibility():

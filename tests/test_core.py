@@ -149,6 +149,69 @@ def test_configuration_validation():
         Configuration(g, [Rook((0, 0), frozenset((0, 5)))])  # axis out of range
 
 
+def test_non_integer_coordinates_and_axes_rejected():
+    g = GridParams(3, 2, 1)
+    with pytest.raises(InvalidPoint, match="not an integer"):
+        Configuration(g, [Rook((1.5, 0), [0])])
+    for point in [(1.0, 0), (True, 0), (0, float("nan")), ("1", 0)]:
+        with pytest.raises(InvalidPoint, match="not an integer"):
+            point_index(point, g)
+    with pytest.raises(InvalidArgument, match="non-integer axis"):
+        Configuration(g, [Rook((0, 0), [0.0])])
+    # frozenset({False, 1}) == frozenset({0, 1}): a set of dirs would hide it
+    with pytest.raises(InvalidArgument, match="non-integer axis"):
+        Configuration(GridParams(3, 2, 2), [Rook((1, 1), [0, 1]), Rook((0, 0), [False, 1])])
+
+
+def _loop_error(g, rooks):
+    """The error of a per-rook check of the rules Configuration enforces."""
+    seen = set()
+    try:
+        for r in rooks:
+            g.check_point(r.point)
+            g.check_dirs(r.point, r.dirs)
+            if r.point in seen:
+                raise InvalidArgument(f"duplicate rook point {r.point}")
+            seen.add(r.point)
+    except InvalidArgument as e:
+        return type(e), str(e)
+    return None
+
+
+def test_configuration_bulk_check_matches_per_rook_loop():
+    g = GridParams(10, 4, 2)
+    valid = [Rook(p, (0, 1)) for p in itertools.product(range(10), repeat=4)][:9999]
+    free = (9, 9, 9, 9)
+    bad = [
+        Rook((9, 9, 9), (0, 1)),  # short point
+        Rook((9, 9, 9, 9, 0), (0, 1)),  # long point
+        Rook((9, 9, 9, -1), (0, 1)),
+        Rook((9, 9, 9, 10), (0, 1)),
+        Rook((9, 9, 9, 1.5), (0, 1)),
+        Rook((9, 9, 9, 9.0), (0, 1)),
+        Rook((9, 9, 9, True), (0, 1)),
+        Rook((9, 9, 9, float("nan")), (0, 1)),
+        Rook((9, 9, 9, "9"), (0, 1)),
+        Rook(free, (0,)),  # wrong arity
+        Rook(free, (0, 1, 2)),
+        Rook(free, (0, 4)),  # axis out of range
+        Rook(free, (-1, 0)),
+        Rook(free, (0, 1.0)),
+        Rook(free, (0, True)),
+        Rook(free, (0.5, 1)),
+        Rook(valid[0].point, (2, 3)),  # duplicate point
+    ]
+    assert _loop_error(g, valid + [Rook(free, (2, 3))]) is None
+    assert len(Configuration(g, valid + [Rook(free, (2, 3))])) == 10000
+    for r in bad:
+        rooks = valid + [r]
+        want = _loop_error(g, rooks)
+        assert want is not None, r
+        with pytest.raises(want[0]) as e:
+            Configuration(g, rooks)
+        assert (type(e.value), str(e.value)) == want
+
+
 def test_sorted_rooks_order():
     g = GridParams(3, 2, 2)
     d = frozenset((0, 1))

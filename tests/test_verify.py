@@ -17,7 +17,15 @@ from rookpack.core import (
     covers,
     point_index,
 )
-from rookpack.constructions import a32_covering, diagonal_covering, distance3_code
+from rookpack.constructions import (
+    a32_covering,
+    b_k2_inductive,
+    block_packing,
+    c_k2_construction,
+    diagonal_covering,
+    diagonal_slab_block,
+    distance3_code,
+)
 from rookpack.verify import (
     UndefinedDistance,
     VerifyReport,
@@ -136,31 +144,6 @@ def test_covering_iff_full_count():
         chosen = rng.sample(pts, rng.randrange(1, 6))
         c = Configuration(g, [Rook(p, frozenset(rng.sample(range(3), 2))) for p in chosen])
         assert verify_covering(c).valid == (coverage_count(c) == g.num_points)
-
-
-def test_reports_invariant_under_symmetry():
-    rng = random.Random(13)
-    g = GridParams(3, 3, 2)
-    pts = list(itertools.product(range(3), repeat=3))
-    for _ in range(40):
-        chosen = rng.sample(pts, 3)
-        rooks = [Rook(p, frozenset(rng.sample(range(3), 2))) for p in chosen]
-        c = Configuration(g, rooks)
-        perm = rng.sample(range(3), 3)
-        axis = rng.randrange(3)
-
-        def tf(p):
-            p = tuple(p[i] for i in perm)
-            return tuple(2 - v if i == axis else v for i, v in enumerate(p))
-
-        mapped = [
-            Rook(tf(r.point), frozenset(perm.index(d) for d in r.dirs)) for r in rooks
-        ]
-        cm = Configuration(g, mapped)
-        for fn in (verify_covering, verify_packing):
-            assert fn(c).valid == fn(cm).valid
-        for mode in ("closed", "strict"):
-            assert verify_two_packing(c, mode).valid == verify_two_packing(cm, mode).valid
 
 
 def test_violation_cap():
@@ -283,6 +266,50 @@ def test_verifiers_match_coordinate_reference():
             for key, violations in ref.items():
                 want = VerifyReport(not violations, tuple(violations[:cap]), len(violations))
                 assert got[key] == want, (c, key, cap)
+
+
+def random_automorphism(c, rng):
+    """The image of c under a random automorphism of H(n, k): new axis i
+    is old axis perm[i], each axis's values permuted on their own, rooks
+    shuffled."""
+    n, k = c.params.n, c.params.k
+    perm = rng.sample(range(k), k)
+    values = [rng.sample(range(n), n) for _ in range(k)]
+    rooks = [
+        Rook(tuple(values[i][r.point[perm[i]]] for i in range(k)), [perm.index(a) for a in r.dirs])
+        for r in c.rooks
+    ]
+    rng.shuffle(rooks)
+    return Configuration(c.params, rooks)
+
+
+def test_reports_invariant_under_symmetry():
+    rng = random.Random(31)
+    configs = list(random_configurations(29, 150))
+    configs += [
+        diagonal_covering(4, 3),
+        diagonal_slab_block(5, 3, 2)[0],
+        distance3_code(5, 4),
+        block_packing(3, 2, 2),
+        c_k2_construction(7, 3),
+        b_k2_inductive(8, 3),
+        a32_covering(5, 2),
+    ]
+
+    def verdicts(c):
+        reports = (
+            verify_covering(c),
+            verify_packing(c),
+            verify_two_packing(c, "closed"),
+            verify_two_packing(c, "strict"),
+        )
+        return [(rep.valid, rep.total_violations) for rep in reports]
+
+    for c in configs:
+        want = verdicts(c)
+        for _ in range(3):
+            image = random_automorphism(c, rng)
+            assert verdicts(image) == want, c
 
 
 def test_config_coverage_is_union_of_rook_masks():
