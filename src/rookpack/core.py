@@ -185,9 +185,6 @@ class CoverageMap:
     def popcount(self) -> int:
         return self.bits.bit_count()
 
-    def __contains__(self, index: int) -> bool:
-        return bool((self.bits >> index) & 1)
-
 
 def point_index(p, g: GridParams) -> int:
     """Big-endian lexicographic index of p in [0, n^k)."""
@@ -248,14 +245,6 @@ def attack_mask(r: Rook, g: GridParams) -> int:
             if v != r.point[axis]:
                 bits |= 1 << (line_base + v * weight)
     return bits
-
-
-def coverage_set(r: Rook, g: GridParams) -> CoverageMap:
-    return CoverageMap(g, coverage_mask(r, g))
-
-
-def attack_set(r: Rook, g: GridParams) -> CoverageMap:
-    return CoverageMap(g, attack_mask(r, g))
 
 
 def config_coverage(c: Configuration) -> CoverageMap:

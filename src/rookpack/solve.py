@@ -9,7 +9,6 @@ bounds found so far flagged inexact, never a wrong optimum.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -175,10 +174,11 @@ def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
 def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     """Run search(inst, tick, stats, best) under the budget.
 
-    search seeds best = [value, placements] and improves it in place;
-    tick() counts a node and raises _BudgetExhausted past the budget.  A
-    capped run reports capped_bounds(best value) as (lower, upper), and is
-    exact when both equal the best value.
+    search seeds best = [value, placements] and replaces it whole; tick()
+    counts a node and raises _BudgetExhausted past the budget, and a search
+    too deep for the stack stops on RecursionError alike.  A capped run
+    reports capped_bounds(best value) as (lower, upper), and is exact when
+    both equal the best value.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -197,7 +197,7 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     exact = True
     try:
         search(inst, tick, stats, best)
-    except _BudgetExhausted:
+    except (_BudgetExhausted, RecursionError):
         exact = False
     stats.wall_time = time.perf_counter() - start
     witness = inst.config(best[1]) if best[0] >= 0 else None
@@ -282,8 +282,7 @@ def exact_min_covering(
                 tick()
                 if child == full:
                     if depth + 1 < best[0]:
-                        best[0] = depth + 1
-                        best[1] = chosen + [pl]
+                        best[:] = [depth + 1, chosen + [pl]]
                 elif child.bit_count() < npts - (best[0] - depth - 2) * ball:
                     stats.pruned += 1
                 else:
@@ -345,13 +344,10 @@ def _max_independent(g, mode, budget, cap_for, upper):
     cap(cands), a bound on the rooks any subset of cands can hold that
     never exceeds the candidate count and falls by at most one when a
     candidate leaves.  upper is the closed-form bound reported when the
-    budget runs out.
+    budget runs out; an incumbent that meets it is proven optimal, so the
+    search stops there (dfs returns True).
     """
     conflicts = _CONFLICTS[mode]
-    # a two-packing whose incumbent meets upper is proven optimal, so its
-    # search stops there (dfs returns True); mode b's root bound is upper
-    # already, and it keeps the tree that prunes its way back to the root
-    stop = math.inf if mode == "max_pack" else upper
 
     def search(inst, tick, stats, best):
         pls = inst.placements
@@ -384,9 +380,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
             while True:
                 tick()
                 if depth > best[0]:
-                    best[0] = depth
-                    best[1] = list(chosen)
-                if best[0] >= stop:
+                    best[:] = [depth, list(chosen)]
+                if best[0] >= upper:
                     return True
                 if not cands:
                     return
@@ -540,46 +535,47 @@ def exact_max_two_packing(
 def exact_max_coverage(
     g: GridParams, N: int, budget: SolverBudget | None = None
 ) -> SolveResult:
-    """Maximum number of points covered by exactly N l-rooks."""
+    """Maximum number of points covered by exactly N l-rooks, by the
+    include/exclude search of _max_independent: the include child drops
+    every placement at its point, and a node is pruned when ball fresh
+    points per rook still to place cannot beat the best found."""
     if N < 0:
         raise InvalidArgument("need N >= 0")
     if N > g.num_points:
         raise InvalidArgument(f"cannot place {N} rooks on {g.num_points} points")
     ball = g.ball
+    upper = min(N * ball, g.num_points)
 
     def search(inst, tick, stats, best):
+        pls, D = inst.placements, len(inst.dirsets)
+        block = (1 << D) - 1
         chosen = []
-        used = set()
 
-        def dfs(i, covered):
-            tick()
-            if len(chosen) == N:
-                c = covered.bit_count()
-                if c > best[0]:
-                    best[0] = c
-                    best[1] = list(chosen)
-                return
-            remaining_slots = N - len(chosen)
-            if len(inst.placements) - i < remaining_slots:
-                return
-            if covered.bit_count() + remaining_slots * ball <= best[0]:
-                stats.pruned += 1
-                return
-            pl = inst.placements[i]
-            if pl.pidx not in used:
-                used.add(pl.pidx)
+        def dfs(cands, covered, depth):
+            left = N - depth
+            reach = covered.bit_count() + left * ball
+            while True:
+                tick()
+                if not left:
+                    if reach > best[0]:
+                        best[:] = [reach, list(chosen)]
+                    return best[0] >= upper
+                if cands.bit_count() < left:
+                    return
+                if reach <= best[0]:
+                    stats.pruned += 1
+                    return
+                low = cands & -cands
+                cands ^= low
+                pl = pls[low.bit_length() - 1]
                 chosen.append(pl)
-                dfs(i + 1, covered | pl.cov)
+                if dfs(cands & ~(block << pl.pidx * D), covered | pl.cov, depth + 1):
+                    return True
                 chosen.pop()
-                used.remove(pl.pidx)
-            dfs(i + 1, covered)
 
-        dfs(0, 0)
+        dfs((1 << len(pls)) - 1, 0, 0)
 
-    return _solve(
-        g, "max_coverage", budget, search,
-        lambda value: (max(value, 0), min(N * ball, g.num_points)),
-    )
+    return _solve(g, "max_coverage", budget, search, lambda value: (max(value, 0), upper))
 
 
 def _var_name(pl: _Placement) -> str:

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import contains, itemgetter, mul, not_, sub
 
-from .core import Configuration, InvalidArgument, RookError, config_coverage, rook_indices
+from .core import Configuration, InvalidArgument, config_coverage, rook_indices
 
 DEFAULT_VIOLATION_CAP = 64
-
-
-class UndefinedDistance(RookError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -157,23 +153,3 @@ def verify_two_packing(
     violations = tuple(Violation("double", point=p, rooks=tuple(owners[p][:2])) for p in lowest)
     return VerifyReport(total == 0, violations, total)
 
-
-def min_pairwise_distance(c: Configuration) -> int:
-    """Minimum Hamming distance between any two rook points."""
-    if len(c.rooks) < 2:
-        raise UndefinedDistance("need at least two rooks")
-    best = c.params.k + 1
-    pts = [r.point for r in c.rooks]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = sum(a != b for a, b in zip(pts[i], pts[j]))
-            if d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
-
-
-def coverage_count(c: Configuration) -> int:
-    """Number of grid points covered by the configuration."""
-    return config_coverage(c).popcount()

@@ -222,6 +222,17 @@ def test_solve_budget_exit(capsys, tmp_path):
     assert not (tmp_path / "cache" / "solve_a_3_3_2.json").exists()
 
 
+def test_solve_coverage_many_placements_budget_exit(capsys):
+    # 30 rooks among the 1,536 placements of H(8,3) with 2-rooks: a capped
+    # result with its incumbent, not a traceback
+    code, out, _ = run(capsys, "solve", "coverage", "--n", "8", "--k", "3", "--l", "2",
+                       "--N", "30", "--max-nodes", "50000")
+    assert code == 4
+    doc = json.loads(out)
+    assert not doc["exact"] and doc["lower_bound"] > 0 and doc["upper_bound"] == 450
+    assert len(doc["witness"]["rooks"]) == 30
+
+
 def test_budget_that_cannot_be_met_is_rejected(capsys, tmp_path):
     # a negative cap or a NaN clock is a usage error, not a cap of 0 or no
     # clock at all; 0 and inf stay valid caps

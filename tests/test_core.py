@@ -12,10 +12,10 @@ from rookpack.core import (
     InvalidArgument,
     InvalidPoint,
     Rook,
+    attack_mask,
     attacks,
-    attack_set,
     config_coverage,
-    coverage_set,
+    coverage_mask,
     covers,
     index_point,
     point_index,
@@ -73,18 +73,18 @@ def test_coverage_set_popcount():
             for l in range(1, k + 1):
                 g = GridParams(n, k, l)
                 r = Rook(tuple([n - 1] + [0] * (k - 1)), frozenset(range(l)))
-                assert coverage_set(r, g).popcount() == l * (n - 1) + 1
-                assert attack_set(r, g).popcount() == l * (n - 1)
+                assert coverage_mask(r, g).bit_count() == l * (n - 1) + 1
+                assert attack_mask(r, g).bit_count() == l * (n - 1)
 
 
 def test_coverage_set_examples():
-    assert coverage_set(
+    assert coverage_mask(
         Rook((1, 1, 1), frozenset((0, 1))), GridParams(3, 3, 2)
-    ).popcount() == 5
-    assert coverage_set(
+    ).bit_count() == 5
+    assert coverage_mask(
         Rook((0, 0, 0), frozenset((0, 1, 2))), GridParams(4, 3, 3)
-    ).popcount() == 10
-    assert coverage_set(Rook((0,), frozenset((0,))), GridParams(1, 1, 1)).popcount() == 1
+    ).bit_count() == 10
+    assert coverage_mask(Rook((0,), frozenset((0,))), GridParams(1, 1, 1)).bit_count() == 1
 
 
 def test_config_coverage():
@@ -93,14 +93,14 @@ def test_config_coverage():
     assert config_coverage(empty).popcount() == 0
     r = Rook((2, 3), frozenset((0,)))
     single = Configuration(g, [r])
-    assert config_coverage(single).bits == coverage_set(r, g).bits
+    assert config_coverage(single).bits == coverage_mask(r, g)
     # disjoint coverage adds up
     r1 = Rook((0, 0), frozenset((0,)))
     r2 = Rook((2, 2), frozenset((0,)))
     both = Configuration(g, [r1, r2])
     assert (
         config_coverage(both).popcount()
-        == coverage_set(r1, g).popcount() + coverage_set(r2, g).popcount()
+        == coverage_mask(r1, g).bit_count() + coverage_mask(r2, g).bit_count()
     )
 
 

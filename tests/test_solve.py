@@ -86,6 +86,54 @@ def test_max_coverage():
     assert brute_force_max_coverage(g, 2) == 8
 
 
+def test_max_coverage_search_tree_pinned():
+    # node and pruned counts of the max-coverage search on H(4, 2) with
+    # 2-rooks; N = 1 and N = 4 stop once the best meets min(N * ball, n^k)
+    g = GridParams(4, 2, 2)
+    for N, counts in [(1, (2, 0, 7)), (2, (271, 0, 12)), (3, (1_359, 0, 15)), (4, (5, 0, 16))]:
+        res = exact_max_coverage(g, N)
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, N
+        assert check_witness(res.mode, res.witness, res.optimum, N=N)
+
+
+def test_max_coverage_matches_oracle():
+    # on every grid with n^k <= 64 where enumerating the N-subsets of the P
+    # placements costs at most 200k rook visits, C(P, N) * max(N, 1)
+    checked = 0
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                P = n ** k * math.comb(k, l)
+                for N in range(g.num_points + 1):
+                    if math.comb(P, N) * max(N, 1) > 200_000:
+                        continue
+                    res = exact_max_coverage(g, N)
+                    assert res.exact and res.optimum == brute_force_max_coverage(g, N), (g, N)
+                    assert check_witness(res.mode, res.witness, res.optimum, N=N), (g, N)
+                    checked += 1
+    assert checked == 796
+
+
+def test_max_coverage_capped_on_many_placements():
+    # the search recurses at most N deep, so 30 rooks among 1,536
+    # placements run to the node cap and report a verified incumbent
+    res = exact_max_coverage(GridParams(8, 3, 2), 30, SolverBudget(50_000, 1e9))
+    assert (res.exact, res.optimum, res.upper_bound) == (False, None, 450)
+    assert check_witness(res.mode, res.witness, res.lower_bound, N=30)
+
+
+def test_deep_search_ends_capped():
+    # an include chain deeper than the interpreter's stack ends the search
+    # like a spent budget: a capped result whose witness verifies.  The
+    # greedy seed of b(40, 3, 1) has 1,600 rooks and the first include
+    # chain follows it.  The node count is not pinned, since the depth at
+    # which the stack runs out depends on the caller's own frames.
+    res = exact_max_packing(GridParams(40, 3, 1), SolverBudget(5_000, 1e9))
+    assert (res.exact, res.lower_bound, res.upper_bound) == (False, 1_600, 4_571)
+    assert check_witness(res.mode, res.witness, 1_600)
+
+
 def test_solver_matches_oracles():
     grids = [
         (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (4, 2, 2),
@@ -269,11 +317,11 @@ def test_packing_search_tree_pinned():
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)),
         ((1, 2, 2), (1, 2)), ((2, 1, 2), (1, 2)), ((2, 2, 2), (0, 2)),
     ]
-    # the clique bound is 2n - 2 at the root, so the greedy seed's 2n - 2
-    # rooks close b(n, 2, 1) in 4n + 1 nodes
+    # the clique bound is 2n - 2 at the root, so the search stops as soon as
+    # an incumbent meets it: b(n, 2, 1) closes in 2n + 3 nodes
     for n in range(4, 21):
         res = exact_max_packing(GridParams(n, 2, 1))
-        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (4 * n + 1, 2 * n - 3, 2 * n - 2)
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (2 * n + 3, 0, 2 * n - 2)
     assert _rooks(exact_max_packing(GridParams(4, 2, 1))) == [
         ((0, 0), (0,)), ((0, 1), (0,)), ((0, 2), (0,)),
         ((1, 3), (1,)), ((2, 3), (1,)), ((3, 3), (1,)),

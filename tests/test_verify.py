@@ -27,11 +27,8 @@ from rookpack.constructions import (
     distance3_code,
 )
 from rookpack.verify import (
-    UndefinedDistance,
     VerifyReport,
     Violation,
-    coverage_count,
-    min_pairwise_distance,
     verify_covering,
     verify_packing,
     verify_two_packing,
@@ -110,30 +107,9 @@ def test_full_arity_closed_equals_distance3():
         for _ in range(150):
             chosen = rng.sample(pts, rng.randrange(2, 4))
             c = Configuration(g, [Rook(p, full(k)) for p in chosen])
-            assert verify_two_packing(c, "closed").valid == (min_pairwise_distance(c) >= 3)
-
-
-def test_min_pairwise_distance():
-    g = GridParams(5, 4, 4)
-    assert min_pairwise_distance(distance3_code(5, 4)) == 3
-    g2 = GridParams(2, 2, 2)
-    assert min_pairwise_distance(
-        Configuration(g2, [Rook((0, 0), full(2)), Rook((0, 1), full(2))])
-    ) == 1
-    assert min_pairwise_distance(
-        Configuration(g2, [Rook((0, 0), full(2)), Rook((1, 1), full(2))])
-    ) == 2
-    with pytest.raises(UndefinedDistance):
-        min_pairwise_distance(Configuration(g2, [Rook((0, 0), full(2))]))
-
-
-def test_coverage_count():
-    g = GridParams(3, 2, 2)
-    assert coverage_count(Configuration(g, [Rook((1, 1), full(2))])) == 5
-    assert coverage_count(
-        Configuration(g, [Rook((0, 0), full(2)), Rook((1, 1), full(2))])
-    ) == 8
-    assert coverage_count(Configuration(g, [])) == 0
+            pairs = itertools.combinations(chosen, 2)
+            distance = min(sum(a != b for a, b in zip(p, q)) for p, q in pairs)
+            assert verify_two_packing(c, "closed").valid == (distance >= 3)
 
 
 def test_covering_iff_full_count():
@@ -143,7 +119,7 @@ def test_covering_iff_full_count():
     for _ in range(100):
         chosen = rng.sample(pts, rng.randrange(1, 6))
         c = Configuration(g, [Rook(p, frozenset(rng.sample(range(3), 2))) for p in chosen])
-        assert verify_covering(c).valid == (coverage_count(c) == g.num_points)
+        assert verify_covering(c).valid == (config_coverage(c).popcount() == g.num_points)
 
 
 def test_violation_cap():
