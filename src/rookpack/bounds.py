@@ -45,6 +45,23 @@ def incidence_bound_b(g: GridParams) -> Fraction:
     return Fraction(g.k * g.num_points, g.l * (g.n - 1) + g.k)
 
 
+def hypercube_bound_b(g: GridParams) -> int:
+    """Huang's bound on packings of the hypercube: 2^(k-1) when n = 2 and
+    (k-l)^2 < k.
+
+    At n = 2 the points are the vertices of the k-cube Q_k, and a rook
+    attacks the neighbour across each of its l axes, so the points of a
+    packing induce a subgraph of maximum degree at most k - l.  Every
+    induced subgraph of Q_k on 2^(k-1) + 1 vertices has maximum degree at
+    least sqrt(k) (H. Huang, Induced subgraphs of hypercubes and a proof
+    of the Sensitivity Conjecture, Annals of Math. 190, 2019), so a
+    packing has at most 2^(k-1) rooks once k - l < sqrt(k).
+    """
+    if g.n != 2 or (g.k - g.l) ** 2 >= g.k:
+        raise NotApplicable("the hypercube bound needs n = 2 and (k-l)^2 < k")
+    return 2 ** (g.k - 1)
+
+
 def singleton_bound_c(g: GridParams) -> Fraction:
     """Plane counting bound on two-packings: C(k,2) n^(k-2) / C(l,2).
 
@@ -53,6 +70,12 @@ def singleton_bound_c(g: GridParams) -> Fraction:
     if g.l < 2:
         raise NotApplicable("two-packing plane bound needs l >= 2")
     return Fraction(math.comb(g.k, 2) * g.n ** (g.k - 2), math.comb(g.l, 2))
+
+
+def sphere_bound_c(g: GridParams) -> int:
+    """Sphere bound on closed two-packings: n^k // (l(n-1)+1), since their
+    closed coverage sets are pairwise disjoint."""
+    return g.num_points // g.ball
 
 
 def rodemich_max_coverage(N: int, n: int, k: int) -> Fraction:
@@ -157,13 +180,20 @@ class BoundReport:
     a_upper: int
     b_upper: Fraction
     b_incidence: Fraction
+    b_hypercube: int | None
     c_upper: Fraction | None
+    c_sphere: int | None
     asymptotic: dict
 
 
 def bound_report(g: GridParams) -> BoundReport:
     a_lower, a_upper = sphere_packing_bounds(g)
     c_upper = singleton_bound_c(g) if g.l >= 2 else None
+    c_sphere = sphere_bound_c(g) if g.l >= 2 else None
+    try:
+        b_hypercube = hypercube_bound_b(g)
+    except NotApplicable:
+        b_hypercube = None
 
     asym = {}
     if g.l >= 2:
@@ -190,6 +220,8 @@ def bound_report(g: GridParams) -> BoundReport:
         a_upper=a_upper,
         b_upper=singleton_bound_b(g),
         b_incidence=incidence_bound_b(g),
+        b_hypercube=b_hypercube,
         c_upper=c_upper,
+        c_sphere=c_sphere,
         asymptotic=asym,
     )

@@ -156,8 +156,11 @@ def cmd_bounds(args) -> int:
         "b_incidence": _frac(rep.b_incidence),
         "asymptotic": {key: _frac(val) for key, val in rep.asymptotic.items()},
     }
+    if rep.b_hypercube is not None:
+        out["b_hypercube"] = rep.b_hypercube
     if rep.c_upper is not None:
         out["c_upper"] = _frac(rep.c_upper)
+        out["c_sphere"] = rep.c_sphere
     sys.stdout.write(dump_json(out))
     return EXIT_OK
 

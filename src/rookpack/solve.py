@@ -23,7 +23,15 @@ from .core import (
     index_point,
     point_index,
 )
-from .bounds import incidence_bound_b, singleton_bound_b, singleton_bound_c, sphere_packing_bounds
+from .bounds import (
+    NotApplicable,
+    hypercube_bound_b,
+    incidence_bound_b,
+    singleton_bound_b,
+    singleton_bound_c,
+    sphere_bound_c,
+    sphere_packing_bounds,
+)
 from .verify import verify_covering, verify_packing, verify_two_packing
 
 
@@ -90,6 +98,7 @@ class _Instance:
         # along[a]: the D-bit mask of the direction sets containing axis a
         self.along = [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(g.k)]
         self._by_unit = {}
+        self._orbits = None
         self.placements = []
         # a placement covers the union of its lines; each line mask is a
         # per-axis pattern of n points shifted to the line's first point
@@ -154,6 +163,32 @@ class _Instance:
             mask |= block << (p * len(self.dirsets))
             points ^= 1 << p
         return mask
+
+    def value_orbits(self):
+        """(at_dirs, at_values) for orbital branching: at_dirs[j] is the
+        mask of the placements with the j-th direction set, and
+        at_values(a, vals) that of the placements whose point has its
+        axis-a value in the bitset vals.  Built on first use, so that
+        encode_ilp does not pay for them."""
+        if self._orbits is None:
+            g, D, npts = self.g, len(self.dirsets), self.npts
+            at_dirs = [_repeat(1 << j, D, npts) for j in range(D)]
+            # the points with x_a = v: w points every n*w, from v*w on
+            at_value = [
+                [_repeat(((1 << w * D) - 1) << v * w * D, g.n * w * D, npts // (g.n * w))
+                 for v in range(g.n)]
+                for w in self.weights
+            ]
+            memo = [{} for _ in range(g.k)]
+
+            def at_values(a, vals):
+                mask = memo[a].get(vals)
+                if mask is None:
+                    mask = memo[a][vals] = _union(at_value[a], vals)
+                return mask
+
+            self._orbits = at_dirs, at_values
+        return self._orbits
 
 
 def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
@@ -249,9 +284,19 @@ def exact_min_covering(
     uncovered point p are by_unit("cov")[p] & live, taken lowest first.
     A taken rook's point leaves the child's live, and once a candidate's
     subtree is searched it leaves live for its later siblings, so each
-    covering is reached through one order of its rooks only.  With
-    symmetry_breaking the root keeps only the placements that are
-    minimal under axis permutations.
+    covering is reached through one order of its rooks only.
+
+    Orbital branching: the value permutations of each axis that fix the
+    chosen points and p map the node onto itself.  A candidate (q, d) on
+    p's axis-a line whose q_a no chosen point uses stands for d at every
+    such value but p_a on that line, so its whole orbit leaves live after
+    its subtree.  That keeps an optimum: of the optimal coverings, the
+    one whose rooks, taken lowest first for each first uncovered point,
+    give the least index sequence is never cut, since a permutation that
+    moves one of its rooks onto an earlier sibling gives an optimal
+    covering with a lesser sequence.  With symmetry_breaking the root
+    also keeps only the placements that are minimal under axis
+    permutations, which the same argument allows.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
 
@@ -265,19 +310,29 @@ def exact_min_covering(
         best[:] = [len(seed), seed]
 
         by_point = inst.by_unit("cov")
+        at_dirs, at_values = inst.value_orbits()
+        coords = inst.points
+        # a candidate off p differs from p on one axis a, by v * w_a indices
+        axis_of = {v * w: a for a, w in enumerate(inst.weights) for v in range(1, g.n)}
         block = (1 << D) - 1
         chosen = []
 
-        def branch(covered, live, depth, cands):
-            # cands hold the placements covering covered's first zero bit.
-            # A child at depth + 1 needs at least (npts - c) / ball more
-            # rooks after its c covered points, so it is pruned when
+        def branch(covered, live, depth, cands, p, free):
+            # cands hold the placements covering p, covered's first zero
+            # bit; free[a] is the bitset of axis-a values no chosen point
+            # uses.  A child at depth + 1 needs at least (npts - c) / ball
+            # more rooks after its c covered points, so it is pruned when
             # depth + 1 + ceil((npts - c) / ball) >= best, which is
             # c < npts - (best - depth - 2) * ball.
+            here = coords[p]
+            # spare[a]: the values an orbit on p's axis-a line ranges over
+            spare = [f & ~(1 << x) for f, x in zip(free, here)]
+            orbital = any(s & (s - 1) for s in spare)
             while cands:
                 low = cands & -cands
                 cands ^= low
-                pl = pls[low.bit_length() - 1]
+                i = low.bit_length() - 1
+                pl = pls[i]
                 child = covered | pl.cov
                 tick()
                 if child == full:
@@ -288,10 +343,19 @@ def exact_min_covering(
                 else:
                     chosen.append(pl)
                     rest = live & ~(block << pl.pidx * D)
-                    p = ((child + 1) & ~child).bit_length() - 1
-                    branch(child, rest, depth + 1, by_point[p] & rest)
+                    at = ((child + 1) & ~child).bit_length() - 1
+                    q = coords[pl.pidx]
+                    branch(child, rest, depth + 1, by_point[at] & rest, at,
+                           [f & ~(1 << x) for f, x in zip(free, q)])
                     chosen.pop()
                 live ^= low
+                if orbital and pl.pidx != p:
+                    a = axis_of[abs(pl.pidx - p)]
+                    s = spare[a]
+                    if s >> coords[pl.pidx][a] & 1 and s & (s - 1):
+                        orbit = by_point[p] & at_dirs[i % D] & at_values(a, s)
+                        cands &= ~orbit
+                        live &= ~orbit
 
         tick()  # the root, pruned when ceil(npts / ball) >= best
         if (best[0] - 1) * ball >= npts:
@@ -300,7 +364,7 @@ def exact_min_covering(
             if symmetry_breaking:
                 root = sum(1 << pl.index for pl in pls if root >> pl.index & 1
                            and _axis_perm_canonical(inst, pl))
-            branch(0, live, 0, root)
+            branch(0, live, 0, root, 0, [(1 << g.n) - 1] * g.k)
         else:
             stats.pruned += 1
 
@@ -346,6 +410,16 @@ def _max_independent(g, mode, budget, cap_for, upper):
     candidate leaves.  upper is the closed-form bound reported when the
     budget runs out; an incumbent that meets it is proven optimal, so the
     search stops there (dfs returns True).
+
+    Orbital branching: the value permutations of each axis that fix the
+    chosen points map the conflicts onto themselves.  The orbit of the
+    head (q, d) is d at every point q' with q'_a = q_a on the axes where a
+    chosen point uses q_a, and q'_a unused on the others; after the
+    include child, the exclude step drops the orbit from cands and lowers
+    lo by its size.  That keeps an optimum: of the optimal sets, the one
+    first in placement order (the lowest index where two differ is in
+    it) is never cut, since a permutation that moves one of its rooks
+    onto a dropped head gives an optimal set earlier in that order.
     """
     conflicts = _CONFLICTS[mode]
 
@@ -367,15 +441,21 @@ def _max_independent(g, mode, budget, cap_for, upper):
         best[:] = [len(seed), seed]
 
         cap = cap_for(inst)
+        D = len(inst.dirsets)
+        at_dirs, at_values = inst.value_orbits()
+        coords = inst.points
         chosen = []
 
-        def dfs(cands, depth):
+        def dfs(cands, depth, free):
             # A node is pruned when depth + cap(cands) <= best.  The cap
             # never exceeds the candidate count, so count <= slack prunes
-            # without a recount.  Dropping the head lowers the cap by at
+            # without a recount.  Dropping a candidate lowers the cap by at
             # most one, so lo..hi brackets it along the exclude chain (the
             # next turn of the loop); a turn recounts only when the bracket
-            # cannot decide.
+            # cannot decide.  free[a] is the bitset of axis-a values no
+            # chosen point uses; with at most one on every axis, each orbit
+            # is its head alone.
+            orbital = any(f & (f - 1) for f in free)
             lo, hi = 0, len(pls)
             while True:
                 tick()
@@ -398,12 +478,19 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(pls[i])
-                if dfs(cands & allowed(i), depth + 1):
+                q = coords[pls[i].pidx]
+                if dfs(cands & allowed(i), depth + 1, [f & ~(1 << x) for f, x in zip(free, q)]):
                     return True
                 chosen.pop()
                 lo -= 1
+                if orbital:
+                    orbit = cands & at_dirs[i % D]
+                    for a, (f, x) in enumerate(zip(free, q)):
+                        orbit &= at_values(a, f if f >> x & 1 else 1 << x)
+                    cands ^= orbit
+                    lo -= orbit.bit_count()
 
-        dfs(full, 0)
+        dfs(full, 0, [(1 << g.n) - 1] * g.k)
 
     # any feasible configuration is a valid lower bound for a max problem
     return _solve(g, mode, budget, search, lambda value: (value, upper))
@@ -420,10 +507,11 @@ def _unit_cap(inst, unit, unit_attr):
     def cap(cands):
         if not unit:
             return cands.bit_count()
-        # few candidates: OR their masks; many: test every unit
+        # few candidates: OR their masks; many: test every unit, dropping
+        # each AND as it is counted
         if 3 * cands.bit_count() < 2 * nunits:
             return _union(unit_masks, cands).bit_count() // unit
-        return (nunits - list(map(cands.__and__, by_unit)).count(0)) // unit
+        return sum(map(bool, map(cands.__and__, by_unit))) // unit
 
     return cap
 
@@ -507,22 +595,29 @@ def _pack_cap(inst):
 
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
-    """Maximum number of l-rooks with no rook attacking another."""
+    """Maximum number of l-rooks with no rook attacking another; upper is
+    the least of the clique, line and (where it applies) hypercube bounds."""
     upper = int(min(incidence_bound_b(g), singleton_bound_b(g)))
+    try:
+        upper = min(upper, hypercube_bound_b(g))
+    except NotApplicable:
+        pass
     return _max_independent(g, "max_pack", budget, _pack_cap, upper)
 
 
 def exact_max_two_packing(
     g: GridParams, mode: str = "closed", budget: SolverBudget | None = None
 ) -> SolveResult:
-    """Maximum number of l-rooks with no grid point reached twice."""
+    """Maximum number of l-rooks with no grid point reached twice; upper
+    is the lesser of the plane and sphere bounds for closed coverage sets,
+    and the count of disjoint attack sets for strict ones."""
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     if g.l < 2:
         raise InvalidArgument("two-packing needs l >= 2")
     if mode == "closed":
         unit, attr = g.ball, "cov"
-        upper = int(singleton_bound_c(g))
+        upper = min(int(singleton_bound_c(g)), sphere_bound_c(g))
     else:
         unit, attr = g.l * (g.n - 1), "att"
         # strict attack sets are pairwise disjoint, each of unit points

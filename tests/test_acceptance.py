@@ -83,7 +83,8 @@ def test_criterion_2_arity_one_law():
 
 
 def test_criterion_3_sandwich_sweep():
-    budget = SolverBudget(max_nodes=60_000, max_seconds=0.5)
+    # a node cap, not a clock, so the verdict is the same on any machine
+    budget = SolverBudget(max_nodes=60_000, max_seconds=1e9)
     completed = skipped = violations = 0
     for k in range(1, 8):
         n = 1
@@ -227,7 +228,8 @@ def test_criterion_7_composition_chain():
 
 
 def test_criterion_8_oracle_equivalence():
-    budget = SolverBudget(max_nodes=400_000, max_seconds=2.0)
+    # a node cap, not a clock, so the verdict is the same on any machine
+    budget = SolverBudget(max_nodes=400_000, max_seconds=1e9)
     checked = mismatches = 0
     insts = []
     for k in range(1, 9):

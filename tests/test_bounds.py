@@ -14,6 +14,7 @@ from rookpack.bounds import (
     a32_constants,
     a32_profile,
     bound_report,
+    hypercube_bound_b,
     improved_covering_lower_bound,
     is_prime,
     is_prime_power,
@@ -22,8 +23,10 @@ from rookpack.bounds import (
     rodemich_max_coverage,
     singleton_bound_b,
     singleton_bound_c,
+    sphere_bound_c,
     sphere_packing_bounds,
 )
+from rookpack.oracles import enumerate_max_packing, enumerate_max_two_packing
 
 
 def test_sphere_packing_examples():
@@ -46,6 +49,28 @@ def test_singleton_c():
     assert singleton_bound_c(GridParams(7, 2, 2)) == 1
     with pytest.raises(NotApplicable):
         singleton_bound_c(GridParams(3, 3, 1))
+
+
+def test_hypercube_bound_b():
+    assert hypercube_bound_b(GridParams(2, 7, 5)) == 64
+    assert hypercube_bound_b(GridParams(2, 1, 1)) == 1
+    # n = 2 with (k-l)^2 < k only: (2,4,2) and (2,7,4) sit on the edge
+    for n, k, l in [(3, 3, 2), (2, 4, 2), (2, 7, 4), (2, 3, 1)]:
+        with pytest.raises(NotApplicable):
+            hypercube_bound_b(GridParams(n, k, l))
+    # the oracle never beats it, and meets it on these cubes
+    for k, l in [(1, 1), (2, 2), (2, 1), (3, 3), (3, 2), (4, 4), (4, 3)]:
+        g = GridParams(2, k, l)
+        assert enumerate_max_packing(g) == hypercube_bound_b(g), g
+
+
+def test_sphere_bound_c():
+    # closed coverage sets of a two-packing are disjoint, ball points each
+    assert sphere_bound_c(GridParams(3, 3, 2)) == 27 // 5
+    assert sphere_bound_c(GridParams(3, 4, 2)) == 16 < singleton_bound_c(GridParams(3, 4, 2))
+    for n, k, l in [(2, 3, 2), (3, 3, 2), (2, 4, 3), (3, 2, 2), (2, 4, 4)]:
+        g = GridParams(n, k, l)
+        assert enumerate_max_two_packing(g, "closed") <= sphere_bound_c(g), g
 
 
 def test_rodemich():
@@ -141,9 +166,11 @@ def test_bound_report():
     assert rep.a_lower == 6 and rep.a_upper == 9
     assert rep.b_upper == Fraction(27, 2)
     assert rep.b_incidence == Fraction(81, 7)
-    assert rep.c_upper == 9
+    assert rep.c_upper == 9 and rep.c_sphere == 5
+    assert rep.b_hypercube is None
     rep1 = bound_report(GridParams(3, 3, 1))
-    assert rep1.c_upper is None
+    assert rep1.c_upper is None and rep1.c_sphere is None
+    assert bound_report(GridParams(2, 7, 5)).b_hypercube == 64
     tiny = bound_report(GridParams(1, 1, 1))
     assert tiny.a_lower == tiny.a_upper == 1
 

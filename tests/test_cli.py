@@ -55,7 +55,12 @@ def test_bounds_json(capsys):
     assert doc["a_lower"] == 6 and doc["a_upper"] == 9
     assert doc["b_upper"] == "27/2"
     assert doc["b_incidence"] == "81/7"
-    assert doc["c_upper"] == 9
+    assert doc["c_upper"] == 9 and doc["c_sphere"] == 5
+    assert "b_hypercube" not in doc
+    _validate(doc, "bound_report.schema.json")
+    code, out, _ = run(capsys, "bounds", "--n", "2", "--k", "7", "--l", "5")
+    doc = json.loads(out)
+    assert (code, doc["b_hypercube"], doc["c_sphere"]) == (0, 64, 21)
     _validate(doc, "bound_report.schema.json")
 
 

@@ -174,6 +174,21 @@ def test_conflict_masks_match_coordinates():
                         assert got == want, (g, mode)
 
 
+def test_value_orbit_masks_match_coordinates():
+    # the direction-set and (axis, value-set) masks of orbital branching
+    # against the placements' own coordinates, n = 1 and l = k included
+    for n, k, l in [(1, 2, 1), (2, 3, 2), (3, 2, 1), (4, 3, 3), (3, 3, 2), (5, 2, 2)]:
+        inst = _Instance(GridParams(n, k, l))
+        at_dirs, at_values = inst.value_orbits()
+        pls = inst.placements
+        for j, d in enumerate(inst.dirsets):
+            assert at_dirs[j] == sum(1 << pl.index for pl in pls if pl.dirs == d)
+        for a in range(k):
+            for vals in range(1 << n):
+                want = sum(1 << pl.index for pl in pls if vals >> inst.points[pl.pidx][a] & 1)
+                assert at_values(a, vals) == want, (n, k, l, a, vals)
+
+
 def test_clique_counter_matches_coordinates():
     # the shift-and-mask counts against the lines and (line, point) cliques
     # that core.covers finds rook by rook, on seeded random candidate sets;
@@ -291,6 +306,14 @@ def test_capped_result_with_meeting_bounds_is_exact():
     assert (res.exact, res.optimum) == (True, 5) and res.stats.nodes < 100
 
 
+def test_capped_closed_two_packing_reports_sphere_bound():
+    # closed coverage sets of a two-packing are disjoint, so a capped run
+    # reports min(plane bound, n^k // ball): 16 for c(3,4,2), not 54
+    res = exact_max_two_packing(GridParams(3, 4, 2), "closed", SolverBudget(1_000, 1e9))
+    assert (res.exact, res.lower_bound, res.upper_bound) == (False, 13, 16)
+    assert check_witness(res.mode, res.witness, 13)
+
+
 def _rooks(res):
     return [(r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks]
 
@@ -299,7 +322,7 @@ def test_packing_search_tree_pinned():
     # node and pruned counts and witnesses of the include/exclude search:
     # a kernel change that reshapes the tree shows up here
     b = exact_max_packing(GridParams(3, 3, 2))
-    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (5_749, 2_873, 10)
+    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (393, 195, 10)
     assert _rooks(b) == [
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((0, 1, 2), (0, 2)),
         ((0, 2, 2), (0, 2)), ((1, 0, 2), (1, 2)), ((1, 1, 0), (0, 1)),
@@ -307,12 +330,12 @@ def test_packing_search_tree_pinned():
         ((2, 2, 1), (0, 1)),
     ]
     closed = exact_max_two_packing(GridParams(3, 3, 2), "closed")
-    assert (closed.stats.nodes, closed.stats.pruned, closed.optimum) == (1_645, 728, 4)
+    assert (closed.stats.nodes, closed.stats.pruned, closed.optimum) == (45, 13, 4)
     assert _rooks(closed) == [
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)), ((1, 2, 2), (0, 2)),
     ]
     strict = exact_max_two_packing(GridParams(3, 3, 2), "strict")
-    assert (strict.stats.nodes, strict.stats.pruned, strict.optimum) == (39, 9, 6)
+    assert (strict.stats.nodes, strict.stats.pruned, strict.optimum) == (31, 5, 6)
     assert _rooks(strict) == [
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)),
         ((1, 2, 2), (1, 2)), ((2, 1, 2), (1, 2)), ((2, 2, 2), (0, 2)),
@@ -330,22 +353,28 @@ def test_packing_search_tree_pinned():
     assert (capped.exact, capped.lower_bound, capped.upper_bound) == (True, 22, 22)
     assert len(capped.witness) == 22
     capped = exact_max_packing(GridParams(3, 3, 1), SolverBudget(100_000, 1e9))
-    assert (capped.stats.nodes, capped.exact, capped.optimum) == (1_453, True, 15)
+    assert (capped.stats.nodes, capped.exact, capped.optimum) == (411, True, 15)
     assert check_witness(capped.mode, capped.witness, 15)
-    capped = exact_max_packing(GridParams(2, 7, 5), SolverBudget(20_000, 1e9))
-    assert (capped.exact, capped.lower_bound) == (False, 64)
-    assert check_witness(capped.mode, capped.witness, 64)
+    # the greedy seed of b(2,7,5) meets Huang's hypercube bound 2^(k-1)
+    res = exact_max_packing(GridParams(2, 7, 5), SolverBudget(20_000, 1e9))
+    assert (res.exact, res.optimum, res.stats.nodes) == (True, 64, 1)
+    assert check_witness(res.mode, res.witness, 64)
+    # value orbits close c(5,3,2) well inside a 100,000-node cap
+    res = exact_max_two_packing(GridParams(5, 3, 2), "closed", SolverBudget(100_000, 1e9))
+    assert (res.exact, res.optimum, res.stats.nodes) == (True, 9, 1_255)
+    assert check_witness(res.mode, res.witness, 9)
 
 
 def test_covering_search_tree_pinned():
     # node and pruned counts of the covering search: sibling exclusion,
-    # the bound test and the greedy seed each reshape these trees
+    # orbital branching, the bound test and the greedy seed each reshape
+    # these trees
     for nkl, sym, counts in [
-        ((3, 3, 2), False, (167_438, 150_105, 7)),
-        ((3, 3, 2), True, (47_959, 43_216, 7)),
-        ((4, 3, 3), False, (105_420, 88_885, 8)),
-        ((5, 2, 2), False, (1_904, 1_530, 5)),
-        ((6, 2, 2), False, (24_501, 20_349, 6)),
+        ((3, 3, 2), False, (60_852, 54_659, 7)),
+        ((3, 3, 2), True, (18_486, 16_695, 7)),
+        ((4, 3, 3), False, (37_686, 32_045, 8)),
+        ((5, 2, 2), False, (339, 274, 5)),
+        ((6, 2, 2), False, (2_000, 1_675, 6)),
     ]:
         res = exact_min_covering(GridParams(*nkl), symmetry_breaking=sym)
         assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, (nkl, sym)
@@ -359,32 +388,55 @@ def test_covering_search_tree_pinned():
         assert check_witness(res.mode, res.witness, value)
 
 
-def test_covering_symmetry_and_oracles_agree():
-    # on every grid with n^k <= 64 that closes within 200k nodes, the
-    # optimum with symmetry breaking equals the one without, both
-    # witnesses verify, and the enumeration oracle agrees where plain
-    # subset enumeration is affordable (the cost rule of criterion 8)
+def test_searches_and_oracles_agree():
+    # on every grid with n^k <= 64, at 200k nodes, in every mode: each
+    # witness verifies, the bounds bracket the other runs' witnesses, the
+    # covering optimum with the root's axis filter equals the one without,
+    # and the enumeration oracles agree where they are affordable
     budget = SolverBudget(200_000, 1e9)
-    closed = enumerated = 0
+    closed = dict.fromkeys(["a", "b", "c_closed", "c_strict"], 0)
+    enumerated = dict(closed)
     for k in range(1, 7):
         for n in [n for n in range(1, 65) if n ** k <= 64]:
             for l in range(1, k + 1):
                 g = GridParams(n, k, l)
+                P = n ** k * math.comb(k, l)
                 plain = exact_min_covering(g, budget)
                 sym = exact_min_covering(g, budget, symmetry_breaking=True)
                 for res in (plain, sym):
                     assert check_witness(res.mode, res.witness, res.upper_bound), (g, res)
                     assert res.lower_bound <= min(plain.upper_bound, sym.upper_bound), g
-                if not (plain.exact and sym.exact):
-                    continue
-                closed += 1
-                assert sym.optimum == plain.optimum, g
-                P = n ** k * math.comb(k, l)
-                cost = sum(math.comb(P, s) * max(s, 1) for s in range(plain.optimum + 1))
-                if plain.optimum <= 5 and cost <= 3_000_000:
-                    enumerated += 1
-                    assert enumerate_min_covering(g, max_size=plain.optimum) == plain.optimum, g
-    assert closed >= 115 and enumerated >= 97
+                if plain.exact and sym.exact:
+                    closed["a"] += 1
+                    assert sym.optimum == plain.optimum, g
+                    cost = sum(math.comb(P, s) * max(s, 1) for s in range(plain.optimum + 1))
+                    if plain.optimum <= 5 and cost <= 3_000_000:
+                        enumerated["a"] += 1
+                        assert enumerate_min_covering(g, max_size=plain.optimum) == plain.optimum, g
+                runs = [("b", exact_max_packing(g, budget), enumerate_max_packing)]
+                if l >= 2:
+                    runs += [(f"c_{two}", exact_max_two_packing(g, two, budget),
+                              lambda g, two=two: enumerate_max_two_packing(g, two))
+                             for two in ("closed", "strict")]
+                for name, res, oracle in runs:
+                    assert check_witness(res.mode, res.witness, res.lower_bound), (g, name)
+                    assert res.lower_bound <= res.upper_bound, (g, name)
+                    if not res.exact:
+                        continue
+                    closed[name] += 1
+                    # valid-prefix enumeration visits only the independent
+                    # sets, of which there are far fewer than this count
+                    if sum(math.comb(P, s) for s in range(res.optimum + 1)) <= 3_000_000_000:
+                        enumerated[name] += 1
+                        assert oracle(g) == res.optimum, (g, name)
+    assert all(closed[m] >= c for m, c in
+               {"a": 117, "b": 118, "c_closed": 39, "c_strict": 39}.items()), closed
+    assert all(enumerated[m] >= c for m, c in
+               {"a": 97, "b": 100, "c_closed": 31, "c_strict": 30}.items()), enumerated
+    # a guard on the orbit rule: dropping the orbit of a candidate whose
+    # value a chosen rook uses proves a(4,3,3) = 9
+    res = exact_min_covering(GridParams(4, 3, 3), budget)
+    assert (res.exact, res.optimum) == (True, 8)
 
 
 def test_witnesses_valid_and_deterministic():
