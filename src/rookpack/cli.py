@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
+import hashlib
 import io
 import json
 import os
@@ -125,6 +127,19 @@ def _cache_dir() -> str:
     return os.environ.get("ROOKPACK_CACHE", DEFAULT_CACHE_DIR)
 
 
+@functools.cache
+def _revision() -> str:
+    """Digest of the package's .py sources, read once per process."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as f:
+                data = f.read()
+            digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 class _CacheLock:
     """Advisory lock over the whole cache directory."""
 
@@ -140,6 +155,25 @@ class _CacheLock:
     def __exit__(self, *exc):
         fcntl.flock(self.fd, fcntl.LOCK_UN)
         self.fd.close()
+
+
+def _drop_other_revisions(directory):
+    """Under the cache lock: remove the solve records that other sources
+    wrote, whose stats describe another search.  .revision names the
+    sources that wrote the records."""
+    path = os.path.join(directory, ".revision")
+    try:
+        with open(path) as f:
+            if f.read() == _revision():
+                return
+    except (OSError, ValueError):  # missing, or not text
+        pass
+    for name in os.listdir(directory):
+        if name.startswith("solve_") and name.endswith(".json"):
+            os.remove(os.path.join(directory, name))
+    with open(path + ".tmp", "w") as f:
+        f.write(_revision())
+    os.replace(path + ".tmp", path)
 
 
 # ---------------------------------------------------------------- commands
@@ -240,6 +274,7 @@ def cmd_solve(args) -> int:
     path = os.path.join(directory, f"solve_{args.mode}{suffix}_{g.n}_{g.k}_{g.l}.json")
 
     with _CacheLock(directory):
+        _drop_other_revisions(directory)
         cached = _load_cached(path, request, g, args)
         if cached is not None:
             sys.stdout.write(cached)

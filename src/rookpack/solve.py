@@ -211,21 +211,29 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
 
     search seeds best = [value, placements] and replaces it whole; tick()
     counts a node and raises _BudgetExhausted past the budget, and a search
-    too deep for the stack stops on RecursionError alike.  A capped run
-    reports capped_bounds(best value) as (lower, upper), and is exact when
-    both equal the best value.
+    too deep for the stack stops on RecursionError alike.  tick(count)
+    counts count nodes at once, or only the first of them when the run
+    would pass the node cap or a multiple of 4,096 (where the clock is
+    read), and returns how many it counted; so ticking a run in pieces
+    stops exactly where single ticks would.  A capped run reports
+    capped_bounds(best value) as (lower, upper), and is exact when both
+    equal the best value.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
     start = time.perf_counter()
 
-    def tick():
-        stats.nodes += 1
+    def tick(count=1):
+        stats.nodes += count
+        if count > 1 and (stats.nodes > budget.max_nodes or stats.nodes % 4096 < count):
+            stats.nodes -= count - 1
+            count = 1
         if stats.nodes > budget.max_nodes:
             raise _BudgetExhausted
         if stats.nodes % 4096 == 0:
             if time.perf_counter() - start > budget.max_seconds:
                 raise _BudgetExhausted
+        return count
 
     inst = _Instance(g)
     best = [-1, []]
@@ -297,6 +305,16 @@ def exact_min_covering(
     covering with a lesser sequence.  With symmetry_breaking the root
     also keeps only the placements that are minimal under axis
     permutations, which the same argument allows.
+
+    The bound test is counted in bulk.  Each node keeps o0 and o1, the
+    placements whose coverage meets covered in at least one and at least
+    two points.  A child covers |covered| + ball - overlap points, so it
+    fails the bound iff its overlap exceeds the slack
+    s = |covered| + ball - need; at slack 0 or 1 that is iff it is in o_s.
+    While best - depth - 2 >= 0, need <= npts, so a full covering, whose
+    overlap is |covered| + ball - npts <= s, is never in o_s.  So at a
+    node that is not orbital and has slack 0 or 1, the candidates below
+    the next one outside o_s are pruned, and counted with one tick.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
 
@@ -315,38 +333,69 @@ def exact_min_covering(
         # a candidate off p differs from p on one axis a, by v * w_a indices
         axis_of = {v * w: a for a, w in enumerate(inst.weights) for v in range(1, g.n)}
         block = (1 << D) - 1
+        covs = [pl.cov for pl in pls]
         chosen = []
 
-        def branch(covered, live, depth, cands, p, free):
+        def branch(covered, live, depth, cands, p, free, o0, o1):
             # cands hold the placements covering p, covered's first zero
             # bit; free[a] is the bitset of axis-a values no chosen point
-            # uses.  A child at depth + 1 needs at least (npts - c) / ball
-            # more rooks after its c covered points, so it is pruned when
+            # uses; o0 and o1 are the placements meeting covered in at
+            # least one and two points.  A child at depth + 1 needs at
+            # least (npts - c) / ball more rooks after its c covered
+            # points, so it is pruned when
             # depth + 1 + ceil((npts - c) / ball) >= best, which is
-            # c < npts - (best - depth - 2) * ball.
+            # c < need = npts - (best - depth - 2) * ball.
             here = coords[p]
             # spare[a]: the values an orbit on p's axis-a line ranges over
             spare = [f & ~(1 << x) for f, x in zip(free, here)]
             orbital = any(s & (s - 1) for s in spare)
+            ncovered = covered.bit_count()
+            top = None  # the best value need and doomed were set for
             while cands:
+                if best[0] != top:
+                    top = best[0]
+                    need = npts - (top - depth - 2) * ball
+                    # a child fails the bound iff it meets covered in more
+                    # than slack points
+                    slack = ncovered + ball - need
+                    doomed = None
+                    if not orbital and top - depth - 2 >= 0 and 0 <= slack <= 1:
+                        doomed = o1 if slack else o0
                 low = cands & -cands
+                if doomed is not None and low & doomed:
+                    # book the pruned run below the next viable candidate
+                    good = cands & ~doomed
+                    run = cands & ((good & -good) - 1)
+                    size = run.bit_count()
+                    if tick(size) < size:
+                        run, size = low, 1
+                    stats.pruned += size
+                    cands ^= run
+                    live ^= run
+                    continue
                 cands ^= low
                 i = low.bit_length() - 1
                 pl = pls[i]
-                child = covered | pl.cov
+                child = covered | covs[i]
                 tick()
                 if child == full:
-                    if depth + 1 < best[0]:
+                    if depth + 1 < top:
                         best[:] = [depth + 1, chosen + [pl]]
-                elif child.bit_count() < npts - (best[0] - depth - 2) * ball:
+                elif child.bit_count() < need:
                     stats.pruned += 1
                 else:
                     chosen.append(pl)
                     rest = live & ~(block << pl.pidx * D)
                     at = ((child + 1) & ~child).bit_length() - 1
                     q = coords[pl.pidx]
+                    c0, c1, fresh = o0, o1, child ^ covered
+                    while fresh:
+                        u = fresh.bit_length() - 1
+                        c1 |= c0 & by_point[u]
+                        c0 |= by_point[u]
+                        fresh ^= 1 << u
                     branch(child, rest, depth + 1, by_point[at] & rest, at,
-                           [f & ~(1 << x) for f, x in zip(free, q)])
+                           [f & ~(1 << x) for f, x in zip(free, q)], c0, c1)
                     chosen.pop()
                 live ^= low
                 if orbital and pl.pidx != p:
@@ -364,7 +413,7 @@ def exact_min_covering(
             if symmetry_breaking:
                 root = sum(1 << pl.index for pl in pls if root >> pl.index & 1
                            and _axis_perm_canonical(inst, pl))
-            branch(0, live, 0, root, 0, [(1 << g.n) - 1] * g.k)
+            branch(0, live, 0, root, 0, [(1 << g.n) - 1] * g.k, 0, 0)
         else:
             stats.pruned += 1
 

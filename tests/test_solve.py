@@ -1,5 +1,6 @@
 """Exact solver, enumeration oracles, and the ILP encoder."""
 
+import hashlib
 import io
 import math
 import random
@@ -388,6 +389,28 @@ def test_covering_search_tree_pinned():
         assert check_witness(res.mode, res.witness, value)
 
 
+def test_covering_trees_pinned_at_budget_edges():
+    # (nodes, pruned, exact, lower, upper, witness) of every covering solve
+    # on the grids with n^k <= 64, with and without the root's axis filter,
+    # at node caps around 0, 50 and the clock's 4,096-node period: a search
+    # that counts pruned children in bulk must stop exactly where one tick
+    # per child did
+    digest = hashlib.sha256()
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                for sym in (False, True):
+                    for cap in (0, 1, 50, 4_095, 4_096, 4_097, 200_000):
+                        res = exact_min_covering(GridParams(n, k, l), SolverBudget(cap, 1e9),
+                                                 symmetry_breaking=sym)
+                        rooks = None if res.witness is None else tuple(
+                            (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+                        digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
+                                            res.lower_bound, res.upper_bound, rooks)).encode())
+    assert digest.hexdigest() == (
+        "692a157b1dababde8a4282334504b97874d1b66313320bdd9ea9a537a9b9b681")
+
+
 def test_searches_and_oracles_agree():
     # on every grid with n^k <= 64, at 200k nodes, in every mode: each
     # witness verifies, the bounds bracket the other runs' witnesses, the
@@ -489,8 +512,9 @@ def test_budget_exhaustion():
     res = exact_min_covering(GridParams(3, 3, 2), SolverBudget(max_nodes=50))
     assert not res.exact
     assert res.optimum is None
-    assert res.lower_bound <= 7 <= res.upper_bound
-    assert res.stats.nodes <= 60  # stops promptly once the budget trips
+    # the 51st node trips the cap, before it is counted as pruned
+    stats = (res.stats.nodes, res.stats.pruned, res.lower_bound, res.upper_bound)
+    assert stats == (51, 43, 6, 7)
 
 
 def test_capped_strict_two_packing_bounds_bracket_optimum():
@@ -506,6 +530,12 @@ def test_budget_time_limit():
     res = exact_max_packing(GridParams(4, 3, 2), SolverBudget(max_seconds=0.0))
     assert not res.exact
     assert res.lower_bound <= res.upper_bound
+    # the clock is read at every 4,096th node, also where that node lies in
+    # a run of pruned children counted at once (it does in a(3,3,2))
+    for nkl, pruned in [((4, 3, 2), 3_821), ((3, 3, 2), 3_708)]:
+        res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
+        assert not res.exact
+        assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
 
 
 def test_result_stats_populated():
