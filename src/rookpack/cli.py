@@ -291,6 +291,7 @@ def cmd_solve(args) -> int:
                 "nodes": res.stats.nodes,
                 "pruned": res.stats.pruned,
                 "wall_time": res.stats.wall_time,
+                "stop_reason": res.stats.stop_reason,
             },
             "witness": config_to_dict(res.witness) if res.witness is not None else None,
         }

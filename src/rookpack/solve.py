@@ -52,6 +52,9 @@ class SolveStats:
     nodes: int = 0
     wall_time: float = 0.0
     pruned: int = 0
+    # why the search stopped: "proven" when it ran to the end, else
+    # "node_cap", "time_cap" or "depth" (too deep for the stack)
+    stop_reason: str = "proven"
 
 
 @dataclass
@@ -98,7 +101,6 @@ class _Instance:
         # along[a]: the D-bit mask of the direction sets containing axis a
         self.along = [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(g.k)]
         self._by_unit = {}
-        self._orbits = None
         self.placements = []
         # a placement covers the union of its lines; each line mask is a
         # per-axis pattern of n points shifted to the line's first point
@@ -164,31 +166,86 @@ class _Instance:
             points ^= 1 << p
         return mask
 
-    def value_orbits(self):
-        """(at_dirs, at_values) for orbital branching: at_dirs[j] is the
-        mask of the placements with the j-th direction set, and
-        at_values(a, vals) that of the placements whose point has its
-        axis-a value in the bitset vals.  Built on first use, so that
-        encode_ilp does not pay for them."""
-        if self._orbits is None:
-            g, D, npts = self.g, len(self.dirsets), self.npts
-            at_dirs = [_repeat(1 << j, D, npts) for j in range(D)]
-            # the points with x_a = v: w points every n*w, from v*w on
-            at_value = [
-                [_repeat(((1 << w * D) - 1) << v * w * D, g.n * w * D, npts // (g.n * w))
-                 for v in range(g.n)]
-                for w in self.weights
-            ]
-            memo = [{} for _ in range(g.k)]
 
-            def at_values(a, vals):
-                mask = memo[a].get(vals)
-                if mask is None:
-                    mask = memo[a][vals] = _union(at_value[a], vals)
-                return mask
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key) on first lookup."""
 
-            self._orbits = at_dirs, at_values
-        return self._orbits
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _ValueOrbits:
+    """Orbital branching on value permutations, for one solve.
+
+    The orbital searches carry the coordinate values no chosen point uses
+    as one int of n bits per axis: bit a*n + v is set iff no chosen point
+    has value v on axis a.  ptmask[pidx] has one bit per axis, at point
+    pidx's coordinate, so a child's int is free & ~ptmask[pidx];
+    orbital[free] is True when some axis of free has two or more values.
+    Both are memos filled on first lookup, so a solve builds only the
+    entries it reaches, and frees them when it returns.
+
+    at_dirs[j] is the mask of the placements with the j-th direction set,
+    and at_values(a, vals) that of the placements whose point has its
+    axis-a value in the bitset vals.  cover_orbit and pack_orbit give the
+    orbits of exact_min_covering and _max_independent.
+    """
+
+    def __init__(self, inst: _Instance):
+        g, D, npts, n = inst.g, len(inst.dirsets), inst.npts, inst.g.n
+        pls, points = inst.placements, inst.points
+        field = (1 << n) - 1
+        shifts = [a * n for a in range(g.k)]
+        self.all_free = (1 << n * g.k) - 1
+        self.at_dirs = at_dirs = [_repeat(1 << j, D, npts) for j in range(D)]
+        # the points with x_a = v: w points every n*w, from v*w on
+        at_value = [
+            [_repeat(((1 << w * D) - 1) << v * w * D, n * w * D, npts // (n * w))
+             for v in range(n)]
+            for w in inst.weights
+        ]
+        memo = [{} for _ in range(g.k)]
+        # a candidate off p differs from p on one axis a, by v * w_a indices
+        axis_of = {v * w: a for a, w in enumerate(inst.weights) for v in range(1, n)}
+        self.ptmask = _Memo(lambda pidx: sum(1 << s + x for s, x in zip(shifts, points[pidx])))
+        self.orbital = _Memo(lambda free: any((f := free >> s & field) & (f - 1) for s in shifts))
+
+        def at_values(a, vals):
+            mask = memo[a].get(vals)
+            if mask is None:
+                mask = memo[a][vals] = _union(at_value[a], vals)
+            return mask
+
+        def cover_orbit(spare, p, i):
+            """The candidates that placement i, a candidate for covering
+            point p, stands for, itself included, or 0 when it stands for
+            itself alone; spare is free & ~ptmask[p]."""
+            q = pls[i].pidx
+            if q == p:
+                return 0
+            a = axis_of[abs(q - p)]
+            s = spare >> a * n & field
+            if s >> points[q][a] & 1 and s & (s - 1):
+                return inst.by_unit("cov")[p] & at_dirs[i % D] & at_values(a, s)
+            return 0
+
+        def pack_orbit(free, i):
+            """The placements that head i stands for at a node with unused
+            values free, itself included."""
+            orbit = at_dirs[i % D]
+            for a, (s, x) in enumerate(zip(shifts, points[pls[i].pidx])):
+                f = free >> s & field
+                orbit &= at_values(a, f if f >> x & 1 else 1 << x)
+            return orbit
+
+        self.at_values, self.cover_orbit, self.pack_orbit = at_values, cover_orbit, pack_orbit
 
 
 def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
@@ -211,7 +268,8 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
 
     search seeds best = [value, placements] and replaces it whole; tick()
     counts a node and raises _BudgetExhausted past the budget, and a search
-    too deep for the stack stops on RecursionError alike.  tick(count)
+    too deep for the stack stops on RecursionError alike, and
+    stats.stop_reason says which of the three stopped it.  tick(count)
     counts count nodes at once, or only the first of them when the run
     would pass the node cap or a multiple of 4,096 (where the clock is
     read), and returns how many it counted; so ticking a run in pieces
@@ -229,10 +287,10 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
             stats.nodes -= count - 1
             count = 1
         if stats.nodes > budget.max_nodes:
-            raise _BudgetExhausted
+            raise _BudgetExhausted("node_cap")
         if stats.nodes % 4096 == 0:
             if time.perf_counter() - start > budget.max_seconds:
-                raise _BudgetExhausted
+                raise _BudgetExhausted("time_cap")
         return count
 
     inst = _Instance(g)
@@ -240,8 +298,10 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     exact = True
     try:
         search(inst, tick, stats, best)
-    except (_BudgetExhausted, RecursionError):
-        exact = False
+    except _BudgetExhausted as stop:
+        exact, stats.stop_reason = False, stop.args[0]
+    except RecursionError:
+        exact, stats.stop_reason = False, "depth"
     stats.wall_time = time.perf_counter() - start
     witness = inst.config(best[1]) if best[0] >= 0 else None
     lower, upper = (best[0], best[0]) if exact else capped_bounds(best[0])
@@ -328,27 +388,24 @@ def exact_min_covering(
         best[:] = [len(seed), seed]
 
         by_point = inst.by_unit("cov")
-        at_dirs, at_values = inst.value_orbits()
-        coords = inst.points
-        # a candidate off p differs from p on one axis a, by v * w_a indices
-        axis_of = {v * w: a for a, w in enumerate(inst.weights) for v in range(1, g.n)}
+        orbits = _ValueOrbits(inst)
+        ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
         block = (1 << D) - 1
         covs = [pl.cov for pl in pls]
         chosen = []
 
         def branch(covered, live, depth, cands, p, free, o0, o1):
             # cands hold the placements covering p, covered's first zero
-            # bit; free[a] is the bitset of axis-a values no chosen point
-            # uses; o0 and o1 are the placements meeting covered in at
-            # least one and two points.  A child at depth + 1 needs at
-            # least (npts - c) / ball more rooks after its c covered
+            # bit; free holds the values no chosen point uses (see
+            # _ValueOrbits); o0 and o1 are the placements meeting covered
+            # in at least one and two points.  A child at depth + 1 needs
+            # at least (npts - c) / ball more rooks after its c covered
             # points, so it is pruned when
             # depth + 1 + ceil((npts - c) / ball) >= best, which is
             # c < need = npts - (best - depth - 2) * ball.
-            here = coords[p]
-            # spare[a]: the values an orbit on p's axis-a line ranges over
-            spare = [f & ~(1 << x) for f, x in zip(free, here)]
-            orbital = any(s & (s - 1) for s in spare)
+            # spare: the values an orbit on one of p's lines ranges over
+            spare = free & ~ptmask[p]
+            orbital = is_orbital[spare]
             ncovered = covered.bit_count()
             top = None  # the best value need and doomed were set for
             while cands:
@@ -387,7 +444,6 @@ def exact_min_covering(
                     chosen.append(pl)
                     rest = live & ~(block << pl.pidx * D)
                     at = ((child + 1) & ~child).bit_length() - 1
-                    q = coords[pl.pidx]
                     c0, c1, fresh = o0, o1, child ^ covered
                     while fresh:
                         u = fresh.bit_length() - 1
@@ -395,14 +451,14 @@ def exact_min_covering(
                         c0 |= by_point[u]
                         fresh ^= 1 << u
                     branch(child, rest, depth + 1, by_point[at] & rest, at,
-                           [f & ~(1 << x) for f, x in zip(free, q)], c0, c1)
+                           free & ~ptmask[pl.pidx], c0, c1)
                     chosen.pop()
                 live ^= low
-                if orbital and pl.pidx != p:
-                    a = axis_of[abs(pl.pidx - p)]
-                    s = spare[a]
-                    if s >> coords[pl.pidx][a] & 1 and s & (s - 1):
-                        orbit = by_point[p] & at_dirs[i % D] & at_values(a, s)
+                if orbital and spare & ptmask[pl.pidx]:
+                    # pl sits off p, at a value in spare (its other
+                    # coordinates are p's, whose values spare lacks)
+                    orbit = cover_orbit(spare, p, i)
+                    if orbit:
                         cands &= ~orbit
                         live &= ~orbit
 
@@ -413,7 +469,7 @@ def exact_min_covering(
             if symmetry_breaking:
                 root = sum(1 << pl.index for pl in pls if root >> pl.index & 1
                            and _axis_perm_canonical(inst, pl))
-            branch(0, live, 0, root, 0, [(1 << g.n) - 1] * g.k, 0, 0)
+            branch(0, live, 0, root, 0, orbits.all_free, 0, 0)
         else:
             stats.pruned += 1
 
@@ -490,9 +546,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
         best[:] = [len(seed), seed]
 
         cap = cap_for(inst)
-        D = len(inst.dirsets)
-        at_dirs, at_values = inst.value_orbits()
-        coords = inst.points
+        orbits = _ValueOrbits(inst)
+        ptmask, is_orbital, pack_orbit = orbits.ptmask, orbits.orbital, orbits.pack_orbit
         chosen = []
 
         def dfs(cands, depth, free):
@@ -501,10 +556,10 @@ def _max_independent(g, mode, budget, cap_for, upper):
             # without a recount.  Dropping a candidate lowers the cap by at
             # most one, so lo..hi brackets it along the exclude chain (the
             # next turn of the loop); a turn recounts only when the bracket
-            # cannot decide.  free[a] is the bitset of axis-a values no
-            # chosen point uses; with at most one on every axis, each orbit
-            # is its head alone.
-            orbital = any(f & (f - 1) for f in free)
+            # cannot decide.  free holds the values no chosen point uses
+            # (see _ValueOrbits); with at most one on every axis, each
+            # orbit is its head alone.
+            orbital = is_orbital[free]
             lo, hi = 0, len(pls)
             while True:
                 tick()
@@ -527,19 +582,16 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(pls[i])
-                q = coords[pls[i].pidx]
-                if dfs(cands & allowed(i), depth + 1, [f & ~(1 << x) for f, x in zip(free, q)]):
+                if dfs(cands & allowed(i), depth + 1, free & ~ptmask[pls[i].pidx]):
                     return True
                 chosen.pop()
                 lo -= 1
                 if orbital:
-                    orbit = cands & at_dirs[i % D]
-                    for a, (f, x) in enumerate(zip(free, q)):
-                        orbit &= at_values(a, f if f >> x & 1 else 1 << x)
+                    orbit = cands & pack_orbit(free, i)
                     cands ^= orbit
                     lo -= orbit.bit_count()
 
-        dfs(full, 0, [(1 << g.n) - 1] * g.k)
+        dfs(full, 0, orbits.all_free)
 
     # any feasible configuration is a valid lower bound for a max problem
     return _solve(g, mode, budget, search, lambda value: (value, upper))

@@ -10,7 +10,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from rookpack.cli import main
+from rookpack.cli import EXIT_BUDGET, main
 from rookpack.core import InvalidArgument
 from rookpack.solve import SolverBudget
 
@@ -168,6 +168,21 @@ def test_solve_flag_records_replay(capsys, tmp_path):
         assert code == 0 and second == first
     records = sorted(p.name for p in (tmp_path / "cache").iterdir() if p.suffix == ".json")
     assert records == sorted(record for _, _, record in cases)
+
+
+def test_solve_reports_stop_reason(capsys, tmp_path):
+    # a capped solve says which cap stopped it; a proven one replays its
+    # record, stop reason included, byte for byte
+    code, capped, _ = run(capsys, "solve", "a", "--n", "4", "--k", "3", "--l", "2",
+                          "--max-nodes", "1000")
+    doc = json.loads(capped)
+    assert code == EXIT_BUDGET and doc["stats"]["stop_reason"] == "node_cap"
+    _validate(doc, "solve_result.schema.json")
+    argv = ("solve", "a", "--n", "3", "--k", "2", "--l", "1")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(first)["stats"]["stop_reason"] == "proven"
+    code, second, _ = run(capsys, *argv)
+    assert code == 0 and second == first
 
 
 def test_solve_witness_file_shape(capsys, tmp_path):

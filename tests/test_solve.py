@@ -24,6 +24,7 @@ from rookpack.solve import (
     SolverBudget,
     _clique_counter,
     _Instance,
+    _ValueOrbits,
     check_witness,
     encode_ilp,
     exact_max_coverage,
@@ -132,6 +133,7 @@ def test_deep_search_ends_capped():
     # which the stack runs out depends on the caller's own frames.
     res = exact_max_packing(GridParams(40, 3, 1), SolverBudget(5_000, 1e9))
     assert (res.exact, res.lower_bound, res.upper_bound) == (False, 1_600, 4_571)
+    assert res.stats.stop_reason == "depth"
     assert check_witness(res.mode, res.witness, 1_600)
 
 
@@ -180,7 +182,8 @@ def test_value_orbit_masks_match_coordinates():
     # against the placements' own coordinates, n = 1 and l = k included
     for n, k, l in [(1, 2, 1), (2, 3, 2), (3, 2, 1), (4, 3, 3), (3, 3, 2), (5, 2, 2)]:
         inst = _Instance(GridParams(n, k, l))
-        at_dirs, at_values = inst.value_orbits()
+        orbits = _ValueOrbits(inst)
+        at_dirs, at_values = orbits.at_dirs, orbits.at_values
         pls = inst.placements
         for j, d in enumerate(inst.dirsets):
             assert at_dirs[j] == sum(1 << pl.index for pl in pls if pl.dirs == d)
@@ -188,6 +191,52 @@ def test_value_orbit_masks_match_coordinates():
             for vals in range(1 << n):
                 want = sum(1 << pl.index for pl in pls if vals >> inst.points[pl.pidx][a] & 1)
                 assert at_values(a, vals) == want, (n, k, l, a, vals)
+
+
+def test_packed_value_state_matches_value_sets():
+    # the searches' packed unused values (n bits per axis) against per-axis
+    # value sets, on seeded random (unused values, point) pairs: ptmask,
+    # the orbital flag, and the orbits of both searches, n = 1 and k = 1
+    # included
+    rng = random.Random(2011)
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for l in sorted({1, (k + 1) // 2, k}):
+                inst = _Instance(GridParams(n, k, l))
+                orbits = _ValueOrbits(inst)
+                pls, points = inst.placements, inst.points
+                for _ in range(8):
+                    unused = [{v for v in range(n) if rng.random() < 0.6} for _ in range(k)]
+                    free = sum(1 << a * n + v for a in range(k) for v in unused[a])
+                    pidx = rng.randrange(inst.npts)
+                    p = points[pidx]
+                    assert orbits.ptmask[pidx] == sum(1 << a * n + x for a, x in enumerate(p))
+                    assert orbits.orbital[free] == any(len(u) >= 2 for u in unused)
+                    # covering: a candidate off p on p's axis-a line stands for
+                    # its direction set at every spare value of that line
+                    spare = [u - {x} for u, x in zip(unused, p)]
+                    packed_spare = free & ~orbits.ptmask[pidx]
+                    assert orbits.orbital[packed_spare] == any(len(s) >= 2 for s in spare)
+                    for pl in pls:
+                        q = points[pl.pidx]
+                        off = [a for a in range(k) if q[a] != p[a]]
+                        if len(off) > 1 or off and off[0] not in pl.dirs:
+                            continue  # not a candidate for p
+                        want = 0
+                        if off and q[off[0]] in spare[off[0]] and len(spare[off[0]]) >= 2:
+                            a = off[0]
+                            want = sum(1 << r.index for r in pls if r.dirs == pl.dirs
+                                       and points[r.pidx][a] in spare[a]
+                                       and all(points[r.pidx][b] == p[b] for b in range(k) if b != a))
+                        assert orbits.cover_orbit(packed_spare, pidx, pl.index) == want, (n, k, l)
+                    # packing: a head keeps its values that are used and ranges
+                    # over the unused ones
+                    for head in rng.sample(pls, min(4, len(pls))):
+                        q = points[head.pidx]
+                        want = sum(1 << r.index for r in pls if r.dirs == head.dirs and all(
+                            points[r.pidx][a] in unused[a] if q[a] in unused[a]
+                            else points[r.pidx][a] == q[a] for a in range(k)))
+                        assert orbits.pack_orbit(free, head.index) == want, (n, k, l)
 
 
 def test_clique_counter_matches_coordinates():
@@ -411,6 +460,30 @@ def test_covering_trees_pinned_at_budget_edges():
         "692a157b1dababde8a4282334504b97874d1b66313320bdd9ea9a537a9b9b681")
 
 
+def test_packing_trees_pinned_at_budget_edges():
+    # (nodes, pruned, exact, lower, upper, witness) of every packing and
+    # two-packing solve on the grids with n^k <= 64, at node caps around 0,
+    # 50 and the clock's 4,096-node period: a change to the search state
+    # must leave every tree and every capped result as it was
+    digest = hashlib.sha256()
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                g = GridParams(n, k, l)
+                for cap in (0, 1, 50, 4_095, 4_096, 4_097, 20_000):
+                    budget = SolverBudget(cap, 1e9)
+                    runs = [exact_max_packing(g, budget)]
+                    if l >= 2:
+                        runs += [exact_max_two_packing(g, two, budget) for two in ("closed", "strict")]
+                    for res in runs:
+                        rooks = None if res.witness is None else tuple(
+                            (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+                        digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
+                                            res.lower_bound, res.upper_bound, rooks)).encode())
+    assert digest.hexdigest() == (
+        "25660001da1579fe4e10f5b0f24bb5f1c3f931d3a2eef9226c8026eea613f8a1")
+
+
 def test_searches_and_oracles_agree():
     # on every grid with n^k <= 64, at 200k nodes, in every mode: each
     # witness verifies, the bounds bracket the other runs' witnesses, the
@@ -534,8 +607,17 @@ def test_budget_time_limit():
     # a run of pruned children counted at once (it does in a(3,3,2))
     for nkl, pruned in [((4, 3, 2), 3_821), ((3, 3, 2), 3_708)]:
         res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
-        assert not res.exact
+        assert (res.exact, res.stats.stop_reason) == (False, "time_cap"), nkl
         assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
+
+
+def test_stop_reason_names_what_ended_the_search():
+    # time_cap and depth are checked by test_budget_time_limit and
+    # test_deep_search_ends_capped
+    proven = exact_min_covering(GridParams(3, 3, 2))
+    node_cap = exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000, 1e9))
+    assert [(r.stats.stop_reason, r.exact) for r in (proven, node_cap)] == [
+        ("proven", True), ("node_cap", False)]
 
 
 def test_result_stats_populated():
