@@ -202,17 +202,6 @@ def rook_indices(c: Configuration) -> list:
     return [sum(map(mul, r.point, weights)) for r in c.rooks]
 
 
-def index_point(idx: int, g: GridParams) -> tuple:
-    """Inverse of point_index."""
-    if not 0 <= idx < g.num_points:
-        raise InvalidPoint(f"index {idx} outside [0, {g.num_points})")
-    coords = []
-    for _ in range(g.k):
-        coords.append(idx % g.n)
-        idx //= g.n
-    return tuple(reversed(coords))
-
-
 def covers(r: Rook, p, g: GridParams) -> bool:
     """Closed coverage: p equals r.point or differs in exactly one chosen axis."""
     g.check_point(r.point)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations, permutations, product
 
 from .core import (
     Configuration,
@@ -20,7 +21,6 @@ from .core import (
     Rook,
     RookError,
     config_coverage,
-    index_point,
     point_index,
 )
 from .bounds import (
@@ -73,34 +73,25 @@ class _BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class _Placement:
-    index: int
-    pidx: int
-    dirs: tuple
-    cov: int
-
-    @property
-    def att(self) -> int:
-        return self.cov ^ (1 << self.pidx)
-
-
 class _Instance:
-    """Placement table for one grid: every (point, direction-set) pair in
-    lexicographic order, with precomputed coverage bitsets."""
+    """Placement table for one grid.  Placement i is the direction set
+    dirsets[i % D] at point i // D, so placements run through the
+    (point, direction set) pairs in lexicographic order, and every search,
+    mask and table refers to a placement by its index i.  placements[i] is
+    the coverage bitset of placement i over point indices."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
         self.g = g
         self.npts = g.num_points
         self.full = (1 << self.npts) - 1
-        self.points = [index_point(i, g) for i in range(self.npts)]
+        self.points = list(product(range(g.n), repeat=g.k))
         self.dirsets = list(combinations(range(g.k), g.l))
+        self.D = len(self.dirsets)
         self.lines_per_axis = g.n ** (g.k - 1)
         self.weights = g.weights
         # along[a]: the D-bit mask of the direction sets containing axis a
         self.along = [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(g.k)]
-        self._by_unit = {}
         self.placements = []
         # a placement covers the union of its lines; each line mask is a
         # per-axis pattern of n points shifted to the line's first point
@@ -111,7 +102,7 @@ class _Instance:
                 cov = 0
                 for a in d:
                     cov |= line_masks[a]
-                self.placements.append(_Placement(len(self.placements), pidx, d, cov))
+                self.placements.append(cov)
 
     def _line_ids(self, pidx):
         """Id of the axis-a line through point pidx, for each axis a."""
@@ -122,47 +113,57 @@ class _Instance:
         ]
 
     def config(self, chosen):
+        D = self.D
         return Configuration(
-            self.g, [Rook(self.points[pl.pidx], pl.dirs) for pl in chosen]
+            self.g, [Rook(self.points[i // D], self.dirsets[i % D]) for i in chosen]
         )
 
-    def by_unit(self, attr):
-        """by_unit(attr)[u] is the mask, over placement indices, of the
-        placements on line u attacking along it ("line", u a line id of
-        _line_ids), or of those covering ("cov") or attacking ("att") point
-        u; built once per attr."""
-        table = self._by_unit.get(attr)
-        if table is not None:
-            return table
-        g, D = self.g, len(self.dirsets)
-        if attr == "line":
-            # placement s*D + j is the j-th direction set at point s, so the
-            # axis-a line from the x_a = 0 point s holds along[a] in the
-            # blocks of s + v*w; those s in index order are in line-id order
-            table = []
-            for along, w in zip(self.along, self.weights):
-                row = _repeat(along, w * D, g.n)
-                table += [row << s * D for s in range(self.npts) if s // w % g.n == 0]
-        else:
-            # a rook reaches p from p itself or along one of p's k lines
-            lines = self.by_unit("line")
-            table = []
-            for i in range(self.npts):
-                here = ((1 << D) - 1) << (i * D)
-                m = here
-                for line in self._line_ids(i):
-                    m |= lines[line]
-                table.append(m if attr == "cov" else m ^ here)
-        self._by_unit[attr] = table
+    # The tables below are masks over placement indices, built on first use.
+
+    @cached_property
+    def by_line(self):
+        """by_line[u]: the placements on line u attacking along it, u a
+        line id of _line_ids."""
+        n, D = self.g.n, self.D
+        # the axis-a line from the x_a = 0 point s holds along[a] in the
+        # blocks of s + v*w; those s in index order are in line-id order
+        table = []
+        for along, w in zip(self.along, self.weights):
+            row = _repeat(along, w * D, n)
+            table += [row << s * D for s in range(self.npts) if s // w % n == 0]
         return table
+
+    def _reaching(self, own):
+        """For each point u, the placements covering u (own) or attacking
+        it (not own).  A rook reaches u from u itself or along one of u's
+        k lines."""
+        lines, block = self.by_line, (1 << self.D) - 1
+        table = []
+        for u in range(self.npts):
+            here = block << u * self.D
+            m = here
+            for line in self._line_ids(u):
+                m |= lines[line]
+            table.append(m if own else m ^ here)
+        return table
+
+    @cached_property
+    def by_cov(self):
+        """by_cov[u]: the placements covering point u."""
+        return self._reaching(True)
+
+    @cached_property
+    def by_att(self):
+        """by_att[u]: the placements attacking point u."""
+        return self._reaching(False)
 
     def at_points(self, points):
         """Mask of every placement sitting on a point of the bitset points."""
-        block = (1 << len(self.dirsets)) - 1
+        block = (1 << self.D) - 1
         mask = 0
         while points:
             p = points.bit_length() - 1
-            mask |= block << (p * len(self.dirsets))
+            mask |= block << (p * self.D)
             points ^= 1 << p
         return mask
 
@@ -199,8 +200,8 @@ class _ValueOrbits:
     """
 
     def __init__(self, inst: _Instance):
-        g, D, npts, n = inst.g, len(inst.dirsets), inst.npts, inst.g.n
-        pls, points = inst.placements, inst.points
+        g, D, npts, n = inst.g, inst.D, inst.npts, inst.g.n
+        points = inst.points
         field = (1 << n) - 1
         shifts = [a * n for a in range(g.k)]
         self.all_free = (1 << n * g.k) - 1
@@ -227,20 +228,20 @@ class _ValueOrbits:
             """The candidates that placement i, a candidate for covering
             point p, stands for, itself included, or 0 when it stands for
             itself alone; spare is free & ~ptmask[p]."""
-            q = pls[i].pidx
+            q = i // D
             if q == p:
                 return 0
             a = axis_of[abs(q - p)]
             s = spare >> a * n & field
             if s >> points[q][a] & 1 and s & (s - 1):
-                return inst.by_unit("cov")[p] & at_dirs[i % D] & at_values(a, s)
+                return inst.by_cov[p] & at_dirs[i % D] & at_values(a, s)
             return 0
 
         def pack_orbit(free, i):
             """The placements that head i stands for at a node with unused
             values free, itself included."""
             orbit = at_dirs[i % D]
-            for a, (s, x) in enumerate(zip(shifts, points[pls[i].pidx])):
+            for a, (s, x) in enumerate(zip(shifts, points[i // D])):
                 f = free >> s & field
                 orbit &= at_values(a, f if f >> x & 1 else 1 << x)
             return orbit
@@ -248,16 +249,16 @@ class _ValueOrbits:
         self.at_values, self.cover_orbit, self.pack_orbit = at_values, cover_orbit, pack_orbit
 
 
-def _axis_perm_canonical(inst: _Instance, pl: _Placement) -> bool:
-    """True when the placement is lexicographically minimal in its orbit
+def _axis_perm_canonical(inst: _Instance, i: int) -> bool:
+    """True when placement i is lexicographically minimal in its orbit
     under axis permutations (the stabilizer of the all-zero point)."""
-    g = inst.g
-    p = inst.points[pl.pidx]
-    key = (pl.pidx, sorted(pl.dirs))
+    g, pidx, dirs = inst.g, i // inst.D, inst.dirsets[i % inst.D]
+    p = inst.points[pidx]
+    key = (pidx, list(dirs))
     for perm in permutations(range(g.k)):
-        # perm maps original axis perm[i] onto axis i of the image
-        q = tuple(p[perm[i]] for i in range(g.k))
-        qdirs = sorted(i for i in range(g.k) if perm[i] in pl.dirs)
+        # perm maps original axis perm[b] onto axis b of the image
+        q = tuple(p[perm[b]] for b in range(g.k))
+        qdirs = sorted(b for b in range(g.k) if perm[b] in dirs)
         if (point_index(q, g), qdirs) < key:
             return False
     return True
@@ -318,24 +319,24 @@ def _greedy_covering(inst: _Instance):
     (ball - gain) * P + index, with P placements, holds a stale gain for
     each placement and rescores only its top.
     """
-    pls, ball = inst.placements, inst.g.ball
-    P = len(pls)
+    covs, ball, D = inst.placements, inst.g.ball, inst.D
+    P = len(covs)
     heap = list(range(P))  # every gain is ball at first
     uncovered, used, chosen = inst.full, set(), []
     while uncovered:
         key = heap[0]
-        pl = pls[key % P]
-        if pl.pidx in used:
+        i = key % P
+        if i // D in used:
             heapq.heappop(heap)
             continue
-        fresh = (ball - (pl.cov & uncovered).bit_count()) * P + pl.index
+        fresh = (ball - (covs[i] & uncovered).bit_count()) * P + i
         if fresh != key:
             heapq.heapreplace(heap, fresh)
             continue
         heapq.heappop(heap)
-        used.add(pl.pidx)
-        chosen.append(pl)
-        uncovered &= ~pl.cov
+        used.add(i // D)
+        chosen.append(i)
+        uncovered &= ~covs[i]
     return chosen
 
 
@@ -349,7 +350,7 @@ def exact_min_covering(
     of the modular diagonal and the greedy covering.
 
     live is a mask over placement indices: the candidates for the first
-    uncovered point p are by_unit("cov")[p] & live, taken lowest first.
+    uncovered point p are by_cov[p] & live, taken lowest first.
     A taken rook's point leaves the child's live, and once a candidate's
     subtree is searched it leaves live for its later siblings, so each
     covering is reached through one order of its rooks only.
@@ -379,19 +380,17 @@ def exact_min_covering(
     sphere_lower, _ = sphere_packing_bounds(g)
 
     def search(inst, tick, stats, best):
-        pls, full, npts, ball = inst.placements, inst.full, inst.npts, g.ball
-        D = len(inst.dirsets)
+        covs, full, npts, ball, D = inst.placements, inst.full, inst.npts, g.ball, inst.D
         # the modular diagonal attacking along axes 0..l-1 (direction set
         # 0): every axis-0 line holds one point of coordinate sum 0 mod n
-        seed = [pls[i * D] for i, p in enumerate(inst.points) if sum(p) % g.n == 0]
+        seed = [q * D for q, p in enumerate(inst.points) if sum(p) % g.n == 0]
         seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
         best[:] = [len(seed), seed]
 
-        by_point = inst.by_unit("cov")
+        by_point = inst.by_cov
         orbits = _ValueOrbits(inst)
         ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
         block = (1 << D) - 1
-        covs = [pl.cov for pl in pls]
         chosen = []
 
         def branch(covered, live, depth, cands, p, free, o0, o1):
@@ -432,17 +431,17 @@ def exact_min_covering(
                     continue
                 cands ^= low
                 i = low.bit_length() - 1
-                pl = pls[i]
+                q = i // D
                 child = covered | covs[i]
                 tick()
                 if child == full:
                     if depth + 1 < top:
-                        best[:] = [depth + 1, chosen + [pl]]
+                        best[:] = [depth + 1, chosen + [i]]
                 elif child.bit_count() < need:
                     stats.pruned += 1
                 else:
-                    chosen.append(pl)
-                    rest = live & ~(block << pl.pidx * D)
+                    chosen.append(i)
+                    rest = live & ~(block << q * D)
                     at = ((child + 1) & ~child).bit_length() - 1
                     c0, c1, fresh = o0, o1, child ^ covered
                     while fresh:
@@ -451,27 +450,30 @@ def exact_min_covering(
                         c0 |= by_point[u]
                         fresh ^= 1 << u
                     branch(child, rest, depth + 1, by_point[at] & rest, at,
-                           free & ~ptmask[pl.pidx], c0, c1)
+                           free & ~ptmask[q], c0, c1)
                     chosen.pop()
                 live ^= low
-                if orbital and spare & ptmask[pl.pidx]:
-                    # pl sits off p, at a value in spare (its other
+                if orbital and spare & ptmask[q]:
+                    # i sits off p, at a value in spare (its other
                     # coordinates are p's, whose values spare lacks)
                     orbit = cover_orbit(spare, p, i)
                     if orbit:
                         cands &= ~orbit
                         live &= ~orbit
 
-        tick()  # the root, pruned when ceil(npts / ball) >= best
-        if (best[0] - 1) * ball >= npts:
-            live = (1 << len(pls)) - 1
-            root = by_point[0]
-            if symmetry_breaking:
-                root = sum(1 << pl.index for pl in pls if root >> pl.index & 1
-                           and _axis_perm_canonical(inst, pl))
-            branch(0, live, 0, root, 0, orbits.all_free, 0, 0)
-        else:
-            stats.pruned += 1
+        try:
+            tick()  # the root, pruned when ceil(npts / ball) >= best
+            if (best[0] - 1) * ball >= npts:
+                live = (1 << len(covs)) - 1
+                root = by_point[0]
+                if symmetry_breaking:
+                    root = sum(1 << i for i in range(len(covs)) if root >> i & 1
+                               and _axis_perm_canonical(inst, i))
+                branch(0, live, 0, root, 0, orbits.all_free, 0, 0)
+            else:
+                stats.pruned += 1
+        finally:
+            del branch  # branch calls itself through its cell: free it
 
     return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
 
@@ -486,19 +488,21 @@ def _union(table, bits):
     return mask
 
 
-# The placements that cannot coexist with pl, pl included, as a mask over
-# placement indices, in each mode of _max_independent.
+# The placements that cannot coexist with placement i, i included, as a
+# mask over placement indices, in each mode of _max_independent.
 _CONFLICTS = {
-    # rooks on a point pl covers (its own included), and rooks attacking
-    # pl's point along one of its k lines
-    "max_pack": lambda inst, pl: inst.at_points(pl.cov) | _union(
-        inst.by_unit("line"), sum(1 << line for line in inst._line_ids(pl.pidx))
+    # rooks on a point i covers (its own included), and rooks attacking
+    # i's point along one of its k lines; that is by_cov[i // D], but
+    # by_line's k n^(k-1) masks take far less memory than by_cov's n^k
+    "max_pack": lambda inst, i: inst.at_points(inst.placements[i]) | _union(
+        inst.by_line, sum(1 << line for line in inst._line_ids(i // inst.D))
     ),
-    # rooks covering a point pl covers
-    "max_two_pack_closed": lambda inst, pl: _union(inst.by_unit("cov"), pl.cov),
-    # rooks attacking a point pl attacks, and rooks on pl's point
-    "max_two_pack_strict": lambda inst, pl: (
-        _union(inst.by_unit("att"), pl.att) | inst.at_points(1 << pl.pidx)
+    # rooks covering a point i covers
+    "max_two_pack_closed": lambda inst, i: _union(inst.by_cov, inst.placements[i]),
+    # rooks attacking a point i attacks, and rooks on i's point
+    "max_two_pack_strict": lambda inst, i: (
+        _union(inst.by_att, inst.placements[i] ^ 1 << i // inst.D)
+        | inst.at_points(1 << i // inst.D)
     ),
 }
 
@@ -529,19 +533,19 @@ def _max_independent(g, mode, budget, cap_for, upper):
     conflicts = _CONFLICTS[mode]
 
     def search(inst, tick, stats, best):
-        pls = inst.placements
-        full = (1 << len(pls)) - 1
-        keep = [None] * len(pls)
+        P, D = len(inst.placements), inst.D
+        full = (1 << P) - 1
+        keep = [None] * P
 
         def allowed(i):
             if keep[i] is None:
-                keep[i] = full ^ conflicts(inst, pls[i])
+                keep[i] = full ^ conflicts(inst, i)
             return keep[i]
 
         seed, cands = [], full
         while cands:
             i = (cands & -cands).bit_length() - 1
-            seed.append(pls[i])
+            seed.append(i)
             cands &= allowed(i)
         best[:] = [len(seed), seed]
 
@@ -560,7 +564,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
             # (see _ValueOrbits); with at most one on every axis, each
             # orbit is its head alone.
             orbital = is_orbital[free]
-            lo, hi = 0, len(pls)
+            lo, hi = 0, P
             while True:
                 tick()
                 if depth > best[0]:
@@ -581,8 +585,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 low = cands & -cands
                 cands ^= low
                 i = low.bit_length() - 1
-                chosen.append(pls[i])
-                if dfs(cands & allowed(i), depth + 1, free & ~ptmask[pls[i].pidx]):
+                chosen.append(i)
+                if dfs(cands & allowed(i), depth + 1, free & ~ptmask[i // D]):
                     return True
                 chosen.pop()
                 lo -= 1
@@ -591,28 +595,33 @@ def _max_independent(g, mode, budget, cap_for, upper):
                     cands ^= orbit
                     lo -= orbit.bit_count()
 
-        dfs(full, 0, orbits.all_free)
+        try:
+            dfs(full, 0, orbits.all_free)
+        finally:
+            del dfs  # dfs calls itself through its cell: free it
 
     # any feasible configuration is a valid lower bound for a max problem
     return _solve(g, mode, budget, search, lambda value: (value, upper))
 
 
-def _unit_cap(inst, unit, unit_attr):
+def _unit_cap(inst, unit, strict):
     """cap for _max_independent when each rook holds unit points of its
-    placement bitset unit_attr alone: the points the candidates reach,
-    // unit, or the candidate count when unit is 0."""
-    by_unit = inst.by_unit(unit_attr)
-    nunits = len(by_unit)
-    unit_masks = [getattr(pl, unit_attr) for pl in inst.placements]
+    coverage (its attack set when strict) alone: the points the candidates
+    reach, // unit, or the candidate count when unit is 0."""
+    by_point, masks, D = inst.by_cov, inst.placements, inst.D
+    if strict:
+        by_point = inst.by_att
+        masks = [cov ^ 1 << i // D for i, cov in enumerate(masks)]
+    npts = len(by_point)
 
     def cap(cands):
         if not unit:
             return cands.bit_count()
-        # few candidates: OR their masks; many: test every unit, dropping
+        # few candidates: OR their masks; many: test every point, dropping
         # each AND as it is counted
-        if 3 * cands.bit_count() < 2 * nunits:
-            return _union(unit_masks, cands).bit_count() // unit
-        return sum(map(bool, map(cands.__and__, by_unit))) // unit
+        if 3 * cands.bit_count() < 2 * npts:
+            return _union(masks, cands).bit_count() // unit
+        return sum(map(bool, map(cands.__and__, by_point))) // unit
 
     return cap
 
@@ -646,7 +655,7 @@ def _clique_counter(inst):
     into its first bit, gather those bits along the axis onto the points
     with x_a = 0, and spread them back along the line.
     """
-    g, D, npts = inst.g, len(inst.dirsets), inst.npts
+    g, D, npts = inst.g, inst.D, inst.npts
     n = g.n
     starts = _repeat(1, D, npts)
     fold = _window(1, D)
@@ -716,15 +725,16 @@ def exact_max_two_packing(
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     if g.l < 2:
         raise InvalidArgument("two-packing needs l >= 2")
-    if mode == "closed":
-        unit, attr = g.ball, "cov"
+    strict = mode == "strict"
+    if not strict:
+        unit = g.ball
         upper = min(int(singleton_bound_c(g)), sphere_bound_c(g))
     else:
-        unit, attr = g.l * (g.n - 1), "att"
+        unit = g.l * (g.n - 1)
         # strict attack sets are pairwise disjoint, each of unit points
         upper = g.num_points // unit if unit else g.num_points
     return _max_independent(
-        g, f"max_two_pack_{mode}", budget, lambda inst: _unit_cap(inst, unit, attr), upper
+        g, f"max_two_pack_{mode}", budget, lambda inst: _unit_cap(inst, unit, strict), upper
     )
 
 
@@ -743,7 +753,7 @@ def exact_max_coverage(
     upper = min(N * ball, g.num_points)
 
     def search(inst, tick, stats, best):
-        pls, D = inst.placements, len(inst.dirsets)
+        covs, D = inst.placements, inst.D
         block = (1 << D) - 1
         chosen = []
 
@@ -763,19 +773,18 @@ def exact_max_coverage(
                     return
                 low = cands & -cands
                 cands ^= low
-                pl = pls[low.bit_length() - 1]
-                chosen.append(pl)
-                if dfs(cands & ~(block << pl.pidx * D), covered | pl.cov, depth + 1):
+                i = low.bit_length() - 1
+                chosen.append(i)
+                if dfs(cands & ~(block << i // D * D), covered | covs[i], depth + 1):
                     return True
                 chosen.pop()
 
-        dfs((1 << len(pls)) - 1, 0, 0)
+        try:
+            dfs((1 << len(covs)) - 1, 0, 0)
+        finally:
+            del dfs  # dfs calls itself through its cell: free it
 
     return _solve(g, "max_coverage", budget, search, lambda value: (max(value, 0), upper))
-
-
-def _var_name(pl: _Placement) -> str:
-    return f"y_{pl.pidx}_{sum(1 << a for a in pl.dirs)}"
 
 
 def encode_ilp(g: GridParams, mode: str, out) -> dict:
@@ -792,17 +801,18 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     if mode not in ("min_cover", "max_pack", "max_two_pack"):
         raise InvalidArgument(f"unknown ilp mode {mode!r}")
     inst = _Instance(g)
-    names = [_var_name(pl) for pl in inst.placements]
+    dirmasks = [sum(1 << a for a in d) for d in inst.dirsets]
+    names = [f"y_{p}_{m}" for p in range(inst.npts) for m in dirmasks]
     # rows are (name, mask over placement indices, sense)
     if mode == "max_pack":
         # the (line, point) cliques of _clique_counter: the placements at
         # q and those attacking along q's axis-a line, at most one each
-        by_line = inst.by_unit("line")
+        by_line = inst.by_line
         rows = [(f"clique_{q}_{a}", by_line[line] | inst.at_points(1 << q), "<=")
                 for q in range(inst.npts) for a, line in enumerate(inst._line_ids(q))]
     else:
         prefix, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
-        rows = [(f"{prefix}_{p}", m, sense) for p, m in enumerate(inst.by_unit("cov"))]
+        rows = [(f"{prefix}_{p}", m, sense) for p, m in enumerate(inst.by_cov)]
     lines = ["Minimize" if mode == "min_cover" else "Maximize", " obj: " + " + ".join(names),
              "Subject To"]
     for name, m, sense in rows:

@@ -17,7 +17,6 @@ from rookpack.core import (
     config_coverage,
     coverage_mask,
     covers,
-    index_point,
     point_index,
 )
 
@@ -30,10 +29,12 @@ def test_point_index_examples():
 
 
 def test_point_index_roundtrip():
+    # point_index numbers the points in the order itertools.product lists
+    # them, the order of the solvers' placement tables
     for n, k in [(1, 1), (2, 3), (3, 2), (4, 3), (5, 2)]:
         g = GridParams(n, k, 1)
-        for i in range(g.num_points):
-            assert point_index(index_point(i, g), g) == i
+        for i, p in enumerate(itertools.product(range(n), repeat=k)):
+            assert point_index(p, g) == i
 
 
 def test_point_index_rejects_bad_coords():

@@ -1,5 +1,6 @@
 """Exact solver, enumeration oracles, and the ILP encoder."""
 
+import gc
 import hashlib
 import io
 import math
@@ -167,13 +168,14 @@ def test_conflict_masks_match_coordinates():
                 g = GridParams(n, k, l)
                 inst = _Instance(g)
                 rooks = _oracle_rooks(g)
+                P, D = len(inst.placements), inst.D
                 assert [(r.rook.point, r.rook.dirs) for r in rooks] == [
-                    (inst.points[pl.pidx], frozenset(pl.dirs)) for pl in inst.placements
+                    (inst.points[i // D], frozenset(inst.dirsets[i % D])) for i in range(P)
                 ]
                 for mode, conflicts in _CONFLICTS.items():
                     if mode == "max_pack" or l >= 2:
                         want = [sum(map((1).__lshift__, c)) for c in _oracle_clashes(rooks, mode)]
-                        got = [conflicts(inst, pl) for pl in inst.placements]
+                        got = [conflicts(inst, i) for i in range(P)]
                         assert got == want, (g, mode)
 
 
@@ -184,12 +186,12 @@ def test_value_orbit_masks_match_coordinates():
         inst = _Instance(GridParams(n, k, l))
         orbits = _ValueOrbits(inst)
         at_dirs, at_values = orbits.at_dirs, orbits.at_values
-        pls = inst.placements
+        P, D = len(inst.placements), inst.D
         for j, d in enumerate(inst.dirsets):
-            assert at_dirs[j] == sum(1 << pl.index for pl in pls if pl.dirs == d)
+            assert at_dirs[j] == sum(1 << i for i in range(P) if inst.dirsets[i % D] == d)
         for a in range(k):
             for vals in range(1 << n):
-                want = sum(1 << pl.index for pl in pls if vals >> inst.points[pl.pidx][a] & 1)
+                want = sum(1 << i for i in range(P) if vals >> inst.points[i // D][a] & 1)
                 assert at_values(a, vals) == want, (n, k, l, a, vals)
 
 
@@ -204,7 +206,7 @@ def test_packed_value_state_matches_value_sets():
             for l in sorted({1, (k + 1) // 2, k}):
                 inst = _Instance(GridParams(n, k, l))
                 orbits = _ValueOrbits(inst)
-                pls, points = inst.placements, inst.points
+                P, D, points, dirsets = len(inst.placements), inst.D, inst.points, inst.dirsets
                 for _ in range(8):
                     unused = [{v for v in range(n) if rng.random() < 0.6} for _ in range(k)]
                     free = sum(1 << a * n + v for a in range(k) for v in unused[a])
@@ -217,26 +219,26 @@ def test_packed_value_state_matches_value_sets():
                     spare = [u - {x} for u, x in zip(unused, p)]
                     packed_spare = free & ~orbits.ptmask[pidx]
                     assert orbits.orbital[packed_spare] == any(len(s) >= 2 for s in spare)
-                    for pl in pls:
-                        q = points[pl.pidx]
+                    for i in range(P):
+                        q = points[i // D]
                         off = [a for a in range(k) if q[a] != p[a]]
-                        if len(off) > 1 or off and off[0] not in pl.dirs:
+                        if len(off) > 1 or off and off[0] not in dirsets[i % D]:
                             continue  # not a candidate for p
                         want = 0
                         if off and q[off[0]] in spare[off[0]] and len(spare[off[0]]) >= 2:
                             a = off[0]
-                            want = sum(1 << r.index for r in pls if r.dirs == pl.dirs
-                                       and points[r.pidx][a] in spare[a]
-                                       and all(points[r.pidx][b] == p[b] for b in range(k) if b != a))
-                        assert orbits.cover_orbit(packed_spare, pidx, pl.index) == want, (n, k, l)
+                            want = sum(1 << r for r in range(P) if r % D == i % D
+                                       and points[r // D][a] in spare[a]
+                                       and all(points[r // D][b] == p[b] for b in range(k) if b != a))
+                        assert orbits.cover_orbit(packed_spare, pidx, i) == want, (n, k, l)
                     # packing: a head keeps its values that are used and ranges
                     # over the unused ones
-                    for head in rng.sample(pls, min(4, len(pls))):
-                        q = points[head.pidx]
-                        want = sum(1 << r.index for r in pls if r.dirs == head.dirs and all(
-                            points[r.pidx][a] in unused[a] if q[a] in unused[a]
-                            else points[r.pidx][a] == q[a] for a in range(k)))
-                        assert orbits.pack_orbit(free, head.index) == want, (n, k, l)
+                    for head in rng.sample(range(P), min(4, P)):
+                        q = points[head // D]
+                        want = sum(1 << r for r in range(P) if r % D == head % D and all(
+                            points[r // D][a] in unused[a] if q[a] in unused[a]
+                            else points[r // D][a] == q[a] for a in range(k)))
+                        assert orbits.pack_orbit(free, head) == want, (n, k, l)
 
 
 def test_clique_counter_matches_coordinates():
@@ -250,7 +252,8 @@ def test_clique_counter_matches_coordinates():
         g = GridParams(n, k, l)
         inst = _Instance(g)
         counts = _clique_counter(inst)
-        rooks = [Rook(inst.points[pl.pidx], pl.dirs) for pl in inst.placements]
+        D = inst.D
+        rooks = [Rook(inst.points[i // D], inst.dirsets[i % D]) for i in range(len(inst.placements))]
         # the axis-a lines a rook attacks along, and the cliques (a, q) it
         # meets: it sits on q, or covers q from across q's axis-a line
         lines = [{(a, r.point[:a] + r.point[a + 1 :]) for a in r.dirs} for r in rooks]
@@ -310,8 +313,9 @@ def test_encode_ilp_max_pack_cliques_are_the_clashes():
                 summary = encode_ilp(g, "max_pack", buf)
                 assert summary["constraints"] == k * n ** k
                 inst = _Instance(g)
-                var = {f"y_{pl.pidx}_{sum(1 << a for a in pl.dirs)}": pl.index
-                       for pl in inst.placements}
+                D = inst.D
+                var = {f"y_{i // D}_{sum(1 << a for a in inst.dirsets[i % D])}": i
+                       for i in range(len(inst.placements))}
                 share = [{i} for i in range(len(var))]
                 for row in re.findall(r"^ clique_\d+_\d+: (.*) <= 1$", buf.getvalue(), re.M):
                     ids = {var[name] for name in row.split(" + ")}
@@ -329,8 +333,10 @@ def test_encode_ilp_cover_rows_are_coverage():
             for l in range(1, k + 1):
                 g = GridParams(n, k, l)
                 inst = _Instance(g)
-                names = [(f"y_{pl.pidx}_{sum(1 << a for a in pl.dirs)}",
-                          Rook(inst.points[pl.pidx], pl.dirs)) for pl in inst.placements]
+                D = inst.D
+                names = [(f"y_{i // D}_{sum(1 << a for a in inst.dirsets[i % D])}",
+                          Rook(inst.points[i // D], inst.dirsets[i % D]))
+                         for i in range(len(inst.placements))]
                 for mode, row, sense in (("min_cover", "cover", ">="),
                                          ("max_two_pack", "cover2", "<=")):
                     buf = io.StringIO()
@@ -666,3 +672,52 @@ def test_encode_ilp_other_modes():
         assert sense in buf.getvalue()
     with pytest.raises(Exception):
         encode_ilp(GridParams(2, 2, 2), "nonsense", io.StringIO())
+
+
+def test_encode_ilp_text_pinned():
+    # sha256 of every program min_cover, max_pack and max_two_pack write on
+    # each grid with n^k <= 64, n = 1 included (366 programs): a refactor
+    # of the placement tables or the encoder must keep the LP bytes
+    digest = hashlib.sha256()
+    for k in range(1, 7):
+        for n in [n for n in range(1, 65) if n ** k <= 64]:
+            for l in range(1, k + 1):
+                for mode in ("min_cover", "max_pack", "max_two_pack"):
+                    buf = io.StringIO()
+                    encode_ilp(GridParams(n, k, l), mode, buf)
+                    digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == "cf2443c6aa32f573306656ede80b05e10924fc35fc79809227901f2791d482d4"
+
+
+def test_solves_free_their_tables_on_return():
+    # a solve's instance, masks and memos go when it returns, by reference
+    # counting alone: with the cyclic collector off, nothing is left for it
+    # to find, in every mode and for every stop reason
+    cases = [
+        ("proven", lambda: exact_min_covering(GridParams(3, 3, 2))),
+        ("proven", lambda: exact_min_covering(GridParams(3, 3, 2), symmetry_breaking=True)),
+        ("node_cap", lambda: exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000, 1e9))),
+        ("time_cap", lambda: exact_min_covering(GridParams(3, 3, 2), SolverBudget(max_seconds=0.0))),
+        ("proven", lambda: exact_max_packing(GridParams(3, 3, 2))),
+        ("node_cap", lambda: exact_max_packing(GridParams(4, 3, 2), SolverBudget(1_000, 1e9))),
+        ("time_cap", lambda: exact_max_packing(GridParams(4, 3, 2), SolverBudget(max_seconds=0.0))),
+        ("depth", lambda: exact_max_packing(GridParams(6, 5, 1), SolverBudget(5_000, 1e9))),
+        ("proven", lambda: exact_max_two_packing(GridParams(3, 3, 2), "closed")),
+        ("node_cap", lambda: exact_max_two_packing(GridParams(3, 4, 2), "closed", SolverBudget(1_000, 1e9))),
+        ("proven", lambda: exact_max_two_packing(GridParams(3, 3, 2), "strict")),
+        ("proven", lambda: exact_max_coverage(GridParams(4, 2, 2), 3)),
+        ("node_cap", lambda: exact_max_coverage(GridParams(8, 3, 2), 30, SolverBudget(1_000, 1e9))),
+        ("depth", lambda: exact_max_coverage(GridParams(34, 2, 1), 1_100, SolverBudget(5_000, 1e9))),
+    ]
+    for _, solve in cases:
+        solve()  # warm up: first-use caches of the interpreter and libraries
+    gc.collect()
+    gc.disable()
+    try:
+        for reason, solve in cases:
+            res = solve()
+            assert res.stats.stop_reason == reason
+            del res
+            assert gc.collect() == 0, reason
+    finally:
+        gc.enable()
