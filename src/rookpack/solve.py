@@ -378,6 +378,8 @@ def exact_min_covering(
     the next one outside o_s are pruned, and counted with one tick.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
+    budget = budget or SolverBudget()
+    max_nodes = budget.max_nodes
 
     def search(inst, tick, stats, best):
         covs, full, npts, ball, D = inst.placements, inst.full, inst.npts, g.ball, inst.D
@@ -431,9 +433,13 @@ def exact_min_covering(
                     continue
                 cands ^= low
                 i = low.bit_length() - 1
-                q = i // D
                 child = covered | covs[i]
-                tick()
+                # count the child inline; tick() where it may stop
+                nodes = stats.nodes + 1
+                if nodes > max_nodes or not nodes & 4095:
+                    tick()
+                else:
+                    stats.nodes = nodes
                 if child == full:
                     if depth + 1 < top:
                         best[:] = [depth + 1, chosen + [i]]
@@ -441,6 +447,7 @@ def exact_min_covering(
                     stats.pruned += 1
                 else:
                     chosen.append(i)
+                    q = i // D
                     rest = live & ~(block << q * D)
                     at = ((child + 1) & ~child).bit_length() - 1
                     c0, c1, fresh = o0, o1, child ^ covered
@@ -453,7 +460,7 @@ def exact_min_covering(
                            free & ~ptmask[q], c0, c1)
                     chosen.pop()
                 live ^= low
-                if orbital and spare & ptmask[q]:
+                if orbital and spare & ptmask[i // D]:
                     # i sits off p, at a value in spare (its other
                     # coordinates are p's, whose values spare lacks)
                     orbit = cover_orbit(spare, p, i)

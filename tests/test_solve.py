@@ -466,6 +466,44 @@ def test_covering_trees_pinned_at_budget_edges():
         "692a157b1dababde8a4282334504b97874d1b66313320bdd9ea9a537a9b9b681")
 
 
+def _small_grids():
+    """Every grid with n^k <= 64."""
+    return [GridParams(n, k, l) for k in range(1, 7)
+            for n in range(1, 65) if n ** k <= 64 for l in range(1, k + 1)]
+
+
+def test_covering_optima_and_witnesses_pinned():
+    # (grid, axis filter, optimum, witness) of every covering solve on the
+    # grids with n^k <= 64 that is exact at 200k nodes; no node counts, so
+    # a sharper bound that prunes more must leave this digest as it is
+    digest = hashlib.sha256()
+    for g in _small_grids():
+        for sym in (False, True):
+            res = exact_min_covering(g, SolverBudget(200_000, 1e9), symmetry_breaking=sym)
+            if res.exact:
+                rooks = tuple((r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+                digest.update(repr(((g.n, g.k, g.l), sym, res.optimum, rooks)).encode())
+    assert digest.hexdigest() == (
+        "7678ed097a7705fd0ee16c9f29605f7793b467df972d3c41650bbf7ebc80d758")
+
+
+def test_covering_node_cap_stops_one_past_the_cap():
+    # at every cap c from 4,090 to 4,101 below a tree's size, the search
+    # stops on node c + 1, and one more node of cap books at most one more
+    # pruned child: a pruned run counted in bulk stops where one tick per
+    # child would, also across the clock's 4,096-node period
+    caps = range(4_090, 4_102)
+    for g in _small_grids():
+        for sym in (False, True):
+            size = exact_min_covering(g, SolverBudget(200_000, 1e9), symmetry_breaking=sym).stats.nodes
+            pruned = []
+            for cap in (c for c in caps if c < size):
+                res = exact_min_covering(g, SolverBudget(cap, 1e9), symmetry_breaking=sym)
+                assert (res.stats.nodes, res.stats.stop_reason) == (cap + 1, "node_cap"), (g, sym, cap)
+                pruned.append(res.stats.pruned)
+            assert all(b - a in (0, 1) for a, b in zip(pruned, pruned[1:])), (g, sym, pruned)
+
+
 def test_packing_trees_pinned_at_budget_edges():
     # (nodes, pruned, exact, lower, upper, witness) of every packing and
     # two-packing solve on the grids with n^k <= 64, at node caps around 0,
