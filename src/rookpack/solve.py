@@ -274,9 +274,11 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     counts count nodes at once, or only the first of them when the run
     would pass the node cap or a multiple of 4,096 (where the clock is
     read), and returns how many it counted; so ticking a run in pieces
-    stops exactly where single ticks would.  A capped run reports
-    capped_bounds(best value) as (lower, upper), and is exact when both
-    equal the best value.
+    stops exactly where single ticks would.  A search may also count a
+    node itself, by adding one to stats.nodes, where tick() could not stop
+    it: at or below the node cap and off the multiples of 4,096.  A capped
+    run reports capped_bounds(best value) as (lower, upper), and is exact
+    when both equal the best value.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -340,6 +342,20 @@ def _greedy_covering(inst: _Instance):
     return chosen
 
 
+def _gain_deficit(left, live, o0, o1):
+    """A lower bound on left * ball minus the left largest fresh gains
+    ball - |cov & covered| among the live placements, where o0 and o1
+    hold the placements meeting covered in at least one and two points:
+    a0 live ones outside o0 gain ball, a1 in o0 but not o1 gain ball - 1,
+    and the rest at most ball - 2."""
+    m0 = (live & o0).bit_count()
+    a0 = live.bit_count() - m0
+    if left <= a0:
+        return 0
+    a1 = m0 - (live & o1).bit_count()
+    return min(left - a0, a1) + 2 * max(0, left - a0 - a1)
+
+
 def exact_min_covering(
     g: GridParams,
     budget: SolverBudget | None = None,
@@ -367,19 +383,35 @@ def exact_min_covering(
     also keeps only the placements that are minimal under axis
     permutations, which the same argument allows.
 
-    The bound test is counted in bulk.  Each node keeps o0 and o1, the
+    The bound.  A child at depth + 1 may add at most left = best - depth
+    - 2 rooks, each covering its fresh gain: ball less its overlap with
+    the points covered so far.  A child covering c points is cut when
+    c < need = npts - G, G a bound on the left largest gains; the sphere
+    bound takes G = left * ball.  Each node keeps o0 and o1, the
     placements whose coverage meets covered in at least one and at least
-    two points.  A child covers |covered| + ball - overlap points, so it
-    fails the bound iff its overlap exceeds the slack
-    s = |covered| + ball - need; at slack 0 or 1 that is iff it is in o_s.
-    While best - depth - 2 >= 0, need <= npts, so a full covering, whose
-    overlap is |covered| + ball - npts <= s, is never in o_s.  So at a
-    node that is not orbital and has slack 0 or 1, the candidates below
-    the next one outside o_s are pruned, and counted with one tick.
+    two points, so of the live placements (the only ones below the
+    child) those outside o0 gain ball, those in o0 but not o1 ball - 1,
+    and those in o1 at most ball - 2.  Their left largest, bucketed so
+    (_gain_deficit), give a smaller G from three popcounts; gains only
+    fall further down, so it holds for every child, and G >= 0, as
+    ball >= 2 wherever the search branches (n = 1 closes at the root).
+    It is computed when left > 0 and the sphere slack is at most
+    2 * left + 1 (it takes at most 2 * left off), kept only when it
+    brings the slack to 1 or less, and recomputed with need whenever
+    best changes.
+
+    The bound test is counted in bulk.  A child covers |covered| + ball -
+    overlap points, so it fails the bound iff its overlap exceeds the
+    slack s = |covered| + ball - need; at slack 0 or 1 that is iff it is
+    in o_s, and at slack < 0 every child fails.  A full covering has
+    overlap |covered| + ball - npts = s - G <= s while best - depth - 2
+    >= 0, so it is never among the cut: never in o_s, and never a child
+    at all when s < 0.  So at a node that is not orbital and has slack 1
+    or less, the candidates below the next one outside o_s (all of them
+    when s < 0) are pruned, and counted with one tick.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
-    budget = budget or SolverBudget()
-    max_nodes = budget.max_nodes
+    max_nodes = (budget or SolverBudget()).max_nodes
 
     def search(inst, tick, stats, best):
         covs, full, npts, ball, D = inst.placements, inst.full, inst.npts, g.ball, inst.D
@@ -403,7 +435,8 @@ def exact_min_covering(
             # at least (npts - c) / ball more rooks after its c covered
             # points, so it is pruned when
             # depth + 1 + ceil((npts - c) / ball) >= best, which is
-            # c < need = npts - (best - depth - 2) * ball.
+            # c < need = npts - (best - depth - 2) * ball; the bucketed
+            # gains may raise need (see the docstring).
             # spare: the values an orbit on one of p's lines ranges over
             spare = free & ~ptmask[p]
             orbital = is_orbital[spare]
@@ -412,13 +445,19 @@ def exact_min_covering(
             while cands:
                 if best[0] != top:
                     top = best[0]
-                    need = npts - (top - depth - 2) * ball
+                    left = top - depth - 2  # rooks a child may still add
+                    need = npts - left * ball
                     # a child fails the bound iff it meets covered in more
                     # than slack points
                     slack = ncovered + ball - need
                     doomed = None
-                    if not orbital and top - depth - 2 >= 0 and 0 <= slack <= 1:
-                        doomed = o1 if slack else o0
+                    if 0 < left and 0 <= slack <= 2 * left + 1:
+                        tight = slack - _gain_deficit(left, live, o0, o1)
+                        if tight <= 1:
+                            slack = tight
+                            need = ncovered + ball - slack
+                    if not orbital and left >= 0 and slack <= 1:
+                        doomed = -1 if slack < 0 else o1 if slack else o0
                 low = cands & -cands
                 if doomed is not None and low & doomed:
                     # book the pruned run below the next viable candidate

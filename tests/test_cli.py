@@ -221,17 +221,17 @@ def test_solve_record_of_other_sources_recomputed(capsys, tmp_path):
     # other sources are dropped, so the node count is this search's
     argv = ("solve", "a", "--n", "3", "--k", "3", "--l", "2")
     code, first, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(first)["stats"]["nodes"] == 60_852
+    assert code == 0 and json.loads(first)["stats"]["nodes"] == 37_784
     cache = tmp_path / "cache"
     revision = (cache / ".revision").read_text()
-    stale = first.replace('"nodes": 60852,', '"nodes": 167438,')
+    stale = first.replace('"nodes": 37784,', '"nodes": 60852,')
     (cache / "solve_a_3_3_2.json").write_text(stale)
     code, again, _ = run(capsys, *argv)
     assert code == 0 and again == stale  # written by these sources: replayed
     (cache / "solve_b_2_2_2.json").write_text("{}")
     (cache / ".revision").write_text("other sources")
     code, again, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(again)["stats"]["nodes"] == 60_852
+    assert code == 0 and json.loads(again)["stats"]["nodes"] == 37_784
     assert (cache / ".revision").read_text() == revision
     assert sorted(p.name for p in cache.iterdir()) == [".lock", ".revision", "solve_a_3_3_2.json"]
     assert (cache / "solve_a_3_3_2.json").read_text() == again

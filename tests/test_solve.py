@@ -7,11 +7,12 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from rookpack.bounds import incidence_bound_b, singleton_bound_b
-from rookpack.core import Configuration, GridParams, Rook, covers
+from rookpack.core import Configuration, GridParams, Rook, coverage_mask, covers
 from rookpack.oracles import (
     _oracle_clashes,
     _oracle_rooks,
@@ -26,6 +27,7 @@ from rookpack.solve import (
     _clique_counter,
     _Instance,
     _ValueOrbits,
+    _gain_deficit,
     check_witness,
     encode_ilp,
     exact_max_coverage,
@@ -423,12 +425,12 @@ def test_packing_search_tree_pinned():
 
 def test_covering_search_tree_pinned():
     # node and pruned counts of the covering search: sibling exclusion,
-    # orbital branching, the bound test and the greedy seed each reshape
-    # these trees
+    # orbital branching, the bound test with its fresh-gain buckets and
+    # the greedy seed each reshape these trees
     for nkl, sym, counts in [
-        ((3, 3, 2), False, (60_852, 54_659, 7)),
-        ((3, 3, 2), True, (18_486, 16_695, 7)),
-        ((4, 3, 3), False, (37_686, 32_045, 8)),
+        ((3, 3, 2), False, (37_784, 33_928, 7)),
+        ((3, 3, 2), True, (10_650, 9_607, 7)),
+        ((4, 3, 3), False, (29_165, 24_919, 8)),
         ((5, 2, 2), False, (339, 274, 5)),
         ((6, 2, 2), False, (2_000, 1_675, 6)),
     ]:
@@ -463,7 +465,7 @@ def test_covering_trees_pinned_at_budget_edges():
                         digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                             res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "692a157b1dababde8a4282334504b97874d1b66313320bdd9ea9a537a9b9b681")
+        "095a31846e196afe8df583d3cd195f6b8b3dcd720b2ba5b6f8819eb4145d225d")
 
 
 def _small_grids():
@@ -502,6 +504,33 @@ def test_covering_node_cap_stops_one_past_the_cap():
                 assert (res.stats.nodes, res.stats.stop_reason) == (cap + 1, "node_cap"), (g, sym, cap)
                 pruned.append(res.stats.pruned)
             assert all(b - a in (0, 1) for a, b in zip(pruned, pruned[1:])), (g, sym, pruned)
+
+
+def test_bucketed_fresh_gains_bound_the_best_ones():
+    # at random states the covering search can reach (rooks at distinct
+    # points, their covered points, and live: the placements off those
+    # points less some searched siblings), the left largest fresh gains
+    # ball - |cov & covered| among live, from core.coverage_mask, sum to
+    # at most what the bucketed bound allows, for every left
+    rng = random.Random(16)
+    for n, k, l in [(2, 3, 1), (3, 2, 2), (3, 3, 2), (4, 3, 2), (2, 5, 3), (4, 3, 3), (8, 2, 1)]:
+        g = GridParams(n, k, l)
+        dirsets = list(combinations(range(k), l))
+        D, ball = len(dirsets), g.ball
+        covs = [coverage_mask(Rook(p, d), g) for p in product(range(n), repeat=k) for d in dirsets]
+        for _ in range(40):
+            points = rng.sample(range(n ** k), rng.randrange(1, n ** k))
+            covered = 0
+            for p in points:
+                covered |= covs[p * D + rng.randrange(D)]
+            live = [i for i in range(len(covs)) if i // D not in points and rng.random() < 0.8]
+            gains = sorted((ball - (covs[i] & covered).bit_count() for i in live), reverse=True)
+            mask = sum(1 << i for i in live)
+            o0 = sum(1 << i for i, cov in enumerate(covs) if (cov & covered).bit_count() >= 1)
+            o1 = sum(1 << i for i, cov in enumerate(covs) if (cov & covered).bit_count() >= 2)
+            for left in range(1, len(live) + 1):
+                bucketed = left * ball - _gain_deficit(left, mask, o0, o1)
+                assert sum(gains[:left]) <= bucketed, (g, points, left)
 
 
 def test_packing_trees_pinned_at_budget_edges():
@@ -631,7 +660,7 @@ def test_budget_exhaustion():
     assert res.optimum is None
     # the 51st node trips the cap, before it is counted as pruned
     stats = (res.stats.nodes, res.stats.pruned, res.lower_bound, res.upper_bound)
-    assert stats == (51, 43, 6, 7)
+    assert stats == (51, 42, 6, 7)
 
 
 def test_capped_strict_two_packing_bounds_bracket_optimum():
@@ -648,8 +677,8 @@ def test_budget_time_limit():
     assert not res.exact
     assert res.lower_bound <= res.upper_bound
     # the clock is read at every 4,096th node, also where that node lies in
-    # a run of pruned children counted at once (it does in a(3,3,2))
-    for nkl, pruned in [((4, 3, 2), 3_821), ((3, 3, 2), 3_708)]:
+    # a run of pruned children counted at once (it does in both)
+    for nkl, pruned in [((4, 3, 2), 3_827), ((2, 5, 3), 3_967)]:
         res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
         assert (res.exact, res.stats.stop_reason) == (False, "time_cap"), nkl
         assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
