@@ -77,8 +77,13 @@ class _Instance:
     """Placement table for one grid.  Placement i is the direction set
     dirsets[i % D] at point i // D, so placements run through the
     (point, direction set) pairs in lexicographic order, and every search,
-    mask and table refers to a placement by its index i.  placements[i] is
-    the coverage bitset of placement i over point indices."""
+    mask and table refers to a placement by its index i; point p owns the
+    D-bit block of placements block << p*D.
+
+    A rook reaches the points of its l axis lines, so every mask of
+    placements on a line is a per-axis pattern shifted into place by
+    line(): attackers[a] holds along[a] at each point of the axis-a line
+    through point 0, and occupants[a] the whole block there."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
@@ -87,30 +92,18 @@ class _Instance:
         self.full = (1 << self.npts) - 1
         self.points = list(product(range(g.n), repeat=g.k))
         self.dirsets = list(combinations(range(g.k), g.l))
-        self.D = len(self.dirsets)
-        self.lines_per_axis = g.n ** (g.k - 1)
+        self.D = D = len(self.dirsets)
+        self.block = (1 << D) - 1
         self.weights = g.weights
         # along[a]: the D-bit mask of the direction sets containing axis a
         self.along = [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(g.k)]
-        self.placements = []
-        # a placement covers the union of its lines; each line mask is a
-        # per-axis pattern of n points shifted to the line's first point
-        patterns = [sum(1 << v * w for v in range(g.n)) for w in self.weights]
-        for pidx, p in enumerate(self.points):
-            line_masks = [pat << (pidx - x * w) for pat, x, w in zip(patterns, p, self.weights)]
-            for d in self.dirsets:
-                cov = 0
-                for a in d:
-                    cov |= line_masks[a]
-                self.placements.append(cov)
+        self.attackers = [_repeat(m, w * D, g.n) for m, w in zip(self.along, self.weights)]
+        self.occupants = [_repeat(self.block, w * D, g.n) for w in self.weights]
 
-    def _line_ids(self, pidx):
-        """Id of the axis-a line through point pidx, for each axis a."""
-        n = self.g.n
-        return [
-            a * self.lines_per_axis + pidx // (w * n) * w + pidx % w
-            for a, w in enumerate(self.weights)
-        ]
+    def line(self, a, pidx, pattern):
+        """pattern, laid along the axis-a line through point 0, moved onto
+        the axis-a line through point pidx."""
+        return pattern << (pidx - self.points[pidx][a] * self.weights[a]) * self.D
 
     def config(self, chosen):
         D = self.D
@@ -118,32 +111,34 @@ class _Instance:
             self.g, [Rook(self.points[i // D], self.dirsets[i % D]) for i in chosen]
         )
 
-    # The tables below are masks over placement indices, built on first use.
+    # The tables below are built on first use.
 
     @cached_property
-    def by_line(self):
-        """by_line[u]: the placements on line u attacking along it, u a
-        line id of _line_ids."""
-        n, D = self.g.n, self.D
-        # the axis-a line from the x_a = 0 point s holds along[a] in the
-        # blocks of s + v*w; those s in index order are in line-id order
-        table = []
-        for along, w in zip(self.along, self.weights):
-            row = _repeat(along, w * D, n)
-            table += [row << s * D for s in range(self.npts) if s // w % n == 0]
+    def placements(self):
+        """placements[i]: the coverage bitset of placement i over point
+        indices, the union of its lines; each line is a per-axis pattern
+        of n points shifted to the line's first point."""
+        g, table = self.g, []
+        patterns = [sum(1 << v * w for v in range(g.n)) for w in self.weights]
+        for pidx, p in enumerate(self.points):
+            line_masks = [pat << (pidx - x * w) for pat, x, w in zip(patterns, p, self.weights)]
+            for d in self.dirsets:
+                cov = 0
+                for a in d:
+                    cov |= line_masks[a]
+                table.append(cov)
         return table
 
     def _reaching(self, own):
         """For each point u, the placements covering u (own) or attacking
-        it (not own).  A rook reaches u from u itself or along one of u's
-        k lines."""
-        lines, block = self.by_line, (1 << self.D) - 1
+        it (not own), as masks over placement indices.  A rook reaches u
+        from u itself or along one of u's k lines."""
         table = []
         for u in range(self.npts):
-            here = block << u * self.D
+            here = self.block << u * self.D
             m = here
-            for line in self._line_ids(u):
-                m |= lines[line]
+            for a, pattern in enumerate(self.attackers):
+                m |= self.line(a, u, pattern)
             table.append(m if own else m ^ here)
         return table
 
@@ -156,16 +151,6 @@ class _Instance:
     def by_att(self):
         """by_att[u]: the placements attacking point u."""
         return self._reaching(False)
-
-    def at_points(self, points):
-        """Mask of every placement sitting on a point of the bitset points."""
-        block = (1 << self.D) - 1
-        mask = 0
-        while points:
-            p = points.bit_length() - 1
-            mask |= block << (p * self.D)
-            points ^= 1 << p
-        return mask
 
 
 class _Memo(dict):
@@ -270,31 +255,24 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     search seeds best = [value, placements] and replaces it whole; tick()
     counts a node and raises _BudgetExhausted past the budget, and a search
     too deep for the stack stops on RecursionError alike, and
-    stats.stop_reason says which of the three stopped it.  tick(count)
-    counts count nodes at once, or only the first of them when the run
-    would pass the node cap or a multiple of 4,096 (where the clock is
-    read), and returns how many it counted; so ticking a run in pieces
-    stops exactly where single ticks would.  A search may also count a
-    node itself, by adding one to stats.nodes, where tick() could not stop
-    it: at or below the node cap and off the multiples of 4,096.  A capped
-    run reports capped_bounds(best value) as (lower, upper), and is exact
-    when both equal the best value.
+    stats.stop_reason says which of the three stopped it.  A search may
+    also count nodes itself, by adding them to stats.nodes, where tick()
+    could not stop any of them: at or below the node cap and off the
+    multiples of 4,096 (where the clock is read).  A capped run reports
+    capped_bounds(best value) as (lower, upper), and is exact when both
+    equal the best value.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
     start = time.perf_counter()
 
-    def tick(count=1):
-        stats.nodes += count
-        if count > 1 and (stats.nodes > budget.max_nodes or stats.nodes % 4096 < count):
-            stats.nodes -= count - 1
-            count = 1
+    def tick():
+        stats.nodes += 1
         if stats.nodes > budget.max_nodes:
             raise _BudgetExhausted("node_cap")
         if stats.nodes % 4096 == 0:
             if time.perf_counter() - start > budget.max_seconds:
                 raise _BudgetExhausted("time_cap")
-        return count
 
     inst = _Instance(g)
     best = [-1, []]
@@ -408,7 +386,7 @@ def exact_min_covering(
     >= 0, so it is never among the cut: never in o_s, and never a child
     at all when s < 0.  So at a node that is not orbital and has slack 1
     or less, the candidates below the next one outside o_s (all of them
-    when s < 0) are pruned, and counted with one tick.
+    when s < 0) are pruned, and counted in one step.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
     max_nodes = (budget or SolverBudget()).max_nodes
@@ -424,7 +402,7 @@ def exact_min_covering(
         by_point = inst.by_cov
         orbits = _ValueOrbits(inst)
         ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
-        block = (1 << D) - 1
+        block = inst.block
         chosen = []
 
         def branch(covered, live, depth, cands, p, free, o0, o1):
@@ -464,8 +442,14 @@ def exact_min_covering(
                     good = cands & ~doomed
                     run = cands & ((good & -good) - 1)
                     size = run.bit_count()
-                    if tick(size) < size:
+                    # count the run inline, or its first node by tick()
+                    # where the run would pass the cap or a multiple of 4,096
+                    nodes = stats.nodes + size
+                    if nodes > max_nodes or nodes >> 12 != stats.nodes >> 12:
                         run, size = low, 1
+                        tick()
+                    else:
+                        stats.nodes = nodes
                     stats.pruned += size
                     cands ^= run
                     live ^= run
@@ -534,21 +518,27 @@ def _union(table, bits):
     return mask
 
 
+def _pack_conflicts(inst, i):
+    """Rooks on a point placement i covers (its own included), and rooks
+    attacking i's point along one of its k lines."""
+    q, m = i // inst.D, 0
+    for a, pattern in enumerate(inst.attackers):
+        m |= inst.line(a, q, pattern)
+    for a in inst.dirsets[i % inst.D]:
+        m |= inst.line(a, q, inst.occupants[a])
+    return m
+
+
 # The placements that cannot coexist with placement i, i included, as a
 # mask over placement indices, in each mode of _max_independent.
 _CONFLICTS = {
-    # rooks on a point i covers (its own included), and rooks attacking
-    # i's point along one of its k lines; that is by_cov[i // D], but
-    # by_line's k n^(k-1) masks take far less memory than by_cov's n^k
-    "max_pack": lambda inst, i: inst.at_points(inst.placements[i]) | _union(
-        inst.by_line, sum(1 << line for line in inst._line_ids(i // inst.D))
-    ),
+    "max_pack": _pack_conflicts,
     # rooks covering a point i covers
     "max_two_pack_closed": lambda inst, i: _union(inst.by_cov, inst.placements[i]),
     # rooks attacking a point i attacks, and rooks on i's point
     "max_two_pack_strict": lambda inst, i: (
         _union(inst.by_att, inst.placements[i] ^ 1 << i // inst.D)
-        | inst.at_points(1 << i // inst.D)
+        | inst.block << i // inst.D * inst.D
     ),
 }
 
@@ -579,7 +569,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
     conflicts = _CONFLICTS[mode]
 
     def search(inst, tick, stats, best):
-        P, D = len(inst.placements), inst.D
+        P, D = inst.npts * inst.D, inst.D
         full = (1 << P) - 1
         keep = [None] * P
 
@@ -799,8 +789,7 @@ def exact_max_coverage(
     upper = min(N * ball, g.num_points)
 
     def search(inst, tick, stats, best):
-        covs, D = inst.placements, inst.D
-        block = (1 << D) - 1
+        covs, D, block = inst.placements, inst.D, inst.block
         chosen = []
 
         def dfs(cands, covered, depth):
@@ -853,9 +842,8 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     if mode == "max_pack":
         # the (line, point) cliques of _clique_counter: the placements at
         # q and those attacking along q's axis-a line, at most one each
-        by_line = inst.by_line
-        rows = [(f"clique_{q}_{a}", by_line[line] | inst.at_points(1 << q), "<=")
-                for q in range(inst.npts) for a, line in enumerate(inst._line_ids(q))]
+        rows = [(f"clique_{q}_{a}", inst.line(a, q, pattern) | inst.block << q * inst.D, "<=")
+                for q in range(inst.npts) for a, pattern in enumerate(inst.attackers)]
     else:
         prefix, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
         rows = [(f"{prefix}_{p}", m, sense) for p, m in enumerate(inst.by_cov)]

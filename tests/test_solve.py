@@ -140,6 +140,23 @@ def test_deep_search_ends_capped():
     assert check_witness(res.mode, res.witness, 1_600)
 
 
+def test_packings_never_build_the_coverage_table(monkeypatch):
+    # a packing takes its conflicts and caps from the line patterns alone,
+    # so the coverage ints of _Instance.placements, which for b(40, 3, 1)
+    # would take over a gigabyte, are never built
+    def refuse(inst):
+        pytest.fail(f"a packing of {inst.g} built the coverage table")
+
+    monkeypatch.setattr(_Instance, "placements", property(refuse))
+    res = exact_max_packing(GridParams(3, 3, 2))
+    assert (res.exact, res.optimum) == (True, 10)
+    res = exact_max_packing(GridParams(6, 4, 2), SolverBudget(2_000, 1e9))
+    assert (res.exact, res.lower_bound, res.upper_bound) == (False, 216, 370)
+    res = exact_max_packing(GridParams(40, 3, 1), SolverBudget(5_000, 1e9))
+    assert (res.lower_bound, res.upper_bound, res.stats.stop_reason) == (1_600, 4_571, "depth")
+    assert check_witness(res.mode, res.witness, 1_600)
+
+
 def test_solver_matches_oracles():
     grids = [
         (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (4, 2, 2),
