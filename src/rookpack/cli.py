@@ -277,6 +277,7 @@ def cmd_solve(args) -> int:
         _drop_other_revisions(directory)
         cached = _load_cached(path, request, g, args)
         if cached is not None:
+            sys.stderr.write(f"cache hit: {path}\n")
             sys.stdout.write(cached)
             return EXIT_OK
 
@@ -297,11 +298,13 @@ def cmd_solve(args) -> int:
         }
         text = dump_json(out)
         if not res.exact:
+            sys.stderr.write(f"cache miss: capped result, not written to {path}\n")
             sys.stdout.write(text)
             return EXIT_BUDGET
         with open(path + ".tmp", "w") as f:
             f.write(text)
         os.replace(path + ".tmp", path)
+        sys.stderr.write(f"cache miss: wrote {path}\n")
         sys.stdout.write(text)
         return EXIT_OK
 
@@ -361,14 +364,15 @@ def cmd_table(args) -> int:
         sys.stderr.write("empty n range\n")
         return EXIT_USAGE
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    rows = ["n,lower,exact,upper,density"]
+    rows = ["n,lower,exact,upper,density,status"]
     for n in ns:
         res = _run_solver(args.mode, GridParams(n, args.k, args.l), budget)
         # best covering or packing found; both bounds equal it when exact
         value = res.upper_bound if args.mode == "a" else res.lower_bound
         denom = n ** (args.k - (2 if args.mode == "c" else 1))
+        status = "exact" if res.exact else res.stats.stop_reason
         rows.append(
-            f"{n},{res.lower_bound},{value},{res.upper_bound},{value / denom:.6f}"
+            f"{n},{res.lower_bound},{value},{res.upper_bound},{value / denom:.6f},{status}"
         )
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
@@ -394,7 +398,10 @@ def cmd_compose(args) -> int:
 
 
 # ---------------------------------------------------------------- wiring
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later main() in the process; parse_args leaves no state in it."""
     p = argparse.ArgumentParser(prog="rookpack")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -456,8 +463,10 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help or --version
+        return e.code
     try:
         return args.fn(args)
     except RookError as e:

@@ -10,7 +10,8 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from rookpack.cli import EXIT_BUDGET, main
+from rookpack import __version__
+from rookpack.cli import EXIT_BUDGET, _build_parser, main
 from rookpack.core import InvalidArgument
 from rookpack.solve import SolverBudget
 
@@ -136,7 +137,7 @@ def test_verify_strict_flag(capsys, tmp_path):
 
 def test_solve_and_cache_verbatim(capsys, tmp_path):
     argv = ("solve", "a", "--n", "3", "--k", "3", "--l", "2")
-    code, first, _ = run(capsys, *argv)
+    code, first, err = run(capsys, *argv)
     assert code == 0
     doc = json.loads(first)
     assert doc["optimum"] == 7 and doc["exact"]
@@ -144,9 +145,12 @@ def test_solve_and_cache_verbatim(capsys, tmp_path):
     cache = tmp_path / "cache"
     records = sorted(p.name for p in cache.iterdir() if p.suffix == ".json")
     assert records == ["solve_a_3_3_2.json"]  # one record per instance, no temp file
-    code, second, _ = run(capsys, *argv)
+    record = str(cache / "solve_a_3_3_2.json")
+    assert err == f"cache miss: wrote {record}\n"
+    code, second, err = run(capsys, *argv)
     assert code == 0
     assert second == first  # byte-identical replay from cache
+    assert err == f"cache hit: {record}\n"
 
 
 def test_solve_flag_records_replay(capsys, tmp_path):
@@ -254,13 +258,15 @@ def test_solve_record_of_other_instance_recomputed(capsys, tmp_path):
 
 
 def test_solve_budget_exit(capsys, tmp_path):
-    code, out, _ = run(capsys, "solve", "a", "--n", "3", "--k", "3", "--l", "2",
-                       "--max-nodes", "20")
+    code, out, err = run(capsys, "solve", "a", "--n", "3", "--k", "3", "--l", "2",
+                         "--max-nodes", "20")
     assert code == 4
     doc = json.loads(out)
     assert not doc["exact"] and doc["optimum"] is None
     # inexact runs are not cached
-    assert not (tmp_path / "cache" / "solve_a_3_3_2.json").exists()
+    record = tmp_path / "cache" / "solve_a_3_3_2.json"
+    assert not record.exists()
+    assert err == f"cache miss: capped result, not written to {record}\n"
 
 
 def test_solve_coverage_many_placements_budget_exit(capsys):
@@ -337,11 +343,18 @@ def test_table(capsys):
                        "--n", "2..4")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "n,lower,exact,upper,density"
+    assert lines[0] == "n,lower,exact,upper,density,status"
     values = [line.split(",") for line in lines[1:]]
     assert [v[0] for v in values] == ["2", "3", "4"]
     assert [v[2] for v in values] == ["2", "3", "4"]  # a(n,2,2) = n
     assert values[1][4] == f"{3 / 3:.6f}"
+    assert [v[5] for v in values] == ["exact"] * 3
+    # a row cut by its budget names the cap that stopped it
+    code, out, _ = run(capsys, "table", "--mode", "a", "--k", "3", "--l", "2",
+                       "--n", "4..4", "--max-nodes", "1000")
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert int(row[1]) < int(row[3]) and row[5] == "node_cap"
 
 
 def test_table_empty_range(capsys):
@@ -378,6 +391,39 @@ def test_compose_round_trips(capsys, tmp_path):
 
     code, _, err = run(capsys, "compose", "blowup", diag)
     assert code == 2 and "--n-inner" in err
+
+
+def test_usage_errors_return_exit_code(capsys):
+    # argparse's own exits come back as main()'s return value, not as SystemExit
+    code, out, err = run(capsys, "solve", "a", "--n", "x", "--k", "2", "--l", "2")
+    assert code == 2 and out == "" and "usage:" in err
+    code, out, _ = run(capsys, "--version")
+    assert code == 0 and out == f"{__version__}\n"
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    # every main() in a process parses with one parser; a flag, an option
+    # or an error of one command must not reach the next
+    assert _build_parser() is _build_parser()
+    grid = ("--n", "2", "--k", "3", "--l", "2")
+    sequence = [
+        ("solve", "coverage", "--n", "3", "--k", "2", "--l", "2", "--N", "3"),
+        ("solve", "c", *grid, "--strict"),
+        ("solve", "c", *grid),
+        ("solve", "a", "--n", "x", "--k", "2", "--l", "2"),
+        ("solve", "a", *grid),
+        ("solve", "coverage", "--n", "3", "--k", "2", "--l", "2"),
+    ]
+    alone = []
+    for argv in sequence:  # each with a parser of its own, filling the cache
+        _build_parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    _build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in sequence]  # exact solves replay
+    assert [r[:2] for r in shared] == alone
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 2]
+    assert json.loads(shared[1][1])["optimum"] == 4 and json.loads(shared[2][1])["optimum"] == 2
+    assert "needs --N" in shared[-1][2]
 
 
 def test_exit_code_usage_on_bad_instance(capsys):
