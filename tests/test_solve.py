@@ -455,7 +455,12 @@ def test_covering_search_tree_pinned():
         assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, (nkl, sym)
     capped = exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000_000, 1e9))
     assert (capped.exact, capped.lower_bound, capped.upper_bound) == (False, 10, 12)
+    assert (capped.stats.nodes, capped.stats.pruned) == (1_000_001, 930_011)
     assert check_witness(capped.mode, capped.witness, 12)
+    # the capped covering solves of the benchmark's capped-sweep
+    for nkl, counts in [((10, 3, 2), (2_001, 1_891)), ((6, 4, 3), (2_001, 1_878))]:
+        res = exact_min_covering(GridParams(*nkl), SolverBudget(2_000, 1e9))
+        assert (res.stats.nodes, res.stats.pruned) == counts, nkl
     # the greedy seed meets the sphere bound, which proves it at the root
     for nkl, value in [((2, 7, 7), 16), ((3, 4, 4), 9)]:
         res = exact_min_covering(GridParams(*nkl))
@@ -485,10 +490,29 @@ def test_covering_trees_pinned_at_budget_edges():
         "095a31846e196afe8df583d3cd195f6b8b3dcd720b2ba5b6f8819eb4145d225d")
 
 
-def _small_grids():
-    """Every grid with n^k <= 64."""
-    return [GridParams(n, k, l) for k in range(1, 7)
-            for n in range(1, 65) if n ** k <= 64 for l in range(1, k + 1)]
+def _small_grids(low=0, high=64):
+    """Every grid with low < n^k <= high."""
+    return [GridParams(n, k, l) for k in range(1, high.bit_length())
+            for n in range(1, high + 1) if low < n ** k <= high for l in range(1, k + 1)]
+
+
+def test_covering_trees_pinned_past_64_points():
+    # (nodes, pruned, exact, lower, upper, witness) of every covering solve
+    # on the 84 grids with 64 < n^k <= 128, with and without the root's
+    # axis filter, at caps one past the clock's first two edges
+    grids = _small_grids(64, 128)
+    assert len(grids) == 84
+    digest = hashlib.sha256()
+    for g in grids:
+        for sym in (False, True):
+            for cap in (4_097, 8_193):
+                res = exact_min_covering(g, SolverBudget(cap, 1e9), symmetry_breaking=sym)
+                rooks = None if res.witness is None else tuple(
+                    (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+                digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
+                                    res.lower_bound, res.upper_bound, rooks)).encode())
+    assert digest.hexdigest() == (
+        "9256252e47244be5d196498543ab039000c2b2c7880b94f1d239e5106b3c2d4b")
 
 
 def test_covering_optima_and_witnesses_pinned():
@@ -507,20 +531,21 @@ def test_covering_optima_and_witnesses_pinned():
 
 
 def test_covering_node_cap_stops_one_past_the_cap():
-    # at every cap c from 4,090 to 4,101 below a tree's size, the search
-    # stops on node c + 1, and one more node of cap books at most one more
-    # pruned child: a pruned run counted in bulk stops where one tick per
-    # child would, also across the clock's 4,096-node period
-    caps = range(4_090, 4_102)
+    # at every cap c from 4,090 to 4,101 and from 8,186 to 8,197 below a
+    # tree's size, the search stops on node c + 1, and one more node of cap
+    # books at most one more pruned child: a pruned run counted in bulk
+    # stops where one tick per child would, also across the clock's first
+    # two 4,096-node edges
     for g in _small_grids():
         for sym in (False, True):
             size = exact_min_covering(g, SolverBudget(200_000, 1e9), symmetry_breaking=sym).stats.nodes
-            pruned = []
-            for cap in (c for c in caps if c < size):
-                res = exact_min_covering(g, SolverBudget(cap, 1e9), symmetry_breaking=sym)
-                assert (res.stats.nodes, res.stats.stop_reason) == (cap + 1, "node_cap"), (g, sym, cap)
-                pruned.append(res.stats.pruned)
-            assert all(b - a in (0, 1) for a, b in zip(pruned, pruned[1:])), (g, sym, pruned)
+            for caps in (range(4_090, 4_102), range(8_186, 8_198)):
+                pruned = []
+                for cap in (c for c in caps if c < size):
+                    res = exact_min_covering(g, SolverBudget(cap, 1e9), symmetry_breaking=sym)
+                    assert (res.stats.nodes, res.stats.stop_reason) == (cap + 1, "node_cap"), (g, sym, cap)
+                    pruned.append(res.stats.pruned)
+                assert all(b - a in (0, 1) for a, b in zip(pruned, pruned[1:])), (g, sym, pruned)
 
 
 def test_bucketed_fresh_gains_bound_the_best_ones():
