@@ -374,9 +374,13 @@ def exact_min_covering(
     fall further down, so it holds for every child, and G >= 0, as
     ball >= 2 wherever the search branches (n = 1 closes at the root).
     It is computed when left > 0 and the sphere slack is at most
-    2 * left + 1 (it takes at most 2 * left off), kept only when it
-    brings the slack to 1 or less, and recomputed with need whenever
-    best changes.
+    2 * left + 1 (it takes at most 2 * left off) but does not already
+    cut every candidate (a lower slack cuts a superset), kept only when
+    it brings the slack to 1 or less, and recomputed with need whenever
+    best changes.  A child's o0 and o1 are its parent's grown by its
+    fresh points f: with F1 and F2 the placements meeting f in at least
+    one and two points, from a per-solve memo keyed by f, they are
+    o0 | F1 and o1 | (o0 & F1) | F2 (_overlap_update).
 
     The bound test is counted in bulk.  A child covers |covered| + ball -
     overlap points, so it fails the bound iff its overlap exceeds the
@@ -386,7 +390,12 @@ def exact_min_covering(
     >= 0, so it is never among the cut: never in o_s, and never a child
     at all when s < 0.  So at a node that is not orbital and has slack 1
     or less, the candidates below the next one outside o_s (all of them
-    when s < 0) are pruned, and counted in one step.
+    when s < 0) are pruned, and counted in one step.  A child's first
+    turn is taken in its parent, which passes it the slack: a child that
+    is not orbital and whose slack cuts all its candidates would count
+    them in that one step and return, so the parent counts them instead
+    and makes no call.  Either way a run that reaches the node cap or a
+    multiple of 4,096 is counted with one tick() for that node.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
     max_nodes = (budget or SolverBudget()).max_nodes
@@ -402,10 +411,36 @@ def exact_min_covering(
         by_point = inst.by_cov
         orbits = _ValueOrbits(inst)
         ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
+        overlap_update = _overlap_update(by_point)
         block = inst.block
         chosen = []
 
-        def branch(covered, live, depth, cands, p, free, o0, o1):
+        def bound(left, ncovered, live, o0, o1, cands):
+            # the slack of a node's children: one meeting covered in more
+            # points is cut; the bucketed gains lower the sphere slack
+            # only where it does not already cut every one of cands
+            slack = ncovered + (left + 1) * ball - npts
+            if 0 < left and 0 <= slack <= 2 * left + 1 and (
+                    slack > 1 or cands & ~(o1 if slack else o0)):
+                tight = slack - _gain_deficit(left, live, o0, o1)
+                if tight <= 1:
+                    return tight
+            return slack
+
+        def book(size):
+            # count size pruned nodes inline, but by tick() each one past
+            # the node cap or on a multiple of 4,096, where it may stop
+            nodes = stats.nodes + size
+            while nodes > max_nodes or nodes >> 12 != stats.nodes >> 12:
+                edge = min(max_nodes + 1, (stats.nodes | 4095) + 1)
+                stats.pruned += edge - 1 - stats.nodes
+                stats.nodes = edge - 1
+                tick()
+                stats.pruned += 1
+            stats.pruned += nodes - stats.nodes
+            stats.nodes = nodes
+
+        def branch(covered, live, depth, cands, p, free, o0, o1, slack):
             # cands hold the placements covering p, covered's first zero
             # bit; free holds the values no chosen point uses (see
             # _ValueOrbits); o0 and o1 are the placements meeting covered
@@ -414,7 +449,8 @@ def exact_min_covering(
             # points, so it is pruned when
             # depth + 1 + ceil((npts - c) / ball) >= best, which is
             # c < need = npts - (best - depth - 2) * ball; the bucketed
-            # gains may raise need (see the docstring).
+            # gains may raise need (see the docstring).  slack is
+            # bound()'s at the current best, from the caller.
             # spare: the values an orbit on one of p's lines ranges over
             spare = free & ~ptmask[p]
             orbital = is_orbital[spare]
@@ -422,18 +458,12 @@ def exact_min_covering(
             top = None  # the best value need and doomed were set for
             while cands:
                 if best[0] != top:
+                    if top is not None:
+                        slack = bound(best[0] - depth - 2, ncovered, live, o0, o1, cands)
                     top = best[0]
                     left = top - depth - 2  # rooks a child may still add
-                    need = npts - left * ball
-                    # a child fails the bound iff it meets covered in more
-                    # than slack points
-                    slack = ncovered + ball - need
+                    need = ncovered + ball - slack
                     doomed = None
-                    if 0 < left and 0 <= slack <= 2 * left + 1:
-                        tight = slack - _gain_deficit(left, live, o0, o1)
-                        if tight <= 1:
-                            slack = tight
-                            need = ncovered + ball - slack
                     if not orbital and left >= 0 and slack <= 1:
                         doomed = -1 if slack < 0 else o1 if slack else o0
                 low = cands & -cands
@@ -441,16 +471,7 @@ def exact_min_covering(
                     # book the pruned run below the next viable candidate
                     good = cands & ~doomed
                     run = cands & ((good & -good) - 1)
-                    size = run.bit_count()
-                    # count the run inline, or its first node by tick()
-                    # where the run would pass the cap or a multiple of 4,096
-                    nodes = stats.nodes + size
-                    if nodes > max_nodes or nodes >> 12 != stats.nodes >> 12:
-                        run, size = low, 1
-                        tick()
-                    else:
-                        stats.nodes = nodes
-                    stats.pruned += size
+                    book(run.bit_count())
                     cands ^= run
                     live ^= run
                     continue
@@ -466,22 +487,25 @@ def exact_min_covering(
                 if child == full:
                     if depth + 1 < top:
                         best[:] = [depth + 1, chosen + [i]]
-                elif child.bit_count() < need:
+                elif (c := child.bit_count()) < need:
                     stats.pruned += 1
                 else:
-                    chosen.append(i)
                     q = i // D
                     rest = live & ~(block << q * D)
                     at = ((child + 1) & ~child).bit_length() - 1
-                    c0, c1, fresh = o0, o1, child ^ covered
-                    while fresh:
-                        u = fresh.bit_length() - 1
-                        c1 |= c0 & by_point[u]
-                        c0 |= by_point[u]
-                        fresh ^= 1 << u
-                    branch(child, rest, depth + 1, by_point[at] & rest, at,
-                           free & ~ptmask[q], c0, c1)
-                    chosen.pop()
+                    c0, c1 = overlap_update(o0, o1, child ^ covered)
+                    sub = by_point[at] & rest
+                    s = bound(left - 1, c, rest, c0, c1, sub)
+                    free_q = free & ~ptmask[q]
+                    if s <= 1 and (s < 0 or not sub & ~(c1 if s else c0)) and (
+                            not is_orbital[free_q & ~ptmask[at]]):
+                        # the child's first turn would book all of sub as
+                        # pruned and end it: book them here, with no call
+                        book(sub.bit_count())
+                    else:
+                        chosen.append(i)
+                        branch(child, rest, depth + 1, sub, at, free_q, c0, c1, s)
+                        chosen.pop()
                 live ^= low
                 if orbital and spare & ptmask[i // D]:
                     # i sits off p, at a value in spare (its other
@@ -497,15 +521,52 @@ def exact_min_covering(
                 live = (1 << len(covs)) - 1
                 root = by_point[0]
                 if symmetry_breaking:
-                    root = sum(1 << i for i in range(len(covs)) if root >> i & 1
-                               and _axis_perm_canonical(inst, i))
-                branch(0, live, 0, root, 0, orbits.all_free, 0, 0)
+                    root = sum(low for low in _bits(root)
+                               if _axis_perm_canonical(inst, low.bit_length() - 1))
+                branch(0, live, 0, root, 0, orbits.all_free, 0, 0,
+                       bound(best[0] - 2, 0, live, 0, 0, root))
             else:
                 stats.pruned += 1
         finally:
             del branch  # branch calls itself through its cell: free it
 
     return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
+
+
+def _bits(bits):
+    """The set bits of bits, as ints, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low
+        bits ^= low
+
+
+def _overlap_update(by_point):
+    """update(o0, o1, fresh) -> (c0, c1): where o0 and o1 hold the
+    placements meeting a point set in at least one and two points, c0 and
+    c1 hold those meeting it together with the points of fresh;
+    by_point[u] holds the placements covering point u.
+
+    The placements meeting fresh in at least one and two points, F1 and
+    F2, are a memo keyed by fresh, so that c0 = o0 | F1 and
+    c1 = o1 | (o0 & F1) | F2."""
+
+    def meets(fresh):
+        f1 = f2 = 0
+        while fresh:
+            u = fresh.bit_length() - 1
+            f2 |= f1 & by_point[u]
+            f1 |= by_point[u]
+            fresh ^= 1 << u
+        return f1, f2
+
+    memo = _Memo(meets)
+
+    def update(o0, o1, fresh):
+        f1, f2 = memo[fresh]
+        return o0 | f1, o1 | o0 & f1 | f2
+
+    return update
 
 
 def _union(table, bits):

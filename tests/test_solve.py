@@ -28,6 +28,7 @@ from rookpack.solve import (
     _Instance,
     _ValueOrbits,
     _gain_deficit,
+    _overlap_update,
     check_witness,
     encode_ilp,
     exact_max_coverage,
@@ -573,6 +574,38 @@ def test_bucketed_fresh_gains_bound_the_best_ones():
             for left in range(1, len(live) + 1):
                 bucketed = left * ball - _gain_deficit(left, mask, o0, o1)
                 assert sum(gains[:left]) <= bucketed, (g, points, left)
+
+
+def test_overlap_update_matches_coordinates():
+    # at random states the covering search can reach, a live placement i
+    # grows o0 and o1, the placements whose coverage meets covered in at
+    # least one and two points (from core.coverage_mask), into those
+    # meeting covered | cov_i so; one memo serves every state of a grid,
+    # and a second lookup of the same fresh points reads it back
+    rng = random.Random(19)
+    for n, k, l in [(2, 3, 1), (3, 2, 2), (3, 3, 2), (4, 3, 2), (2, 5, 3), (4, 3, 3), (8, 2, 1)]:
+        g = GridParams(n, k, l)
+        dirsets = list(combinations(range(k), l))
+        D = len(dirsets)
+        covs = [coverage_mask(Rook(p, d), g) for p in product(range(n), repeat=k) for d in dirsets]
+
+        def meeting(points, at_least):
+            return sum(1 << j for j, cov in enumerate(covs) if (cov & points).bit_count() >= at_least)
+
+        update = _overlap_update(_Instance(g).by_cov)
+        for _ in range(40):
+            points = rng.sample(range(n ** k), rng.randrange(1, n ** k))
+            covered = 0
+            for p in points:
+                covered |= covs[p * D + rng.randrange(D)]
+            live = [i for i in range(len(covs)) if i // D not in points and rng.random() < 0.8]
+            if not live:
+                continue
+            i = rng.choice(live)
+            o0, o1 = meeting(covered, 1), meeting(covered, 2)
+            grown = (meeting(covered | covs[i], 1), meeting(covered | covs[i], 2))
+            for _ in range(2):
+                assert update(o0, o1, covs[i] & ~covered) == grown, (g, points, i)
 
 
 def test_packing_trees_pinned_at_budget_edges():
