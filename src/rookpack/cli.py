@@ -38,6 +38,8 @@ from .constructions import (
 )
 from .solve import (
     SolverBudget,
+    SolveResult,
+    SolveStats,
     check_witness,
     encode_ilp,
     exact_max_coverage,
@@ -102,24 +104,6 @@ def _frac(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return x
-
-
-def report_to_dict(c, kind: str) -> dict:
-    if kind == "cover":
-        rep = verify_covering(c)
-    elif kind == "pack":
-        rep = verify_packing(c)
-    else:
-        rep = verify_two_packing(c, mode=kind)
-    return {
-        "valid": rep.valid,
-        "total_violations": rep.total_violations,
-        "capped": rep.capped,
-        "violations": [
-            {"kind": v.kind, "point": v.point, "rooks": list(v.rooks) if v.rooks else None}
-            for v in rep.violations
-        ],
-    }
 
 
 # ---------------------------------------------------------------- cache
@@ -234,89 +218,95 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.strict and args.mode != "pack2":
+        raise InvalidArgument("--strict is for mode pack2 only")
     cfg = config_from_dict(load_json(args.path))
-    kind = args.mode
-    if kind == "pack2":
-        kind = "strict" if args.strict else "closed"
-    out = report_to_dict(cfg, kind)
-    sys.stdout.write(dump_json(out))
-    return EXIT_OK if out["valid"] else 1
+    if args.mode == "cover":
+        rep = verify_covering(cfg)
+    elif args.mode == "pack":
+        rep = verify_packing(cfg)
+    else:
+        rep = verify_two_packing(cfg, mode="strict" if args.strict else "closed")
+    sys.stdout.write(dump_json({
+        "valid": rep.valid,
+        "total_violations": rep.total_violations,
+        "capped": rep.capped,
+        "violations": [
+            {"kind": v.kind, "point": v.point, "rooks": list(v.rooks) if v.rooks else None}
+            for v in rep.violations
+        ],
+    }))
+    return EXIT_OK if rep.valid else 1
 
 
-def _run_solver(mode, g, budget, strict=False, symmetry=False, N=None):
-    """Solve CLI mode a, b, c or coverage on grid g."""
+def _solver(args):
+    """(SolveResult.mode, cache record flags, solve(g, budget)) for a
+    solve or table request.  --strict belongs to mode c, --symmetry to a
+    and --N to coverage; the other modes reject them."""
+    mode, strict, sym, N = args.mode, args.strict, args.symmetry, args.N
+    for flag, given, owner in (("--strict", strict, "c"), ("--symmetry", sym, "a"),
+                               ("--N", N is not None, "coverage")):
+        if given and mode != owner:
+            raise InvalidArgument(f"{flag} is for mode {owner} only")
+    if mode == "coverage" and N is None:
+        raise InvalidArgument("coverage mode needs --N")
     if mode == "a":
-        return exact_min_covering(g, budget, symmetry_breaking=symmetry)
+        return ("min_cover", "sym" if sym else "",
+                lambda g, budget: exact_min_covering(g, budget, symmetry_breaking=sym))
     if mode == "b":
-        return exact_max_packing(g, budget)
+        return "max_pack", "", exact_max_packing
     if mode == "c":
-        return exact_max_two_packing(g, "strict" if strict else "closed", budget)
-    return exact_max_coverage(g, N, budget)
+        two = "strict" if strict else "closed"
+        return (f"max_two_pack_{two}", "strict" if strict else "",
+                lambda g, budget: exact_max_two_packing(g, two, budget))
+    return "max_coverage", f"N={N}", lambda g, budget: exact_max_coverage(g, N, budget)
+
+
+def _record(request, res) -> str:
+    """The text solve prints, and caches when exact, for a request and its
+    SolveResult; stats holds the SolveStats fields in declaration order."""
+    return dump_json({
+        **request,
+        "optimum": res.optimum,
+        "exact": res.exact,
+        "lower_bound": res.lower_bound,
+        "upper_bound": res.upper_bound,
+        "stats": vars(res.stats),
+        "witness": config_to_dict(res.witness) if res.witness is not None else None,
+    })
 
 
 def cmd_solve(args) -> int:
-    if args.mode == "coverage" and args.N is None:
-        sys.stderr.write("coverage mode needs --N\n")
-        return EXIT_USAGE
+    mode, flags, solve = _solver(args)
     g = GridParams(args.n, args.k, args.l)
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    flags = []
-    if args.mode == "c" and args.strict:
-        flags.append("strict")
-    if args.mode == "a" and args.symmetry:
-        flags.append("sym")
-    if args.mode == "coverage":
-        flags.append(f"N={args.N}")
-    flagstr = ",".join(flags)
-    request = {"mode": args.mode, "n": g.n, "k": g.k, "l": g.l, "flags": flagstr}
+    request = {"mode": args.mode, "n": g.n, "k": g.k, "l": g.l, "flags": flags}
     directory = _cache_dir()
-    suffix = ("_" + flagstr.replace("=", "").replace(",", "_")) if flagstr else ""
+    suffix = "_" + flags.replace("=", "") if flags else ""
     path = os.path.join(directory, f"solve_{args.mode}{suffix}_{g.n}_{g.k}_{g.l}.json")
 
     with _CacheLock(directory):
         _drop_other_revisions(directory)
-        cached = _load_cached(path, request, g, args)
+        cached = _load_cached(path, request, g, mode, args.N)
         if cached is not None:
             sys.stderr.write(f"cache hit: {path}\n")
             sys.stdout.write(cached)
             return EXIT_OK
 
-        res = _run_solver(args.mode, g, budget, args.strict, args.symmetry, args.N)
-        out = {
-            **request,
-            "optimum": res.optimum,
-            "exact": res.exact,
-            "lower_bound": res.lower_bound,
-            "upper_bound": res.upper_bound,
-            "stats": {
-                "nodes": res.stats.nodes,
-                "pruned": res.stats.pruned,
-                "wall_time": res.stats.wall_time,
-                "stop_reason": res.stats.stop_reason,
-            },
-            "witness": config_to_dict(res.witness) if res.witness is not None else None,
-        }
-        text = dump_json(out)
-        if not res.exact:
+        res = solve(g, budget)
+        text = _record(request, res)
+        if res.exact:
+            with open(path + ".tmp", "w") as f:
+                f.write(text)
+            os.replace(path + ".tmp", path)
+            sys.stderr.write(f"cache miss: wrote {path}\n")
+        else:
             sys.stderr.write(f"cache miss: capped result, not written to {path}\n")
-            sys.stdout.write(text)
-            return EXIT_BUDGET
-        with open(path + ".tmp", "w") as f:
-            f.write(text)
-        os.replace(path + ".tmp", path)
-        sys.stderr.write(f"cache miss: wrote {path}\n")
         sys.stdout.write(text)
-        return EXIT_OK
+        return EXIT_OK if res.exact else EXIT_BUDGET
 
 
-def _solver_mode(args) -> str:
-    """SolveResult.mode of the solver that answers a solve request."""
-    if args.mode == "c":
-        return "max_two_pack_strict" if args.strict else "max_two_pack_closed"
-    return {"a": "min_cover", "b": "max_pack", "coverage": "max_coverage"}[args.mode]
-
-
-def _load_cached(path, request, g, args):
+def _load_cached(path, request, g, mode, N):
     """Record text if it is exactly what solve writes for the request,
     with an optimum whose witness still checks out, else None."""
     try:
@@ -325,15 +315,13 @@ def _load_cached(path, request, g, args):
         record = json.loads(text)
         value = _int(record["optimum"])
         cfg = config_from_dict(record["witness"])
-        expected = {**request, "optimum": value, "exact": True, "lower_bound": value,
-                    "upper_bound": value, "stats": record["stats"],
-                    "witness": config_to_dict(cfg)}
+        res = SolveResult(g, mode, value, cfg, SolveStats(**record["stats"]), True, value, value)
     except (OSError, ValueError, KeyError, TypeError, RookError):
         return None
     # comparing text, not values, also rejects 2.0 or true where 2 or 1 was asked
-    if text != dump_json(expected) or cfg.params != g:
+    if text != _record(request, res) or cfg.params != g:
         return None
-    return text if check_witness(_solver_mode(args), cfg, value, args.N) else None
+    return text if check_witness(mode, cfg, value, N) else None
 
 
 def cmd_encode(args) -> int:
@@ -364,9 +352,10 @@ def cmd_table(args) -> int:
         sys.stderr.write("empty n range\n")
         return EXIT_USAGE
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    _, _, solve = _solver(args)
     rows = ["n,lower,exact,upper,density,status"]
     for n in ns:
-        res = _run_solver(args.mode, GridParams(n, args.k, args.l), budget)
+        res = solve(GridParams(n, args.k, args.l), budget)
         # best covering or packing found; both bounds equal it when exact
         value = res.upper_bound if args.mode == "a" else res.lower_bound
         denom = n ** (args.k - (2 if args.mode == "c" else 1))
@@ -449,7 +438,7 @@ def _build_parser():
     t.add_argument("--n", required=True, help="range like 2..5")
     t.add_argument("--max-nodes", type=int, default=5_000_000)
     t.add_argument("--max-seconds", type=float, default=60.0)
-    t.set_defaults(fn=cmd_table)
+    t.set_defaults(fn=cmd_table, strict=False, symmetry=False, N=None)
 
     m = sub.add_parser("compose", help="blowup / stack / extend a configuration")
     m.add_argument("op", choices=("blowup", "stack", "extend"))

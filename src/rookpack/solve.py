@@ -12,7 +12,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .core import (
     Configuration,
@@ -21,7 +21,6 @@ from .core import (
     Rook,
     RookError,
     config_coverage,
-    point_index,
 )
 from .bounds import (
     NotApplicable,
@@ -49,9 +48,10 @@ class SolverBudget:
 
 @dataclass
 class SolveStats:
+    # the CLI's solve records list these fields in this order
     nodes: int = 0
-    wall_time: float = 0.0
     pruned: int = 0
+    wall_time: float = 0.0
     # why the search stopped: "proven" when it ran to the end, else
     # "node_cap", "time_cap" or "depth" (too deep for the stack)
     stop_reason: str = "proven"
@@ -232,21 +232,6 @@ class _ValueOrbits:
             return orbit
 
         self.at_values, self.cover_orbit, self.pack_orbit = at_values, cover_orbit, pack_orbit
-
-
-def _axis_perm_canonical(inst: _Instance, i: int) -> bool:
-    """True when placement i is lexicographically minimal in its orbit
-    under axis permutations (the stabilizer of the all-zero point)."""
-    g, pidx, dirs = inst.g, i // inst.D, inst.dirsets[i % inst.D]
-    p = inst.points[pidx]
-    key = (pidx, list(dirs))
-    for perm in permutations(range(g.k)):
-        # perm maps original axis perm[b] onto axis b of the image
-        q = tuple(p[perm[b]] for b in range(g.k))
-        qdirs = sorted(b for b in range(g.k) if perm[b] in dirs)
-        if (point_index(q, g), qdirs) < key:
-            return False
-    return True
 
 
 def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
@@ -521,8 +506,12 @@ def exact_min_covering(
                 live = (1 << len(covs)) - 1
                 root = by_point[0]
                 if symmetry_breaking:
-                    root = sum(low for low in _bits(root)
-                               if _axis_perm_canonical(inst, low.bit_length() - 1))
+                    # a placement covering point 0 is off it on at most
+                    # one axis, which its direction set holds; its orbit's
+                    # least member moves that axis last and its others to
+                    # 0..l-2: set 0 at point 0, and set k - l, which is
+                    # {0..l-2, k-1}, at points 1..n-1 of the last axis
+                    root = 1 | _repeat(1 << g.k - g.l, D, g.n) & ~block
                 branch(0, live, 0, root, 0, orbits.all_free, 0, 0,
                        bound(best[0] - 2, 0, live, 0, 0, root))
             else:
@@ -531,14 +520,6 @@ def exact_min_covering(
             del branch  # branch calls itself through its cell: free it
 
     return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
-
-
-def _bits(bits):
-    """The set bits of bits, as ints, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low
-        bits ^= low
 
 
 def _overlap_update(by_point):

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: JSON/CSV output, cache, exit codes."""
 
+import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -12,8 +14,13 @@ except ImportError:  # pragma: no cover
 
 from rookpack import __version__
 from rookpack.cli import EXIT_BUDGET, _build_parser, main
-from rookpack.core import InvalidArgument
-from rookpack.solve import SolverBudget
+from rookpack.core import GridParams, InvalidArgument
+from rookpack.solve import (
+    SolverBudget,
+    exact_max_packing,
+    exact_max_two_packing,
+    exact_min_covering,
+)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "rookpack", "schemas")
 
@@ -172,6 +179,53 @@ def test_solve_flag_records_replay(capsys, tmp_path):
         assert code == 0 and second == first
     records = sorted(p.name for p in (tmp_path / "cache").iterdir() if p.suffix == ".json")
     assert records == sorted(record for _, _, record in cases)
+
+
+def test_solve_rejects_flags_the_mode_ignores(capsys, tmp_path):
+    # --strict belongs to mode c, --symmetry to a and --N to coverage: any
+    # other mode exits 2 with one error line, before it opens the cache
+    grid = ("--n", "2", "--k", "3", "--l", "2")
+    owned = {"c": ("--strict",), "a": ("--symmetry",), "coverage": ("--N", "4")}
+    for mode in ("a", "b", "c", "coverage"):
+        argv = ("solve", mode, *grid, *(owned["coverage"] if mode == "coverage" else ()))
+        for owner, flag in owned.items():
+            if owner != mode:
+                code, out, err = run(capsys, *argv, *flag)
+                assert (code, out, err) == (2, "", f"error: {flag[0]} is for mode {owner} only\n")
+    assert not (tmp_path / "cache").exists()
+    # each mode with the flags it owns prints what it printed before the
+    # check was added, wall times aside
+    digest = hashlib.sha256()
+    for argv in (("a",), ("a", "--symmetry"), ("b",), ("c",), ("c", "--strict"),
+                 ("coverage", "--N", "4")):
+        code, out, _ = run(capsys, "solve", argv[0], *grid, *argv[1:])
+        assert code == 0, argv
+        digest.update(re.sub(r'"wall_time": [^,]*', "", out).encode())
+    assert digest.hexdigest() == (
+        "b65d132425ed4b4eb0095a96622979a7ec9e52fabedd9e6e917f5ac42b9d8957")
+
+
+def test_verify_rejects_strict_outside_pack2(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    rooks = [{"point": [0, 0], "dirs": [0, 1]}]
+    path.write_text(json.dumps({"n": 2, "k": 2, "l": 2, "rooks": rooks}))
+    for mode in ("cover", "pack"):
+        code, out, err = run(capsys, "verify", mode, str(path), "--strict")
+        assert (code, out, err) == (2, "", "error: --strict is for mode pack2 only\n"), mode
+        code, out, _ = run(capsys, "verify", mode, str(path))
+        assert code in (0, 1) and "valid" in json.loads(out), mode
+
+
+def test_solve_bad_instance_exits_usage(capsys, tmp_path):
+    # two-packings of 1-rooks and coverage counts outside 0..n^k end with
+    # one error line, no traceback and no record
+    for argv in (("c", "--n", "3", "--k", "2", "--l", "1"),
+                 ("coverage", "--n", "3", "--k", "2", "--l", "2", "--N", "-1"),
+                 ("coverage", "--n", "3", "--k", "2", "--l", "2", "--N", "10")):
+        code, out, err = run(capsys, "solve", *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+    assert not [p.name for p in (tmp_path / "cache").iterdir() if p.name.startswith("solve_")]
 
 
 def test_solve_reports_stop_reason(capsys, tmp_path):
@@ -355,6 +409,36 @@ def test_table(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert int(row[1]) < int(row[3]) and row[5] == "node_cap"
+
+
+def test_table_rows_are_the_library_solves(capsys):
+    # lower, exact and upper are the bounds and best value of the library
+    # solve with the same budget; density is per n^(k-1) points for a and
+    # b, whose optima grow like n^(k-1), and per n^(k-2) for c
+    budget = SolverBudget(2_000, 60.0)
+    solvers = {
+        "a": (exact_min_covering, 1),
+        "b": (exact_max_packing, 1),
+        "c": (lambda g, budget: exact_max_two_packing(g, "closed", budget), 2),
+    }
+    for mode, (solve, drop) in solvers.items():
+        code, out, _ = run(capsys, "table", "--mode", mode, "--k", "3", "--l", "2",
+                           "--n", "2..4", "--max-nodes", "2000")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["2", "3", "4"]
+        for n, row in zip((2, 3, 4), rows):
+            res = solve(GridParams(n, 3, 2), budget)
+            value = res.upper_bound if mode == "a" else res.lower_bound
+            status = "exact" if res.exact else res.stats.stop_reason
+            assert row == [str(n), str(res.lower_bound), str(value), str(res.upper_bound),
+                           f"{value / n ** (3 - drop):.6f}", status], (mode, n)
+    # density is b(3,3,2) = 10 over n^(k-1) = 9, and c(3,3,2) over n^(k-2) = 3
+    code, out, _ = run(capsys, "table", "--mode", "b", "--k", "3", "--l", "2", "--n", "3..3")
+    assert out.splitlines()[1].split(",")[2:5] == ["10", "10", f"{10 / 9:.6f}"]
+    code, out, _ = run(capsys, "table", "--mode", "c", "--k", "3", "--l", "2", "--n", "3..3")
+    row = out.splitlines()[1].split(",")
+    assert row[4] == f"{int(row[2]) / 3:.6f}" and row[5] == "exact"
 
 
 def test_table_empty_range(capsys):

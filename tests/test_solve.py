@@ -7,12 +7,19 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from rookpack.bounds import incidence_bound_b, singleton_bound_b
-from rookpack.core import Configuration, GridParams, Rook, coverage_mask, covers
+from rookpack.core import (
+    Configuration,
+    GridParams,
+    InvalidArgument,
+    Rook,
+    coverage_mask,
+    covers,
+)
 from rookpack.oracles import (
     _oracle_clashes,
     _oracle_rooks,
@@ -29,6 +36,7 @@ from rookpack.solve import (
     _ValueOrbits,
     _gain_deficit,
     _overlap_update,
+    _repeat,
     check_witness,
     encode_ilp,
     exact_max_coverage,
@@ -727,6 +735,54 @@ def test_symmetry_breaking_same_optimum():
     sym = exact_min_covering(g, symmetry_breaking=True)
     assert sym.exact and sym.optimum == plain.optimum
     assert check_witness(sym.mode, sym.witness, sym.optimum)
+
+
+def _orbit_least_root(g):
+    """The placements covering point 0 that are least in their orbit under
+    the axis permutations, by (point, sorted axes), as a mask over
+    placement indices, by trying every permutation.  Points compare as
+    coordinate tuples, which orders them as their indices do."""
+    dirsets = list(combinations(range(g.k), g.l))
+    perms = list(permutations(range(g.k)))  # perm moves axis perm[b] to axis b
+    root = 0
+    for pidx, p in enumerate(product(range(g.n), repeat=g.k)):
+        moved = {a for a in range(g.k) if p[a]}
+        if len(moved) > 1:
+            continue
+        for j, d in enumerate(dirsets):
+            if moved <= set(d) and not any(  # covers point 0, and no image is less
+                    (tuple(p[a] for a in perm), [b for b, a in enumerate(perm) if a in d])
+                    < (p, list(d)) for perm in perms):
+                root |= 1 << pidx * len(dirsets) + j
+    return root
+
+
+def test_axis_filter_keeps_the_orbit_least_root_placements():
+    # with symmetry_breaking the covering root keeps direction set 0 at
+    # point 0 and set k - l = {0..l-2, k-1} at the points 1..n-1 of the
+    # last axis; here that closed form meets the brute-force orbit minima
+    grids = [GridParams(n, k, l) for k in range(1, 7) for n in range(1, 65)
+             if n ** k <= 4_096 for l in range(1, k + 1)]
+    assert len(grids) == 321
+    for g in grids:
+        inst = _Instance(g)
+        closed = 1 | _repeat(1 << g.k - g.l, inst.D, g.n) & ~inst.block
+        assert closed == _orbit_least_root(g), g
+
+
+def test_solvers_reject_bad_arguments():
+    # a two-packing mode other than closed or strict, a two-packing of
+    # 1-rooks, and a coverage count outside 0..n^k
+    g = GridParams(3, 2, 2)
+    with pytest.raises(InvalidArgument, match="two-packing mode"):
+        exact_max_two_packing(g, "open")
+    with pytest.raises(InvalidArgument, match="l >= 2"):
+        exact_max_two_packing(GridParams(3, 2, 1))
+    with pytest.raises(InvalidArgument, match="N >= 0"):
+        exact_max_coverage(g, -1)
+    with pytest.raises(InvalidArgument, match="cannot place 10 rooks on 9 points"):
+        exact_max_coverage(g, 10)
+    assert exact_max_coverage(g, 9).optimum == 9
 
 
 def test_budget_exhaustion():
