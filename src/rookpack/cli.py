@@ -264,14 +264,19 @@ def _solver(args):
 
 def _record(request, res) -> str:
     """The text solve prints, and caches when exact, for a request and its
-    SolveResult; stats holds the SolveStats fields in declaration order."""
+    SolveResult."""
     return dump_json({
         **request,
         "optimum": res.optimum,
         "exact": res.exact,
         "lower_bound": res.lower_bound,
         "upper_bound": res.upper_bound,
-        "stats": vars(res.stats),
+        "stats": {
+            "nodes": res.stats.nodes,
+            "pruned": res.stats.pruned,
+            "wall_time": res.stats.wall_time,
+            "stop_reason": res.stats.stop_reason,
+        },
         "witness": config_to_dict(res.witness) if res.witness is not None else None,
     })
 

@@ -48,10 +48,9 @@ class SolverBudget:
 
 @dataclass
 class SolveStats:
-    # the CLI's solve records list these fields in this order
     nodes: int = 0
-    pruned: int = 0
     wall_time: float = 0.0
+    pruned: int = 0
     # why the search stopped: "proven" when it ran to the end, else
     # "node_cap", "time_cap" or "depth" (too deep for the stack)
     stop_reason: str = "proven"
@@ -367,20 +366,18 @@ def exact_min_covering(
     one and two points, from a per-solve memo keyed by f, they are
     o0 | F1 and o1 | (o0 & F1) | F2 (_overlap_update).
 
-    The bound test is counted in bulk.  A child covers |covered| + ball -
+    Leaf children are counted in bulk.  A child covers |covered| + ball -
     overlap points, so it fails the bound iff its overlap exceeds the
     slack s = |covered| + ball - need; at slack 0 or 1 that is iff it is
     in o_s, and at slack < 0 every child fails.  A full covering has
     overlap |covered| + ball - npts = s - G <= s while best - depth - 2
     >= 0, so it is never among the cut: never in o_s, and never a child
-    at all when s < 0.  So at a node that is not orbital and has slack 1
-    or less, the candidates below the next one outside o_s (all of them
-    when s < 0) are pruned, and counted in one step.  A child's first
-    turn is taken in its parent, which passes it the slack: a child that
-    is not orbital and whose slack cuts all its candidates would count
-    them in that one step and return, so the parent counts them instead
-    and makes no call.  Either way a run that reaches the node cap or a
-    multiple of 4,096 is counted with one tick() for that node.
+    at all when s < 0.  A child's first turn is taken in its parent,
+    which passes it the slack: a child that is not orbital and whose
+    slack cuts all its candidates would only count them and return, so
+    the parent counts them instead and makes no call, with one tick() for
+    a count that reaches the node cap or a multiple of 4,096.  Every
+    other cut child is counted where it is tested.
     """
     sphere_lower, _ = sphere_packing_bounds(g)
     max_nodes = (budget or SolverBudget()).max_nodes
@@ -440,7 +437,7 @@ def exact_min_covering(
             spare = free & ~ptmask[p]
             orbital = is_orbital[spare]
             ncovered = covered.bit_count()
-            top = None  # the best value need and doomed were set for
+            top = None  # the best value need was set for
             while cands:
                 if best[0] != top:
                     if top is not None:
@@ -448,18 +445,7 @@ def exact_min_covering(
                     top = best[0]
                     left = top - depth - 2  # rooks a child may still add
                     need = ncovered + ball - slack
-                    doomed = None
-                    if not orbital and left >= 0 and slack <= 1:
-                        doomed = -1 if slack < 0 else o1 if slack else o0
                 low = cands & -cands
-                if doomed is not None and low & doomed:
-                    # book the pruned run below the next viable candidate
-                    good = cands & ~doomed
-                    run = cands & ((good & -good) - 1)
-                    book(run.bit_count())
-                    cands ^= run
-                    live ^= run
-                    continue
                 cands ^= low
                 i = low.bit_length() - 1
                 child = covered | covs[i]
