@@ -27,7 +27,7 @@ def main():
           f"{len(blown)}-rook covering of H({blown.params.n},3), so a(6,3,2) <= {len(blown)}")
 
     pack = exact_max_packing(GridParams(3, 2, 2))
-    stacked = stack(pack.witness, 3)
+    stacked = stack(pack.witness)
     assert verify_packing(stacked).valid
     print(f"stack: b(3,2,2) = {pack.optimum} lifts to a {len(stacked)}-rook "
           f"packing of H(3,3), so b(3,3,2) >= {len(stacked)}")

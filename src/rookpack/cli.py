@@ -9,6 +9,7 @@ results as JSON backed by an on-disk cache.  Exit codes: 0 ok, 2 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import functools
 import hashlib
@@ -107,10 +108,6 @@ def _frac(x):
 
 
 # ---------------------------------------------------------------- cache
-def _cache_dir() -> str:
-    return os.environ.get("ROOKPACK_CACHE", DEFAULT_CACHE_DIR)
-
-
 @functools.cache
 def _revision() -> str:
     """Digest of the package's .py sources, read once per process."""
@@ -124,40 +121,26 @@ def _revision() -> str:
     return digest.hexdigest()
 
 
-class _CacheLock:
-    """Advisory lock over the whole cache directory."""
-
-    def __init__(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, ".lock")
-
-    def __enter__(self):
-        self.fd = open(self.path, "a+")
-        fcntl.flock(self.fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        fcntl.flock(self.fd, fcntl.LOCK_UN)
-        self.fd.close()
-
-
-def _drop_other_revisions(directory):
-    """Under the cache lock: remove the solve records that other sources
-    wrote, whose stats describe another search.  .revision names the
-    sources that wrote the records."""
-    path = os.path.join(directory, ".revision")
-    try:
-        with open(path) as f:
-            if f.read() == _revision():
-                return
-    except (OSError, ValueError):  # missing, or not text
-        pass
-    for name in os.listdir(directory):
-        if name.startswith("solve_") and name.endswith(".json"):
-            os.remove(os.path.join(directory, name))
-    with open(path + ".tmp", "w") as f:
-        f.write(_revision())
-    os.replace(path + ".tmp", path)
+@contextlib.contextmanager
+def _locked_cache():
+    """The cache directory, held under an exclusive flock on its .lock
+    file, which also names the sources that wrote the records.  When it
+    holds anything but their digest, every solve record is removed, since
+    its stats describe another search, and the digest is written in."""
+    directory = os.environ.get("ROOKPACK_CACHE", DEFAULT_CACHE_DIR)
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, ".lock"), "a+b") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        lock.seek(0)
+        revision = _revision().encode()
+        if lock.read() != revision:
+            for name in os.listdir(directory):
+                if name.startswith("solve_") and name.endswith(".json"):
+                    os.remove(os.path.join(directory, name))
+            lock.truncate(0)
+            lock.write(revision)
+            lock.flush()
+        yield directory  # closing the file releases the lock
 
 
 # ---------------------------------------------------------------- commands
@@ -198,15 +181,13 @@ def _write_config(cfg, path, head, **extra) -> int:
 def cmd_construct(args) -> int:
     name = args.name
     if name not in CONSTRUCTIONS:
-        sys.stderr.write(f"unknown construction {name!r}\n")
-        return EXIT_USAGE
+        raise InvalidArgument(f"unknown construction {name!r}")
     fn, wanted = CONSTRUCTIONS[name]
     params = {}
     for p in wanted:
         val = getattr(args, p, None)
         if val is None:
-            sys.stderr.write(f"construction {name} needs --{p}\n")
-            return EXIT_USAGE
+            raise InvalidArgument(f"construction {name} needs --{p}")
         params[p] = val
     extra = {}
     if name == "diagonal_slab_block":
@@ -286,12 +267,10 @@ def cmd_solve(args) -> int:
     g = GridParams(args.n, args.k, args.l)
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     request = {"mode": args.mode, "n": g.n, "k": g.k, "l": g.l, "flags": flags}
-    directory = _cache_dir()
     suffix = "_" + flags.replace("=", "") if flags else ""
-    path = os.path.join(directory, f"solve_{args.mode}{suffix}_{g.n}_{g.k}_{g.l}.json")
 
-    with _CacheLock(directory):
-        _drop_other_revisions(directory)
+    with _locked_cache() as directory:
+        path = os.path.join(directory, f"solve_{args.mode}{suffix}_{g.n}_{g.k}_{g.l}.json")
         cached = _load_cached(path, request, g, mode, args.N)
         if cached is not None:
             sys.stderr.write(f"cache hit: {path}\n")
@@ -354,8 +333,7 @@ def cmd_table(args) -> int:
     ns = _parse_range(args.n)
     ns = [n for n in ns if n >= 1]
     if not ns:
-        sys.stderr.write("empty n range\n")
-        return EXIT_USAGE
+        raise InvalidArgument("empty n range")
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     _, _, solve = _solver(args)
     rows = ["n,lower,exact,upper,density,status"]
@@ -376,8 +354,7 @@ def cmd_compose(args) -> int:
     cfg = config_from_dict(load_json(args.path))
     if args.op == "blowup":
         if args.n_inner is None:
-            sys.stderr.write("blowup needs --n-inner\n")
-            return EXIT_USAGE
+            raise InvalidArgument("blowup needs --n-inner")
         builder = {
             "cover": blowup_covering,
             "pack": blowup_packing,
@@ -385,7 +362,7 @@ def cmd_compose(args) -> int:
         }[args.kind]
         out_cfg = builder(cfg, args.n_inner)
     elif args.op == "stack":
-        out_cfg = stack(cfg, args.copies if args.copies is not None else cfg.params.n)
+        out_cfg = stack(cfg)
     else:
         out_cfg = extend_covering(cfg)
     return _write_config(out_cfg, args.out, {"op": args.op})
@@ -450,7 +427,6 @@ def _build_parser():
     m.add_argument("path")
     m.add_argument("--kind", choices=("cover", "pack", "pack2"), default="cover")
     m.add_argument("--n-inner", dest="n_inner", type=int)
-    m.add_argument("--copies", type=int)
     m.add_argument("--out")
     m.set_defaults(fn=cmd_compose)
     return p

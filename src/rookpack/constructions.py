@@ -160,8 +160,6 @@ def _cross_cover(points):
     one finishing rook supplies one row line and one column line, so the
     cost of a cover is the larger of the two sides.
     """
-    if not points:
-        return [], []
     all_rows = {x for x, _ in points}
     all_cols = {y for _, y in points}
     for p in range(max(len(all_rows), len(all_cols)) + 1):
@@ -215,8 +213,6 @@ def a32_covering(a: int, b: int) -> Configuration:
     occupied = set()
 
     def place(pt, dirs):
-        if pt in occupied:
-            raise ConstructionInfeasible(f"point {pt} placed twice")
         occupied.add(pt)
         rooks.append(Rook(pt, frozenset(dirs)))
 
@@ -363,15 +359,14 @@ def blowup_two_packing(outer: Configuration, p: int) -> Configuration:
     return _blowup(outer, inner, p)
 
 
-def stack(cfg: Configuration, copies: int) -> Configuration:
-    """Pile translated copies of a packing along a new last axis."""
+def stack(cfg: Configuration) -> Configuration:
+    """Pile n translated copies of a packing of H(n, k) along a new last
+    axis, giving a packing of H(n, k+1)."""
     g = cfg.params
-    if copies != g.n:
-        raise InvalidParams(f"stack needs copies = n = {g.n}")
     if not verify_packing(cfg).valid:
         raise InvalidInput("input configuration is not a packing")
     ng = GridParams(g.n, g.k + 1, g.l)
-    rooks = [Rook(r.point + (z,), r.dirs) for z in range(copies) for r in cfg.rooks]
+    rooks = [Rook(r.point + (z,), r.dirs) for z in range(g.n) for r in cfg.rooks]
     return _sorted_config(ng, rooks)
 
 
@@ -400,10 +395,6 @@ def extend_covering(cfg: Configuration) -> Configuration:
         if len(zeros) == 2:
             zset = set(zeros)
             forced = {(i + 1) % g.k for i in zset if (i + 1) % g.k in zset}
-        if len(forced) > g.l:
-            raise ConstructionInfeasible(
-                f"point {p} forces axes {sorted(forced)}, more than l = {g.l}"
-            )
         dirs = set(forced)
         for axis in range(g.k):
             if len(dirs) == g.l:

@@ -671,7 +671,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
 def _unit_cap(inst, unit, strict):
     """cap for _max_independent when each rook holds unit points of its
     coverage (its attack set when strict) alone: the points the candidates
-    reach, // unit, or the candidate count when unit is 0."""
+    reach, // unit."""
     by_point, masks, D = inst.by_cov, inst.placements, inst.D
     if strict:
         by_point = inst.by_att
@@ -679,8 +679,6 @@ def _unit_cap(inst, unit, strict):
     npts = len(by_point)
 
     def cap(cands):
-        if not unit:
-            return cands.bit_count()
         # few candidates: OR their masks; many: test every point, dropping
         # each AND as it is counted
         if 3 * cands.bit_count() < 2 * npts:

@@ -142,7 +142,7 @@ def test_criterion_4_construction_suite():
     bk = b_k2_inductive(8, 3)
     checks.append(len(bk) >= 40 and verify_packing(bk).valid)
 
-    st = stack(diagonal_covering(3, 2), 3)
+    st = stack(diagonal_covering(3, 2))
     checks.append(len(st) == 9 and verify_packing(st).valid)
 
     ex = extend_covering(diagonal_covering(2, 2))

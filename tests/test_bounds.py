@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rookpack.core import GridParams
+from rookpack.core import GridParams, InvalidArgument
 from rookpack.bounds import (
     A32_LOWER,
     A32_UPPER,
@@ -79,6 +79,9 @@ def test_rodemich():
     assert rodemich_max_coverage(0, 4, 3) == 0
     # exact rational, no clamping
     assert rodemich_max_coverage(5, 3, 2) == Fraction(30 - 25)
+    for args in ((-1, 2, 2), (1, 0, 2)):
+        with pytest.raises(InvalidArgument):
+            rodemich_max_coverage(*args)
 
 
 def test_improved_bound_full_arity():
@@ -114,6 +117,8 @@ def test_improved_bound_value_and_limit():
 def test_improved_bound_domain():
     with pytest.raises(NotApplicable):
         improved_covering_lower_bound(3, 1)
+    with pytest.raises(InvalidArgument):
+        improved_covering_lower_bound(2, 3)
 
 
 def test_prime_power_helpers():
@@ -122,6 +127,7 @@ def test_prime_power_helpers():
     assert largest_prime_power(10) == 9
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
     assert is_prime_power(8) and is_prime_power(9) and not is_prime_power(6)
+    assert not is_prime_power(0) and not is_prime_power(1)
     with pytest.raises(NotApplicable):
         largest_prime_power(1)
 
@@ -173,6 +179,8 @@ def test_bound_report():
     assert bound_report(GridParams(2, 7, 5)).b_hypercube == 64
     tiny = bound_report(GridParams(1, 1, 1))
     assert tiny.a_lower == tiny.a_upper == 1
+    # f(6) = 5 < l: no prime-power construction, the trivial density 1 stays
+    assert bound_report(GridParams(2, 6, 6)).asymptotic["a_upper_const"] == 1.0
 
 
 def test_bound_report_monotone_grid():

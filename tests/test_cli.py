@@ -108,11 +108,16 @@ def test_construct_slab_axis_report(capsys):
     assert json.loads(out)["axis_report"] == [True, True, True]
 
 
+def _usage_error(code, out, err):
+    """Exit 2 with nothing on stdout and one "error: " line on stderr."""
+    return (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_unknown_and_missing_params(capsys):
-    code, _, err = run(capsys, "construct", "mystery")
-    assert code == 2 and "unknown" in err
-    code, _, err = run(capsys, "construct", "diagonal_covering", "--n", "3")
-    assert code == 2 and "--k" in err
+    code, out, err = run(capsys, "construct", "mystery")
+    assert _usage_error(code, out, err) and "unknown" in err
+    code, out, err = run(capsys, "construct", "diagonal_covering", "--n", "3")
+    assert _usage_error(code, out, err) and "--k" in err
 
 
 def test_verify_invalid_exit_code(capsys, tmp_path):
@@ -281,18 +286,37 @@ def test_solve_record_of_other_sources_recomputed(capsys, tmp_path):
     code, first, _ = run(capsys, *argv)
     assert code == 0 and json.loads(first)["stats"]["nodes"] == 37_784
     cache = tmp_path / "cache"
-    revision = (cache / ".revision").read_text()
+    revision = (cache / ".lock").read_bytes()
     stale = first.replace('"nodes": 37784,', '"nodes": 60852,')
     (cache / "solve_a_3_3_2.json").write_text(stale)
     code, again, _ = run(capsys, *argv)
     assert code == 0 and again == stale  # written by these sources: replayed
     (cache / "solve_b_2_2_2.json").write_text("{}")
-    (cache / ".revision").write_text("other sources")
+    (cache / ".lock").write_text("other sources")
     code, again, _ = run(capsys, *argv)
     assert code == 0 and json.loads(again)["stats"]["nodes"] == 37_784
-    assert (cache / ".revision").read_text() == revision
-    assert sorted(p.name for p in cache.iterdir()) == [".lock", ".revision", "solve_a_3_3_2.json"]
+    assert (cache / ".lock").read_bytes() == revision
+    assert sorted(p.name for p in cache.iterdir()) == [".lock", "solve_a_3_3_2.json"]
     assert (cache / "solve_a_3_3_2.json").read_text() == again
+
+
+def test_solve_lock_of_garbage_bytes_recomputed(capsys, tmp_path):
+    # .lock names the sources that wrote the records; bytes that are not
+    # even text name no sources, so the records go and the digest returns
+    argv = ("solve", "b", "--n", "2", "--k", "2", "--l", "1")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    cache = tmp_path / "cache"
+    revision = (cache / ".lock").read_bytes()
+    assert len(revision) == 64
+    stale = first.replace('"pruned": ', '"pruned": 1')
+    (cache / "solve_b_2_2_1.json").write_text(stale)
+    (cache / ".lock").write_bytes(b"\xff\xfe")
+    code, again, err = run(capsys, *argv)
+    assert code == 0 and err.startswith("cache miss")
+    assert json.loads(again)["stats"]["pruned"] == json.loads(first)["stats"]["pruned"]
+    assert (cache / ".lock").read_bytes() == revision
+    assert (cache / "solve_b_2_2_1.json").read_text() == again
 
 
 def test_solve_record_of_other_instance_recomputed(capsys, tmp_path):
@@ -442,9 +466,9 @@ def test_table_rows_are_the_library_solves(capsys):
 
 
 def test_table_empty_range(capsys):
-    code, _, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
-                       "--n", "5..3")
-    assert code == 2 and "empty" in err
+    code, out, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
+                         "--n", "5..3")
+    assert _usage_error(code, out, err) and "empty" in err
 
 
 def test_table_bad_range(capsys):
@@ -473,8 +497,8 @@ def test_compose_round_trips(capsys, tmp_path):
     extended = json.loads(out)
     assert extended["n"] == 3
 
-    code, _, err = run(capsys, "compose", "blowup", diag)
-    assert code == 2 and "--n-inner" in err
+    code, out, err = run(capsys, "compose", "blowup", diag)
+    assert _usage_error(code, out, err) and "--n-inner" in err
 
 
 def test_usage_errors_return_exit_code(capsys):

@@ -293,6 +293,8 @@ def test_b_k2_matches_per_point_reference():
 def test_b_k2_divisibility():
     with pytest.raises(InvalidParams):
         b_k2_inductive(6, 3)  # (k-1)!^2 = 4 must divide n
+    with pytest.raises(InvalidParams):
+        b_k2_inductive(4, 1)
 
 
 def test_b_k2_size_constant():
@@ -353,6 +355,10 @@ def test_blowup_rejects_invalid_outer():
         blowup_two_packing(not_pack, 3)
     with pytest.raises(InvalidParams):
         blowup_two_packing(reference_two_packing(), 4)  # p must be prime > k
+    cover = diagonal_covering(2, 2)
+    for blowup in (blowup_covering, blowup_packing):
+        with pytest.raises(InvalidParams):
+            blowup(cover, 0)
 
 
 def test_blowup_size_identity():
@@ -369,12 +375,12 @@ def test_blowup_size_identity():
 
 
 def test_stack():
-    c = stack(diagonal_covering(3, 2), 3)
+    c = stack(diagonal_covering(3, 2))
     assert c.params == GridParams(3, 3, 2)
     assert len(c) == 9
     assert verify_packing(c).valid
-    with pytest.raises(InvalidParams):
-        stack(diagonal_covering(3, 2), 2)
+    with pytest.raises(InvalidInput):
+        stack(Configuration(GridParams(3, 2, 1), [Rook((0, 0), {0}), Rook((1, 0), {1})]))
 
 
 def test_extend_covering():

@@ -184,6 +184,7 @@ def test_solver_matches_oracles():
             for mode in ("closed", "strict"):
                 c = exact_max_two_packing(g, mode)
                 assert c.exact and c.optimum == enumerate_max_two_packing(g, mode)
+    assert enumerate_min_covering(GridParams(3, 2, 1), max_size=2) is None  # a(3,2,1) = 3
 
 
 def test_conflict_masks_match_coordinates():
@@ -801,6 +802,16 @@ def test_capped_strict_two_packing_bounds_bracket_optimum():
         for max_nodes in (0, 1, 3, 10, 100):
             res = exact_max_two_packing(g, "strict", SolverBudget(max_nodes=max_nodes))
             assert res.lower_bound <= opt <= res.upper_bound, (n, k, l, max_nodes)
+
+
+def test_strict_two_packing_of_one_point_grids():
+    # at n = 1 a rook attacks nothing: the greedy seed's one rook meets
+    # the bound of one point, so the search stops at the root
+    for k in range(2, 6):
+        for l in range(2, k + 1):
+            for budget in (None, SolverBudget(max_nodes=0), SolverBudget(max_nodes=1)):
+                res = exact_max_two_packing(GridParams(1, k, l), "strict", budget)
+                assert (res.exact, res.optimum) == (True, 1), (k, l, budget)
 
 
 def test_budget_time_limit():
