@@ -331,7 +331,6 @@ def _parse_range(spec: str):
 
 def cmd_table(args) -> int:
     ns = _parse_range(args.n)
-    ns = [n for n in ns if n >= 1]
     if not ns:
         raise InvalidArgument("empty n range")
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
@@ -402,8 +401,8 @@ def _build_parser():
     s.add_argument("--N", type=int)
     s.add_argument("--strict", action="store_true")
     s.add_argument("--symmetry", action="store_true")
-    s.add_argument("--max-nodes", type=int, default=5_000_000)
-    s.add_argument("--max-seconds", type=float, default=60.0)
+    s.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
+    s.add_argument("--max-seconds", type=float, default=SolverBudget.max_seconds)
     s.set_defaults(fn=cmd_solve)
 
     e = sub.add_parser("encode", help="emit an integer program (LP format)")
@@ -418,8 +417,8 @@ def _build_parser():
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--l", type=int, required=True)
     t.add_argument("--n", required=True, help="range like 2..5")
-    t.add_argument("--max-nodes", type=int, default=5_000_000)
-    t.add_argument("--max-seconds", type=float, default=60.0)
+    t.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
+    t.add_argument("--max-seconds", type=float, default=SolverBudget.max_seconds)
     t.set_defaults(fn=cmd_table, strict=False, symmetry=False, N=None)
 
     m = sub.add_parser("compose", help="blowup / stack / extend a configuration")

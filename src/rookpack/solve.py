@@ -19,7 +19,6 @@ from .core import (
     GridParams,
     InvalidArgument,
     Rook,
-    RookError,
     config_coverage,
 )
 from .bounds import (
@@ -895,16 +894,13 @@ def check_witness(mode: str, witness, value, N=None) -> bool:
     max_two_pack_{closed,strict}, or N rooks covering value points."""
     if witness is None:
         return False
-    try:
-        if mode == "max_coverage":
-            return len(witness) == N and config_coverage(witness).popcount() == value
-        if len(witness) != value:
-            return False
-        if mode == "min_cover":
-            return verify_covering(witness).valid
-        if mode == "max_pack":
-            return verify_packing(witness).valid
-        two = mode.removeprefix("max_two_pack_")
-        return two != mode and verify_two_packing(witness, two).valid
-    except RookError:
+    if mode == "max_coverage":
+        return len(witness) == N and config_coverage(witness).popcount() == value
+    if len(witness) != value:
         return False
+    if mode == "min_cover":
+        return verify_covering(witness).valid
+    if mode == "max_pack":
+        return verify_packing(witness).valid
+    two = mode.removeprefix("max_two_pack_")
+    return two != mode and verify_two_packing(witness, two).valid

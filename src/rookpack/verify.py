@@ -1,15 +1,15 @@
 """Validity checks for coverings, packings, and two-packings.
 
-Each check returns a VerifyReport with a capped list of diagnostic
-violations, sorted by point index then rook index so output is
-deterministic.
+Each check counts all its violations and returns a VerifyReport that
+lists only the lowest cap of them, sorted by point index then rook index
+so output is deterministic; only the listed ones are built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import contains, itemgetter, mul, not_, sub
 
 from .core import Configuration, InvalidArgument, config_coverage, rook_indices
@@ -41,14 +41,6 @@ class VerifyReport:
         return self.total_violations > len(self.violations)
 
 
-def _report(violations, cap):
-    violations = sorted(
-        violations, key=lambda v: (v.point if v.point is not None else -1, v.rooks or ())
-    )
-    total = len(violations)
-    return VerifyReport(total == 0, tuple(violations[:cap]), total)
-
-
 def verify_covering(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Valid iff every grid point lies in some rook's closed coverage."""
     covered = config_coverage(c).bits  # refuses an over-cap grid first
@@ -70,12 +62,14 @@ def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> Verify
     by the index of its first point, and each axis is checked with whole
     columns of line ids, so this is linear in rooks * k and allocates
     nothing per grid point.  Rooks are grouped by line only on the bad
-    lines.
+    lines, where an attacker hits every other rook on its line.  Two
+    distinct points share at most one line, so each attacking pair is
+    counted once.
     """
     index = rook_indices(c)
     points = [r.point for r in c.rooks]
     dirs = [r.dirs for r in c.rooks]
-    violations = []
+    total, attackers_of = 0, {}  # victim -> the attacker lists of its bad lines
     for a, w in enumerate(c.params.weights):
         ids = list(map(sub, index, map(mul, map(itemgetter(a), points), repeat(w))))
         along = list(map(contains, dirs, repeat(a)))
@@ -91,15 +85,18 @@ def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> Verify
         on_line = {}
         for i in compress(range(len(ids)), map(bad.__contains__, ids)):
             on_line.setdefault(ids[i], []).append(i)
-        violations += [
-            Violation("attack", point=index[j], rooks=(i, j))
-            for on in on_line.values()
-            for i in on
-            if a in dirs[i]
-            for j in on
-            if j != i
-        ]
-    return _report(violations, cap)
+        for on in on_line.values():
+            hits = [i for i in on if a in dirs[i]]
+            total += len(hits) * (len(on) - 1)
+            for j in on:
+                attackers_of.setdefault(j, []).append(hits)
+    attacks = (
+        Violation("attack", point=index[j], rooks=(i, j))
+        for j in sorted(attackers_of, key=index.__getitem__)
+        for i in sorted(chain.from_iterable(attackers_of[j]))
+        if i != j
+    )
+    return VerifyReport(total == 0, tuple(islice(attacks, cap)), total)
 
 
 _SATURATING_INC = bytes(min(v + 1, 2) for v in range(256))

@@ -167,11 +167,12 @@ def test_criterion_4_construction_suite():
 
 
 def test_criterion_4_a32_size_cap():
-    # The steep-ratio 3-dimensional covering is valid but cannot reach the
-    # stated 136-rook cap: every one of the 14 axis-2 planes needs 10
-    # same-direction in-plane lines while the two slanted families supply
-    # at most 40 of the 42 required row incidences per side, which forces
-    # 140 rooks.  Left failing deliberately; see the analysis notes.
+    # The steep-ratio 3-dimensional covering is valid but misses the stated
+    # 136-rook cap.  Its two slanted families place 80 rooks; with them
+    # fixed and finishing rooks in-plane only, HiGHS proves 60 finishing
+    # rooks optimal, so this scheme cannot go below 140.  136 with
+    # finishing rooks in mixed directions is not ruled out, but none was
+    # found.  Left failing deliberately; see "Standing failure" in ROADMAP.md.
     c = a32_covering(5, 2)
     valid = verify_covering(c).valid and c.params == GridParams(14, 3, 2)
     ok = valid and len(c) <= 136

@@ -319,6 +319,16 @@ def test_solve_lock_of_garbage_bytes_recomputed(capsys, tmp_path):
     assert (cache / "solve_b_2_2_1.json").read_text() == again
 
 
+def test_solve_replay_over_the_point_cap_exits_usage(capsys, tmp_path, monkeypatch):
+    # the record is sound, but checking its witness needs a bitset over the cap
+    argv = ("solve", "a", "--n", "3", "--k", "2", "--l", "2")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and (tmp_path / "cache" / "solve_a_3_2_2.json").exists()
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "4")
+    code, out, err = run(capsys, *argv)
+    assert _usage_error(code, out, err) and "cap 4" in err
+
+
 def test_solve_record_of_other_instance_recomputed(capsys, tmp_path):
     argv = ("solve", "b", "--n", "2", "--k", "2", "--l", "1")
     code, first, _ = run(capsys, *argv)
@@ -475,6 +485,9 @@ def test_table_bad_range(capsys):
     code, _, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
                        "--n", "x..3")
     assert code == 2 and "range" in err
+    code, out, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
+                         "--n", "0..3")
+    assert _usage_error(code, out, err)
 
 
 def test_compose_round_trips(capsys, tmp_path):

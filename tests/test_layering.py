@@ -25,3 +25,10 @@ def test_oracles_share_no_solver_code():
 
 def test_solve_imports_neither_constructions_nor_oracles():
     assert not _loaded("rookpack.solve") & {"rookpack.constructions", "rookpack.oracles"}
+
+
+def test_verifiers_and_bounds_load_only_core():
+    # every witness is checked by rookpack.verify, so it must not come to
+    # depend on the solver it checks
+    for module in ("rookpack.verify", "rookpack.bounds"):
+        assert _loaded(module) == {"rookpack", "rookpack.core"}, module

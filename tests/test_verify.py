@@ -150,6 +150,22 @@ def test_two_packing_violation_cap():
     assert [v.rooks for v in rep.violations] == [owners[p][:2] for p in doubled[:cap]]
 
 
+def test_packing_builds_only_the_listed_violations(monkeypatch):
+    built = []
+
+    class Counted(Violation):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("rookpack.verify.Violation", Counted)
+    g = GridParams(200, 1, 1)  # one line: every rook attacks the 199 others
+    rep = verify_packing(Configuration(g, [Rook((i,), {0}) for i in range(200)]))
+    assert not rep.valid and rep.total_violations == 200 * 199
+    assert [(v.point, v.rooks) for v in rep.violations] == [(0, (i, 0)) for i in range(1, 65)]
+    assert len(built) <= 64
+
+
 def test_violation_cap_zero():
     g = GridParams(3, 2, 2)
     bad = Configuration(g, [Rook((0, 0), full(2)), Rook((0, 1), full(2))])
