@@ -175,7 +175,6 @@ class BoundReport:
     """All closed-form bounds applicable to one instance, plus the
     asymptotic-density constants for its (k, l)."""
 
-    instance: GridParams
     a_lower: int
     a_upper: int
     b_upper: Fraction
@@ -215,7 +214,6 @@ def bound_report(g: GridParams) -> BoundReport:
         asym["c_upper_const"] = Fraction(math.comb(g.k, 2), math.comb(g.l, 2))
 
     return BoundReport(
-        instance=g,
         a_lower=a_lower,
         a_upper=a_upper,
         b_upper=singleton_bound_b(g),

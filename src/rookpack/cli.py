@@ -178,17 +178,20 @@ def _write_config(cfg, path, head, **extra) -> int:
     return EXIT_OK
 
 
+# every parameter of a construction, each a --flag of construct
+_CONSTRUCT_PARAMS = ("n", "k", "l", "n1", "t", "p", "a", "b")
+
+
 def cmd_construct(args) -> int:
     name = args.name
     if name not in CONSTRUCTIONS:
         raise InvalidArgument(f"unknown construction {name!r}")
     fn, wanted = CONSTRUCTIONS[name]
-    params = {}
-    for p in wanted:
-        val = getattr(args, p, None)
-        if val is None:
-            raise InvalidArgument(f"construction {name} needs --{p}")
-        params[p] = val
+    for p in _CONSTRUCT_PARAMS:
+        given = getattr(args, p) is not None
+        if given != (p in wanted):
+            raise InvalidArgument(f"construction {name} {'takes no' if given else 'needs'} --{p}")
+    params = {p: getattr(args, p) for p in wanted}
     extra = {}
     if name == "diagonal_slab_block":
         cfg, axis_report = diagonal_slab_block(**params)
@@ -299,7 +302,7 @@ def _load_cached(path, request, g, mode, N):
         record = json.loads(text)
         value = _int(record["optimum"])
         cfg = config_from_dict(record["witness"])
-        res = SolveResult(g, mode, value, cfg, SolveStats(**record["stats"]), True, value, value)
+        res = SolveResult(mode, value, cfg, SolveStats(**record["stats"]), True, value, value)
     except (OSError, ValueError, KeyError, TypeError, RookError):
         return None
     # comparing text, not values, also rejects 2.0 or true where 2 or 1 was asked
@@ -350,15 +353,19 @@ def cmd_table(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    if args.op != "blowup":
+        for flag, val in (("--kind", args.kind), ("--n-inner", args.n_inner)):
+            if val is not None:
+                raise InvalidArgument(f"{flag} is for blowup only")
+    elif args.n_inner is None:
+        raise InvalidArgument("blowup needs --n-inner")
     cfg = config_from_dict(load_json(args.path))
     if args.op == "blowup":
-        if args.n_inner is None:
-            raise InvalidArgument("blowup needs --n-inner")
         builder = {
             "cover": blowup_covering,
             "pack": blowup_packing,
             "pack2": blowup_two_packing,
-        }[args.kind]
+        }[args.kind or "cover"]
         out_cfg = builder(cfg, args.n_inner)
     elif args.op == "stack":
         out_cfg = stack(cfg)
@@ -383,8 +390,8 @@ def _build_parser():
 
     c = sub.add_parser("construct", help="emit a named construction as JSON")
     c.add_argument("name")
-    for flag in ("--n", "--k", "--l", "--n1", "--t", "--p", "--a", "--b"):
-        c.add_argument(flag, type=int)
+    for param in _CONSTRUCT_PARAMS:
+        c.add_argument(f"--{param}", type=int)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_construct)
 
@@ -424,7 +431,7 @@ def _build_parser():
     m = sub.add_parser("compose", help="blowup / stack / extend a configuration")
     m.add_argument("op", choices=("blowup", "stack", "extend"))
     m.add_argument("path")
-    m.add_argument("--kind", choices=("cover", "pack", "pack2"), default="cover")
+    m.add_argument("--kind", choices=("cover", "pack", "pack2"))
     m.add_argument("--n-inner", dest="n_inner", type=int)
     m.add_argument("--out")
     m.set_defaults(fn=cmd_compose)

@@ -17,7 +17,6 @@ from .core import (
     GridParams,
     InvalidArgument,
     Rook,
-    RookError,
     config_coverage,
 )
 from .bounds import is_prime, largest_prime_power
@@ -29,10 +28,6 @@ class InvalidParams(InvalidArgument):
 
 
 class InvalidInput(InvalidArgument):
-    pass
-
-
-class ConstructionInfeasible(RookError):
     pass
 
 
@@ -188,8 +183,6 @@ def _cross_cover(points):
             return sorted(rows | rest_r), sorted(cols)
         if len(cols) + len(rest_c) <= p:
             return sorted(rows), sorted(cols | rest_c)
-    # unreachable: p = max(#rows, #cols) always succeeds
-    raise AssertionError("cross cover search failed")
 
 
 def a32_covering(a: int, b: int) -> Configuration:
@@ -246,7 +239,8 @@ def a32_covering(a: int, b: int) -> Configuration:
         for t in range(max(len(rows), len(cols))):
             r = rows[t % len(rows)] if rows else None
             c = cols[t % len(cols)] if cols else None
-            # pad the short side with any free coordinate on the line
+            # pad the short side with any free point on the line.  One is free: the plane holds
+            # < s family rooks (4b < s), r and c hold < s finishing ones, a lone line none
             cand = []
             if r is not None and c is not None:
                 cand.append((r, c))
@@ -258,8 +252,6 @@ def a32_covering(a: int, b: int) -> Configuration:
                 if (x, y, m) not in occupied:
                     place((x, y, m), (0, 1))
                     break
-            else:
-                raise ConstructionInfeasible(f"no free point on plane {m}")
     return _sorted_config(g, rooks)
 
 

@@ -57,6 +57,9 @@ class GridParams:
     l: int
 
     def __post_init__(self):
+        for x in (self.n, self.k, self.l):
+            if type(x) is not int:  # bool and float would pass the range checks
+                raise InvalidArgument(f"grid size {x!r} is not an integer")
         if self.n < 1:
             raise InvalidArgument(f"side must be >= 1, got {self.n}")
         if self.k < 1:
@@ -179,7 +182,6 @@ class Configuration:
 class CoverageMap:
     """Bitset over the n^k point indices of one grid."""
 
-    params: GridParams
     bits: int
 
     def popcount(self) -> int:
@@ -248,4 +250,4 @@ def config_coverage(c: Configuration) -> CoverageMap:
         for a in r.dirs:
             start = base - r.point[a] * weights[a]
             hit[start : start + n * weights[a] : weights[a]] = line
-    return CoverageMap(g, int(hit[::-1], 2))  # base 2 has no digit limit
+    return CoverageMap(int(hit[::-1], 2))  # base 2 has no digit limit

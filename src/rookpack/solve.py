@@ -57,7 +57,6 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    instance: GridParams
     mode: str
     optimum: int | None
     witness: Configuration | None
@@ -270,8 +269,8 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     witness = inst.config(best[1]) if best[0] >= 0 else None
     lower, upper = (best[0], best[0]) if exact else capped_bounds(best[0])
     if lower == upper == best[0]:
-        return SolveResult(g, mode, best[0], witness, stats, True, lower, upper)
-    return SolveResult(g, mode, None, witness, stats, False, lower, upper)
+        return SolveResult(mode, best[0], witness, stats, True, lower, upper)
+    return SolveResult(mode, None, witness, stats, False, lower, upper)
 
 
 def _greedy_covering(inst: _Instance):
@@ -802,10 +801,12 @@ def exact_max_two_packing(
 def exact_max_coverage(
     g: GridParams, N: int, budget: SolverBudget | None = None
 ) -> SolveResult:
-    """Maximum number of points covered by exactly N l-rooks, by the
-    include/exclude search of _max_independent: the include child drops
-    every placement at its point, and a node is pruned when ball fresh
-    points per rook still to place cannot beat the best found."""
+    """Maximum number of points covered by exactly N l-rooks, by an
+    include/exclude dfs of its own: the include child drops every
+    placement at its point, and a node is pruned when ball fresh points
+    per rook still to place cannot beat the best found."""
+    if type(N) is not int:  # bool and float would pass the range checks
+        raise InvalidArgument(f"N = {N!r} is not an integer")
     if N < 0:
         raise InvalidArgument("need N >= 0")
     if N > g.num_points:

@@ -1,8 +1,8 @@
 """Validity checks for coverings, packings, and two-packings.
 
 Each check counts all its violations and returns a VerifyReport that
-lists only the lowest cap of them, sorted by point index then rook index
-so output is deterministic; only the listed ones are built.
+lists only the lowest VIOLATION_CAP of them, sorted by point index then
+rook index so output is deterministic; only the listed ones are built.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from operator import contains, itemgetter, mul, not_, sub
 
 from .core import Configuration, InvalidArgument, config_coverage, rook_indices
 
-DEFAULT_VIOLATION_CAP = 64
+VIOLATION_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -32,29 +32,32 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    valid: bool
     violations: tuple
     total_violations: int
+
+    @property
+    def valid(self) -> bool:
+        return self.total_violations == 0
 
     @property
     def capped(self) -> bool:
         return self.total_violations > len(self.violations)
 
 
-def verify_covering(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
+def verify_covering(c: Configuration) -> VerifyReport:
     """Valid iff every grid point lies in some rook's closed coverage."""
     covered = config_coverage(c).bits  # refuses an over-cap grid first
     missing = ((1 << c.params.num_points) - 1) & ~covered
     violations = []
-    while missing and len(violations) < cap:
+    while missing and len(violations) < VIOLATION_CAP:
         low = missing & -missing
         violations.append(Violation("uncovered", point=low.bit_length() - 1))
         missing ^= low
     total = len(violations) + missing.bit_count()
-    return VerifyReport(total == 0, tuple(violations), total)
+    return VerifyReport(tuple(violations), total)
 
 
-def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
+def verify_packing(c: Configuration) -> VerifyReport:
     """Valid iff no rook attacks another rook's point.
 
     Checked per axis line: rook i attacks rook j exactly when they share
@@ -96,15 +99,13 @@ def verify_packing(c: Configuration, cap: int = DEFAULT_VIOLATION_CAP) -> Verify
         for i in sorted(chain.from_iterable(attackers_of[j]))
         if i != j
     )
-    return VerifyReport(total == 0, tuple(islice(attacks, cap)), total)
+    return VerifyReport(tuple(islice(attacks, VIOLATION_CAP)), total)
 
 
 _SATURATING_INC = bytes(min(v + 1, 2) for v in range(256))
 
 
-def verify_two_packing(
-    c: Configuration, mode: str = "closed", cap: int = DEFAULT_VIOLATION_CAP
-) -> VerifyReport:
+def verify_two_packing(c: Configuration, mode: str = "closed") -> VerifyReport:
     """Valid iff no grid point is reached by two distinct rooks.
 
     mode="closed" (default): closed coverage sets pairwise disjoint.
@@ -131,9 +132,9 @@ def verify_two_packing(
             reached[line] = reached[line].translate(_SATURATING_INC)
         reached[b] = min(before + (mode == "closed"), 2)
 
-    # owners of the lowest cap doubled points: one more pass, by line id
+    # owners of the listed doubled points: one more pass, by line id
     lowest, p = [], reached.find(2)
-    while p >= 0 and len(lowest) < cap:
+    while p >= 0 and len(lowest) < VIOLATION_CAP:
         lowest.append(p)
         p = reached.find(2, p + 1)
     wanted = {}
@@ -148,5 +149,5 @@ def verify_two_packing(
                     owners[p].append(i)
     total = reached.count(2)
     violations = tuple(Violation("double", point=p, rooks=tuple(owners[p][:2])) for p in lowest)
-    return VerifyReport(total == 0, violations, total)
+    return VerifyReport(violations, total)
 

@@ -113,11 +113,16 @@ def _usage_error(code, out, err):
     return (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_construct_unknown_and_missing_params(capsys):
+def test_construct_unknown_and_missing_params(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "mystery")
     assert _usage_error(code, out, err) and "unknown" in err
     code, out, err = run(capsys, "construct", "diagonal_covering", "--n", "3")
     assert _usage_error(code, out, err) and "--k" in err
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, "construct", "diagonal_covering", "--n", "3", "--k", "2",
+                         "--t", "5", "--out", str(path))
+    assert _usage_error(code, out, err) and "takes no --t" in err
+    assert not path.exists()
 
 
 def test_verify_invalid_exit_code(capsys, tmp_path):
@@ -154,6 +159,10 @@ def test_solve_and_cache_verbatim(capsys, tmp_path):
     doc = json.loads(first)
     assert doc["optimum"] == 7 and doc["exact"]
     _validate(doc, "solve_result.schema.json")
+    if jsonschema is not None:  # a field only the code or only the schema has fails
+        for extra in ({**doc, "note": ""}, {**doc, "stats": {**doc["stats"], "depth": 3}}):
+            with pytest.raises(jsonschema.ValidationError):
+                _validate(extra, "solve_result.schema.json")
     cache = tmp_path / "cache"
     records = sorted(p.name for p in cache.iterdir() if p.suffix == ".json")
     assert records == ["solve_a_3_3_2.json"]  # one record per instance, no temp file
@@ -497,6 +506,8 @@ def test_compose_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "compose", "blowup", diag, "--kind", "cover",
                        "--n-inner", "3", "--out", blown)
     assert code == 0 and json.loads(out)["rooks"] == 6
+    assert run(capsys, "compose", "blowup", diag, "--n-inner", "3",
+               "--out", blown)[:2] == (0, out)  # --kind defaults to cover
     code, out, _ = run(capsys, "verify", "cover", blown)
     assert code == 0
 
@@ -512,6 +523,13 @@ def test_compose_round_trips(capsys, tmp_path):
 
     code, out, err = run(capsys, "compose", "blowup", diag)
     assert _usage_error(code, out, err) and "--n-inner" in err
+    # a flag the operation does not take exits 2 and writes no --out file
+    path = tmp_path / "out.json"
+    for argv, flag in [(("stack", diag, "--n-inner", "4", "--kind", "pack2"), "--kind"),
+                       (("extend", diag, "--n-inner", "2"), "--n-inner")]:
+        code, out, err = run(capsys, "compose", *argv, "--out", str(path))
+        assert _usage_error(code, out, err) and f"{flag} is for blowup only" in err
+        assert not path.exists()
 
 
 def test_usage_errors_return_exit_code(capsys):

@@ -8,7 +8,6 @@ import pytest
 from rookpack.core import Configuration, GridParams, Rook
 from rookpack.constructions import (
     CONSTRUCTIONS,
-    ConstructionInfeasible,
     InvalidInput,
     InvalidParams,
     a32_covering,

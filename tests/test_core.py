@@ -132,6 +132,9 @@ def test_gridparams_validation():
         GridParams(3, 0, 0)
     with pytest.raises(InstanceTooLarge):
         GridParams(2, 64, 1)  # 2^64 points overflow the index width
+    for bad in [(2.5, 2, 1), (True, 2, 1), (3, 2.0, 1), (3, 2, 1.0)]:
+        with pytest.raises(InvalidArgument, match="not an integer"):
+            GridParams(*bad)  # bool and float sizes are not coerced
 
 
 def test_bitset_cap():

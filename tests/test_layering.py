@@ -7,16 +7,22 @@ import sys
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def _loaded(module):
-    """The rookpack.* entries of sys.modules, module itself left out, after
-    importing module alone in a fresh interpreter."""
-    code = (f"import sys, {module}; "
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rookpack')))")
+def _imported(module):
+    """The entries that importing module alone adds to sys.modules, in a
+    fresh interpreter."""
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    return set(out.split()) - {module}
+    return set(out.split())
+
+
+def _loaded(module):
+    """The rookpack.* modules that importing module pulls in, module itself
+    left out."""
+    return {m for m in _imported(module) if m.split(".")[0] == "rookpack"} - {module}
 
 
 def test_oracles_share_no_solver_code():
@@ -32,3 +38,10 @@ def test_verifiers_and_bounds_load_only_core():
     # depend on the solver it checks
     for module in ("rookpack.verify", "rookpack.bounds"):
         assert _loaded(module) == {"rookpack", "rookpack.core"}, module
+
+
+def test_cli_loads_only_the_standard_library():
+    # the package declares no dependencies: scipy and jsonschema serve the
+    # tests only, so the whole command line must run without them
+    tops = {m.split(".")[0] for m in _imported("rookpack.cli")} - {"rookpack"}
+    assert tops <= sys.stdlib_module_names, tops - sys.stdlib_module_names

@@ -773,7 +773,7 @@ def test_axis_filter_keeps_the_orbit_least_root_placements():
 
 def test_solvers_reject_bad_arguments():
     # a two-packing mode other than closed or strict, a two-packing of
-    # 1-rooks, and a coverage count outside 0..n^k
+    # 1-rooks, and a coverage count outside 0..n^k or not an integer
     g = GridParams(3, 2, 2)
     with pytest.raises(InvalidArgument, match="two-packing mode"):
         exact_max_two_packing(g, "open")
@@ -783,6 +783,9 @@ def test_solvers_reject_bad_arguments():
         exact_max_coverage(g, -1)
     with pytest.raises(InvalidArgument, match="cannot place 10 rooks on 9 points"):
         exact_max_coverage(g, 10)
+    for N in (True, 1.5, 2.0):
+        with pytest.raises(InvalidArgument, match="not an integer"):
+            exact_max_coverage(g, N)
     assert exact_max_coverage(g, 9).optimum == 9
 
 

@@ -27,6 +27,7 @@ from rookpack.constructions import (
     distance3_code,
 )
 from rookpack.verify import (
+    VIOLATION_CAP,
     VerifyReport,
     Violation,
     verify_covering,
@@ -123,17 +124,17 @@ def test_covering_iff_full_count():
 
 
 def test_violation_cap():
-    g = GridParams(4, 3, 1)  # 64 points, all uncovered
-    rep = verify_covering(Configuration(g, []), cap=10)
+    g = GridParams(5, 3, 1)  # 125 points, all uncovered
+    rep = verify_covering(Configuration(g, []))
     assert not rep.valid
-    assert len(rep.violations) == 10
-    assert rep.total_violations == 64
+    assert len(rep.violations) == VIOLATION_CAP == 64
+    assert rep.total_violations == 125
     assert rep.capped
 
 
 def test_two_packing_violation_cap():
-    g = GridParams(4, 3, 2)
-    pts = list(itertools.product(range(4), repeat=3))
+    g = GridParams(6, 3, 2)
+    pts = list(itertools.product(range(6), repeat=3))
     rooks = [Rook(p, frozenset((0, 1))) for p in pts[::5]]
     c = Configuration(g, rooks)
     owners = {
@@ -141,13 +142,12 @@ def test_two_packing_violation_cap():
         for p in pts
     }
     doubled = sorted(i for i, own in owners.items() if len(own) >= 2)
-    cap = 3
-    assert len(doubled) > 4 * cap
-    rep = verify_two_packing(c, "closed", cap=cap)
+    assert len(doubled) > 3 * VIOLATION_CAP
+    rep = verify_two_packing(c, "closed")
     assert not rep.valid and rep.capped
     assert rep.total_violations == len(doubled)
-    assert [v.point for v in rep.violations] == doubled[:cap]
-    assert [v.rooks for v in rep.violations] == [owners[p][:2] for p in doubled[:cap]]
+    assert [v.point for v in rep.violations] == doubled[:VIOLATION_CAP]
+    assert [v.rooks for v in rep.violations] == [owners[p][:2] for p in doubled[:VIOLATION_CAP]]
 
 
 def test_packing_builds_only_the_listed_violations(monkeypatch):
@@ -167,18 +167,19 @@ def test_packing_builds_only_the_listed_violations(monkeypatch):
 
 
 def test_violation_cap_zero():
+    # under the cap every violation is listed; a valid report lists none
     g = GridParams(3, 2, 2)
     bad = Configuration(g, [Rook((0, 0), full(2)), Rook((0, 1), full(2))])
     for rep, total in [
-        (verify_covering(Configuration(g, []), cap=0), 9),
-        (verify_covering(bad, cap=0), 2),
-        (verify_two_packing(bad, "closed", cap=0), 3),
-        (verify_two_packing(bad, "strict", cap=0), 1),
+        (verify_covering(Configuration(g, [])), 9),
+        (verify_covering(bad), 2),
+        (verify_two_packing(bad, "closed"), 3),
+        (verify_two_packing(bad, "strict"), 1),
     ]:
-        assert not rep.valid and rep.capped
-        assert rep.violations == () and rep.total_violations == total
-    for rep in (verify_covering(diagonal_covering(3, 2), cap=0),
-                verify_two_packing(reference_two_packing(), "closed", cap=0)):
+        assert not rep.valid and not rep.capped
+        assert len(rep.violations) == rep.total_violations == total
+    for rep in (verify_covering(diagonal_covering(3, 2)),
+                verify_two_packing(reference_two_packing(), "closed")):
         assert rep.valid and not rep.capped
         assert rep.violations == () and rep.total_violations == 0
 
@@ -202,7 +203,7 @@ def test_bad_mode_rejected():
 
 def reference_reports(c):
     """Every verifier's full violation list, from core.covers/core.attacks
-    on each point and rook pair; a report at cap keeps the first cap."""
+    on each point and rook pair; a report keeps the first VIOLATION_CAP."""
     g, rooks = c.params, c.rooks
     pts = list(itertools.product(range(g.n), repeat=g.k))
     uncovered = [
@@ -248,16 +249,15 @@ def random_configurations(seed, count):
 def test_verifiers_match_coordinate_reference():
     for c in random_configurations(17, 250):
         ref = reference_reports(c)
-        for cap in (0, 1, 3, 64):
-            got = {
-                "cover": verify_covering(c, cap),
-                "pack": verify_packing(c, cap),
-                "closed": verify_two_packing(c, "closed", cap),
-                "strict": verify_two_packing(c, "strict", cap),
-            }
-            for key, violations in ref.items():
-                want = VerifyReport(not violations, tuple(violations[:cap]), len(violations))
-                assert got[key] == want, (c, key, cap)
+        got = {
+            "cover": verify_covering(c),
+            "pack": verify_packing(c),
+            "closed": verify_two_packing(c, "closed"),
+            "strict": verify_two_packing(c, "strict"),
+        }
+        for key, violations in ref.items():
+            want = VerifyReport(tuple(violations[:VIOLATION_CAP]), len(violations))
+            assert got[key] == want, (c, key)
 
 
 def random_automorphism(c, rng):
