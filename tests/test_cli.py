@@ -78,6 +78,23 @@ def test_bounds_rational_spelling(capsys):
     assert doc["b_upper"] == 54  # integral Fractions flatten to ints
 
 
+def test_bounds_documents_are_pinned(capsys):
+    # the bytes of bounds on every grid with n <= 6, k <= 5 and n^k <= 4,096
+    digest, grids = hashlib.sha256(), 0
+    for n in range(1, 7):
+        for k in range(1, 6):
+            if n ** k <= 4096:
+                for l in range(1, k + 1):
+                    code, out, err = run(capsys, "bounds", "--n", str(n), "--k", str(k),
+                                         "--l", str(l))
+                    assert (code, err) == (0, ""), (n, k, l)
+                    digest.update(out.encode())
+                    grids += 1
+    assert grids == 85
+    assert digest.hexdigest() == (
+        "ef451cb86f5cc0208ac4ff706624e4f7f8b2b7f7123499ee523c1781c6f4cc54")
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     cases = [
         ("diagonal_covering", ["--n", "3", "--k", "2"], "cover", []),
