@@ -40,7 +40,8 @@ def incidence_bound_b(g: GridParams) -> Fraction:
     The placements at a point q and the placements attacking along the
     axis-a line through q pairwise conflict, so each of these k n^k
     cliques holds at most one rook of a packing, and every rook lies in
-    exactly l(n-1) + k of them.  Below singleton_bound_b when l < k.
+    exactly l(n-1) + k of them.  Below singleton_bound_b when l < k and
+    equal to it when l = k, as their ratio is l n / (l(n-1) + k).
     """
     return Fraction(g.k * g.num_points, g.l * (g.n - 1) + g.k)
 
@@ -145,14 +146,9 @@ def prime_power_upper_bound(k: int, l: int) -> Fraction:
     return Fraction(-((-f) // l), f - 1)
 
 
+# best known bracket for the 2-rook covering density of the cube
 A32_LOWER = (9.0 - 3.0 * math.sqrt(5.0)) / 4.0
 A32_UPPER = 1.0 / math.sqrt(2.0)
-
-
-def a32_constants() -> tuple:
-    """Best known bracket for the 2-rook covering density of the cube:
-    ((9 - 3 sqrt 5)/4, 1/sqrt 2)."""
-    return A32_LOWER, A32_UPPER
 
 
 def a32_profile(t: float) -> float:
@@ -200,11 +196,10 @@ def bound_report(g: GridParams) -> BoundReport:
     else:
         asym["a_lower_const"] = 1.0  # l=1 coverings pin the density at 1
     uppers = [1.0]
-    if g.k >= 2:
-        try:
-            uppers.append(float(prime_power_upper_bound(g.k, g.l)))
-        except NotApplicable:
-            pass
+    try:
+        uppers.append(float(prime_power_upper_bound(g.k, g.l)))
+    except NotApplicable:
+        pass
     if (g.k, g.l) == (3, 2):
         uppers.append(A32_UPPER)
     asym["a_upper_const"] = min(uppers)

@@ -101,7 +101,9 @@ def load_json(path):
 
 
 def _frac(x):
-    """Exact JSON spelling for a Fraction; plain int when integral."""
+    """Exact JSON spelling of a Fraction (an int when integral), or of each value of a dict."""
+    if isinstance(x, dict):
+        return {key: _frac(val) for key, val in x.items()}
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return x
@@ -144,24 +146,18 @@ def _locked_cache():
 
 
 # ---------------------------------------------------------------- commands
+# the bounds document's keys after n, k and l; a BoundReport field that is None is left out
+_BOUND_KEYS = ("a_lower", "a_upper", "b_upper", "b_incidence", "asymptotic", "b_hypercube",
+               "c_upper", "c_sphere")
+
+
 def cmd_bounds(args) -> int:
     g = GridParams(args.n, args.k, args.l)
     rep = bound_report(g)
-    out = {
-        "n": g.n,
-        "k": g.k,
-        "l": g.l,
-        "a_lower": rep.a_lower,
-        "a_upper": rep.a_upper,
-        "b_upper": _frac(rep.b_upper),
-        "b_incidence": _frac(rep.b_incidence),
-        "asymptotic": {key: _frac(val) for key, val in rep.asymptotic.items()},
-    }
-    if rep.b_hypercube is not None:
-        out["b_hypercube"] = rep.b_hypercube
-    if rep.c_upper is not None:
-        out["c_upper"] = _frac(rep.c_upper)
-        out["c_sphere"] = rep.c_sphere
+    out = {"n": g.n, "k": g.k, "l": g.l}
+    for key in _BOUND_KEYS:
+        if (val := getattr(rep, key)) is not None:
+            out[key] = _frac(val)
     sys.stdout.write(dump_json(out))
     return EXIT_OK
 
@@ -302,7 +298,7 @@ def _load_cached(path, request, g, mode, N):
         record = json.loads(text)
         value = _int(record["optimum"])
         cfg = config_from_dict(record["witness"])
-        res = SolveResult(mode, value, cfg, SolveStats(**record["stats"]), True, value, value)
+        res = SolveResult(mode, value, cfg, SolveStats(**record["stats"]), value, value)
     except (OSError, ValueError, KeyError, TypeError, RookError):
         return None
     # comparing text, not values, also rejects 2.0 or true where 2 or 1 was asked

@@ -233,8 +233,6 @@ def a32_covering(a: int, b: int) -> Configuration:
                 idx = (x * s + y) * s + m
                 if not (base_cov >> idx) & 1:
                     uncovered.append((x, y))
-        if not uncovered:
-            continue
         rows, cols = _cross_cover(uncovered)
         for t in range(max(len(rows), len(cols))):
             r = rows[t % len(rows)] if rows else None
@@ -317,26 +315,24 @@ def _blowup(outer: Configuration, inner_points, n_inner: int) -> Configuration:
     return _sorted_config(ng, rooks)
 
 
+def _diagonal_blowup(outer: Configuration, n_inner: int, verify, kind: str) -> Configuration:
+    if n_inner < 1:
+        raise InvalidParams("need n_inner >= 1")
+    if not verify(outer).valid:
+        raise InvalidInput(f"outer configuration is not a {kind}")
+    return _blowup(outer, list(_diagonal_points(n_inner, outer.params.k)), n_inner)
+
+
 def blowup_covering(outer: Configuration, n_inner: int) -> Configuration:
     """Replace every rook of a covering by a diagonal copy inside its
     scaled block; yields a covering of H(n * n_inner, k) of size
     n_inner^(k-1) * |outer|."""
-    if n_inner < 1:
-        raise InvalidParams("need n_inner >= 1")
-    if not verify_covering(outer).valid:
-        raise InvalidInput("outer configuration is not a covering")
-    k = outer.params.k
-    return _blowup(outer, list(_diagonal_points(n_inner, k)), n_inner)
+    return _diagonal_blowup(outer, n_inner, verify_covering, "covering")
 
 
 def blowup_packing(outer: Configuration, n_inner: int) -> Configuration:
     """Same diagonal substitution applied to a packing."""
-    if n_inner < 1:
-        raise InvalidParams("need n_inner >= 1")
-    if not verify_packing(outer).valid:
-        raise InvalidInput("outer configuration is not a packing")
-    k = outer.params.k
-    return _blowup(outer, list(_diagonal_points(n_inner, k)), n_inner)
+    return _diagonal_blowup(outer, n_inner, verify_packing, "packing")
 
 
 def blowup_two_packing(outer: Configuration, p: int) -> Configuration:

@@ -25,7 +25,6 @@ from .bounds import (
     NotApplicable,
     hypercube_bound_b,
     incidence_bound_b,
-    singleton_bound_b,
     singleton_bound_c,
     sphere_bound_c,
     sphere_packing_bounds,
@@ -39,10 +38,11 @@ class SolverBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self):
-        # NaN fails the comparison; 0 and inf are valid caps
-        if not (self.max_nodes >= 0 and self.max_seconds >= 0):
-            raise InvalidArgument(f"budget needs max_nodes >= 0 and max_seconds >= 0, "
-                                  f"got {self.max_nodes} and {self.max_seconds}")
+        # type() refuses bool; NaN fails the comparison; 0 and inf are valid caps
+        if not (type(self.max_nodes) is int and type(self.max_seconds) in (int, float)
+                and self.max_nodes >= 0 and self.max_seconds >= 0):
+            raise InvalidArgument(f"budget needs an int max_nodes >= 0 and max_seconds >= 0, "
+                                  f"got {self.max_nodes!r} and {self.max_seconds!r}")
 
 
 @dataclass
@@ -61,9 +61,12 @@ class SolveResult:
     optimum: int | None
     witness: Configuration | None
     stats: SolveStats
-    exact: bool
     lower_bound: int
     upper_bound: int
+
+    @property
+    def exact(self) -> bool:
+        return self.lower_bound == self.upper_bound
 
 
 class _BudgetExhausted(Exception):
@@ -234,15 +237,20 @@ class _ValueOrbits:
 def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     """Run search(inst, tick, stats, best) under the budget.
 
-    search seeds best = [value, placements] and replaces it whole; tick()
-    counts a node and raises _BudgetExhausted past the budget, and a search
-    too deep for the stack stops on RecursionError alike, and
-    stats.stop_reason says which of the three stopped it.  A search may
-    also count nodes itself, by adding them to stats.nodes, where tick()
-    could not stop any of them: at or below the node cap and off the
-    multiples of 4,096 (where the clock is read).  A capped run reports
-    capped_bounds(best value) as (lower, upper), and is exact when both
-    equal the best value.
+    best = [value, placements] starts at [-1, []] and search replaces it
+    whole: the covering and packing searches seed it before their first
+    tick(), max coverage at N = 0 only.  tick() counts a node and raises
+    _BudgetExhausted past the budget, and a search too deep for the stack
+    stops on RecursionError alike, and stats.stop_reason says which of
+    the three stopped it.  A search may also count nodes itself, by
+    adding them to stats.nodes, where tick() could not stop any of them:
+    at or below the node cap and off the multiples of 4,096 (where the
+    clock is read).  A proven run reports (best value, best value) as
+    (lower, upper), a capped one capped_bounds(best value), and the
+    result is exact, with optimum lower, when they meet.  Bounds that
+    meet always have the witness of best: the seeds see to that, as max
+    coverage's capped bounds (max(best, 0), min(N ball, n^k)) meet at 0
+    when N = 0 only.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -258,19 +266,16 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
 
     inst = _Instance(g)
     best = [-1, []]
-    exact = True
     try:
         search(inst, tick, stats, best)
     except _BudgetExhausted as stop:
-        exact, stats.stop_reason = False, stop.args[0]
+        stats.stop_reason = stop.args[0]
     except RecursionError:
-        exact, stats.stop_reason = False, "depth"
+        stats.stop_reason = "depth"
     stats.wall_time = time.perf_counter() - start
     witness = inst.config(best[1]) if best[0] >= 0 else None
-    lower, upper = (best[0], best[0]) if exact else capped_bounds(best[0])
-    if lower == upper == best[0]:
-        return SolveResult(mode, best[0], witness, stats, True, lower, upper)
-    return SolveResult(mode, None, witness, stats, False, lower, upper)
+    lower, upper = (best[0], best[0]) if stats.stop_reason == "proven" else capped_bounds(best[0])
+    return SolveResult(mode, lower if lower == upper else None, witness, stats, lower, upper)
 
 
 def _greedy_covering(inst: _Instance):
@@ -766,8 +771,9 @@ def _pack_cap(inst):
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
     """Maximum number of l-rooks with no rook attacking another; upper is
-    the least of the clique, line and (where it applies) hypercube bounds."""
-    upper = int(min(incidence_bound_b(g), singleton_bound_b(g)))
+    the clique bound incidence_bound_b, lowered to the hypercube bound
+    where that applies."""
+    upper = int(incidence_bound_b(g))
     try:
         upper = min(upper, hypercube_bound_b(g))
     except NotApplicable:
@@ -817,6 +823,8 @@ def exact_max_coverage(
     def search(inst, tick, stats, best):
         covs, D, block = inst.placements, inst.D, inst.block
         chosen = []
+        if not N:  # no rooks cover no points, which closes the bracket (0, 0)
+            best[:] = [0, []]
 
         def dfs(cands, covered, depth):
             left = N - depth

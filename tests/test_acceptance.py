@@ -10,7 +10,8 @@ import time
 
 from rookpack.core import Configuration, GridParams, Rook, config_coverage
 from rookpack.bounds import (
-    a32_constants,
+    A32_LOWER,
+    A32_UPPER,
     a32_profile,
     improved_covering_lower_bound,
     singleton_bound_b,
@@ -199,7 +200,7 @@ def test_criterion_6_bound_algebra():
     for k in range(3, 13):
         for l in range(2, k):
             checks.append(improved_covering_lower_bound(k, l) > 1.0 / l)
-    lo, hi = a32_constants()
+    lo, hi = A32_LOWER, A32_UPPER
     checks.append(abs(lo - 0.5729490168751576) < 1e-9)
     checks.append(abs(hi - 0.7071067811865475) < 1e-9)
     checks.append(lo < hi)

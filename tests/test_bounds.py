@@ -11,7 +11,6 @@ from rookpack.bounds import (
     A32_UPPER,
     DomainError,
     NotApplicable,
-    a32_constants,
     a32_profile,
     bound_report,
     hypercube_bound_b,
@@ -147,7 +146,7 @@ def test_prime_power_upper_bound_not_applicable():
 
 
 def test_a32_constants():
-    lo, hi = a32_constants()
+    lo, hi = A32_LOWER, A32_UPPER
     assert math.isclose(lo, 0.5729490168751576, rel_tol=1e-9)
     assert math.isclose(hi, 0.7071067811865475, rel_tol=1e-9)
     assert lo < hi

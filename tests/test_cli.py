@@ -399,6 +399,12 @@ def test_budget_that_cannot_be_met_is_rejected(capsys, tmp_path):
     # clock at all; 0 and inf stay valid caps
     with pytest.raises(InvalidArgument):
         SolverBudget(max_nodes=-1)
+    # nor is a cap that is not a number of nodes or seconds: a bool, a
+    # fraction of a node or a string
+    for bad in ({"max_nodes": True}, {"max_nodes": 2.5}, {"max_nodes": "5"},
+                {"max_seconds": True}, {"max_seconds": "1"}):
+        with pytest.raises(InvalidArgument):
+            SolverBudget(**bad)
     for flag, value in (("--max-nodes", "-1"), ("--max-seconds", "nan"), ("--max-seconds", "-1")):
         for argv in (("solve", "a", "--n", "3", "--k", "3", "--l", "2"),
                      ("table", "--mode", "b", "--k", "5", "--l", "1", "--n", "3..3")):
@@ -418,6 +424,16 @@ def test_solve_capped_with_meeting_bounds_is_exact(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["exact"] and doc["optimum"] == doc["lower_bound"] == doc["upper_bound"] == 5
     assert (tmp_path / "cache" / "solve_c_5_3_3.json").read_text() == out
+    # zero rooks cover zero points, so the bracket of N = 0 is closed
+    # before the first node: a zero budget gives the optimum and its record
+    code, out, err = run(capsys, "solve", "coverage", "--n", "2", "--k", "2", "--l", "1",
+                         "--N", "0", "--max-nodes", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["exact"], doc["optimum"], doc["lower_bound"], doc["upper_bound"]) == (True, 0, 0, 0)
+    assert (doc["witness"]["rooks"], doc["stats"]["nodes"]) == ([], 1)
+    record = tmp_path / "cache" / "solve_coverage_N0_2_2_1.json"
+    assert err == f"cache miss: wrote {record}\n" and record.read_text() == out
 
 
 def test_solve_coverage(capsys):

@@ -389,6 +389,14 @@ def test_capped_result_with_meeting_bounds_is_exact():
     # and the search stops there instead of running to the cap
     res = exact_max_two_packing(GridParams(5, 3, 3), "closed", SolverBudget(max_nodes=60_000))
     assert (res.exact, res.optimum) == (True, 5) and res.stats.nodes < 100
+    # N = 0 closes the bracket at (0, 0) before any node, so a run cut
+    # at its first node is exact too, with the empty witness
+    for g in (GridParams(2, 2, 1), GridParams(3, 3, 2)):
+        for cap in (0, 1):
+            res = exact_max_coverage(g, 0, SolverBudget(max_nodes=cap))
+            assert (res.exact, res.optimum, res.lower_bound, res.upper_bound) == (True, 0, 0, 0)
+            assert (res.stats.nodes, len(res.witness)) == (1, 0), (g, cap)
+            assert check_witness(res.mode, res.witness, 0, N=0)
 
 
 def test_capped_closed_two_packing_reports_sphere_bound():
