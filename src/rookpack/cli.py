@@ -72,20 +72,18 @@ def config_to_dict(cfg: Configuration) -> dict:
     }
 
 
-def _int(x) -> int:
-    # int() would truncate 3.7 and accept True or "3": take JSON integers only
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
 def config_from_dict(d: dict) -> Configuration:
+    """The Configuration a JSON document spells; GridParams and
+    Configuration refuse a size, coordinate or axis that is not an int."""
     try:
-        g = GridParams(_int(d["n"]), _int(d["k"]), _int(d["l"]))
-        rooks = [
-            Rook(tuple(_int(x) for x in r["point"]), frozenset(_int(a) for a in r["dirs"]))
-            for r in d["rooks"]
-        ]
+        g = GridParams(d["n"], d["k"], d["l"])
+        if type(d["rooks"]) is not list:
+            raise TypeError("rooks is not an array")
+        rooks = [Rook(r["point"], r["dirs"]) for r in d["rooks"]]
+        for r, raw in zip(rooks, d["rooks"]):
+            # a set merges 0 with 0, and 1 with true: Rook would not see them
+            if len(r.dirs) != len(raw["dirs"]):
+                raise InvalidArgument(f"rook at {r.point} repeats an axis in {raw['dirs']}")
     except (KeyError, TypeError) as e:
         raise RookError(f"malformed configuration file: {e}")
     return Configuration(g, rooks)
@@ -95,9 +93,16 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+class _ParseError(Exception):
+    """A file that holds no JSON document this process can read: exit 3."""
+
+
 def load_json(path):
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, an over-long int, too deep
+            raise _ParseError(e) from e
 
 
 def _frac(x):
@@ -296,13 +301,13 @@ def _load_cached(path, request, g, mode, N):
         with open(path) as f:
             text = f.read()
         record = json.loads(text)
-        value = _int(record["optimum"])
+        value = record["optimum"]
         cfg = config_from_dict(record["witness"])
         res = SolveResult(mode, value, cfg, SolveStats(**record["stats"]), value, value)
-    except (OSError, ValueError, KeyError, TypeError, RookError):
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, RookError):
         return None
     # comparing text, not values, also rejects 2.0 or true where 2 or 1 was asked
-    if text != _record(request, res) or cfg.params != g:
+    if type(value) is not int or text != _record(request, res) or cfg.params != g:
         return None
     return text if check_witness(mode, cfg, value, N) else None
 
@@ -444,7 +449,7 @@ def main(argv=None) -> int:
     except RookError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except _ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_IO
     except OSError as e:

@@ -175,13 +175,14 @@ class _ValueOrbits:
     has value v on axis a.  ptmask[pidx] has one bit per axis, at point
     pidx's coordinate, so a child's int is free & ~ptmask[pidx];
     orbital[free] is True when some axis of free has two or more values.
-    Both are memos filled on first lookup, so a solve builds only the
-    entries it reaches, and frees them when it returns.
 
     at_dirs[j] is the mask of the placements with the j-th direction set,
-    and at_values(a, vals) that of the placements whose point has its
-    axis-a value in the bitset vals.  cover_orbit and pack_orbit give the
-    orbits of exact_min_covering and _max_independent.
+    and at_values[a][vals] that of the placements whose point has its
+    axis-a value in the bitset vals.  ptmask, orbital and each
+    at_values[a] are memos filled on first lookup, so a solve builds only
+    the entries it reaches, and frees them when it returns.  cover_orbit
+    and pack_orbit give the orbits of exact_min_covering and
+    _max_independent.
     """
 
     def __init__(self, inst: _Instance):
@@ -197,17 +198,11 @@ class _ValueOrbits:
              for v in range(n)]
             for w in inst.weights
         ]
-        memo = [{} for _ in range(g.k)]
         # a candidate off p differs from p on one axis a, by v * w_a indices
         axis_of = {v * w: a for a, w in enumerate(inst.weights) for v in range(1, n)}
         self.ptmask = _Memo(lambda pidx: sum(1 << s + x for s, x in zip(shifts, points[pidx])))
         self.orbital = _Memo(lambda free: any((f := free >> s & field) & (f - 1) for s in shifts))
-
-        def at_values(a, vals):
-            mask = memo[a].get(vals)
-            if mask is None:
-                mask = memo[a][vals] = _union(at_value[a], vals)
-            return mask
+        self.at_values = at_values = [_Memo(lambda vals, t=t: _union(t, vals)) for t in at_value]
 
         def cover_orbit(spare, p, i):
             """The candidates that placement i, a candidate for covering
@@ -219,7 +214,7 @@ class _ValueOrbits:
             a = axis_of[abs(q - p)]
             s = spare >> a * n & field
             if s >> points[q][a] & 1 and s & (s - 1):
-                return inst.by_cov[p] & at_dirs[i % D] & at_values(a, s)
+                return inst.by_cov[p] & at_dirs[i % D] & at_values[a][s]
             return 0
 
         def pack_orbit(free, i):
@@ -228,10 +223,10 @@ class _ValueOrbits:
             orbit = at_dirs[i % D]
             for a, (s, x) in enumerate(zip(shifts, points[i // D])):
                 f = free >> s & field
-                orbit &= at_values(a, f if f >> x & 1 else 1 << x)
+                orbit &= at_values[a][f if f >> x & 1 else 1 << x]
             return orbit
 
-        self.at_values, self.cover_orbit, self.pack_orbit = at_values, cover_orbit, pack_orbit
+        self.cover_orbit, self.pack_orbit = cover_orbit, pack_orbit
 
 
 def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
@@ -490,8 +485,8 @@ def exact_min_covering(
                         live &= ~orbit
 
         try:
-            tick()  # the root, pruned when ceil(npts / ball) >= best
-            if (best[0] - 1) * ball >= npts:
+            tick()  # the root, pruned when sphere_lower = ceil(npts / ball) >= best
+            if best[0] > sphere_lower:
                 live = (1 << len(covs)) - 1
                 root = by_point[0]
                 if symmetry_breaking:
@@ -602,18 +597,12 @@ def _max_independent(g, mode, budget, cap_for, upper):
     def search(inst, tick, stats, best):
         P, D = inst.npts * inst.D, inst.D
         full = (1 << P) - 1
-        keep = [None] * P
-
-        def allowed(i):
-            if keep[i] is None:
-                keep[i] = full ^ conflicts(inst, i)
-            return keep[i]
-
+        allowed = _Memo(lambda i: full ^ conflicts(inst, i))
         seed, cands = [], full
         while cands:
             i = (cands & -cands).bit_length() - 1
             seed.append(i)
-            cands &= allowed(i)
+            cands &= allowed[i]
         best[:] = [len(seed), seed]
 
         cap = cap_for(inst)
@@ -653,7 +642,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(i)
-                if dfs(cands & allowed(i), depth + 1, free & ~ptmask[i // D]):
+                if dfs(cands & allowed[i], depth + 1, free & ~ptmask[i // D]):
                     return True
                 chosen.pop()
                 lo -= 1

@@ -303,6 +303,11 @@ def test_solve_poisoned_cache_recomputed(capsys, tmp_path):
     assert d1 == d2
     healed = json.loads(rec_path.read_text())
     assert healed["witness"] == rec["witness"]
+    # nested too deep for the decoder: a miss, not a traceback
+    rec_path.write_text("[" * 200_000 + "]" * 200_000)
+    code, again, err = run(capsys, *argv)
+    assert code == 0 and err.startswith("cache miss: wrote")
+    assert rec_path.read_text() == again and json.loads(again)["optimum"] == 2
 
 
 def test_solve_record_of_other_sources_recomputed(capsys, tmp_path):
@@ -610,12 +615,67 @@ def test_exit_code_io_on_truncated_json(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "verify", "cover", str(tmp_path / "missing.json"))
     assert code == 3
-    # a file that is not UTF-8 is a parse error, for verify and compose alike
-    binary = tmp_path / "binary.json"
-    binary.write_bytes(b"\xff\xfe{\x00\x80")
-    for argv in (("verify", "cover", str(binary)), ("compose", "stack", str(binary))):
-        code, _, err = run(capsys, *argv)
-        assert code == 3 and "parse error" in err, argv
+    # a file that is not UTF-8, one nested deeper than the decoder's
+    # recursion limit and one with an int over Python's 4,300-digit limit
+    # are parse errors, not tracebacks, for verify and compose alike
+    for name, data in [("binary", b"\xff\xfe{\x00\x80"),
+                       ("deep", b"[" * 10_000 + b"]" * 10_000),
+                       ("long", b'{"n": 1%s, "k": 2, "l": 1, "rooks": []}' % (b"0" * 5000))]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        for argv in (("verify", "cover", str(path)), ("compose", "stack", str(path))):
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and err.startswith("parse error"), argv
+
+
+def test_config_file_shape_refused(capsys, tmp_path):
+    # rooks that are not an array, and an axis listed twice, which the
+    # frozenset of a Rook would merge (0 with 0, 1 with true)
+    good = {"n": 3, "k": 2, "l": 2, "rooks": [{"point": [1, 1], "dirs": [0, 1]}]}
+    for doc in [{**good, "rooks": ""}, {**good, "rooks": {}},
+                {**good, "l": 1, "rooks": [{"point": [1, 1], "dirs": [0, 0]}]},
+                {**good, "rooks": [{"point": [1, 1], "dirs": [1, True]}]}]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for mode in ("cover", "pack"):
+            code, out, err = run(capsys, "verify", mode, str(path))
+            assert (code, out) == (2, "") and err.startswith("error:"), doc
+            assert err.count("\n") == 1, doc
+
+
+def _schema_mutations(good):
+    """Copies of the valid config good, each of which config.schema.json rejects."""
+    rook = good["rooks"][0]
+    for key in ("n", "k", "l", "rooks"):
+        yield {x: v for x, v in good.items() if x != key}
+    for key in ("point", "dirs"):
+        yield {**good, "rooks": [{x: v for x, v in rook.items() if x != key}]}
+    for key in ("n", "k", "l"):
+        for bad in (0, 1.5, "3", True):
+            yield {**good, key: bad}
+    for key, bad in [("point", [-1, 1]), ("dirs", [-1, 1]), ("dirs", [0, 0]), ("point", "11"),
+                     ("point", None), ("point", 1.5)]:
+        yield {**good, "rooks": [{**rook, key: bad}]}
+    for bad in ({}, 5):
+        yield {**good, "rooks": bad}
+    yield [good]
+
+
+def test_config_schema_rejects_are_refused(capsys, tmp_path):
+    # every file config.schema.json rejects ends as a usage or parse error
+    if jsonschema is None:
+        pytest.skip("jsonschema is not installed")
+    good = {"n": 3, "k": 2, "l": 2, "rooks": [{"point": [1, 1], "dirs": [0, 1]}]}
+    _validate(good, "config.schema.json")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(good))
+    assert run(capsys, "verify", "cover", str(path))[0] == 1  # valid, but no covering
+    for doc in _schema_mutations(good):
+        with pytest.raises(jsonschema.ValidationError):
+            _validate(doc, "config.schema.json")
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "cover", str(path))
+        assert code in (2, 3) and "Traceback" not in err, doc
 
 
 def test_config_file_integers_only(capsys, tmp_path):

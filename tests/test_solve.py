@@ -221,7 +221,7 @@ def test_value_orbit_masks_match_coordinates():
         for a in range(k):
             for vals in range(1 << n):
                 want = sum(1 << i for i in range(P) if vals >> inst.points[i // D][a] & 1)
-                assert at_values(a, vals) == want, (n, k, l, a, vals)
+                assert at_values[a][vals] == want, (n, k, l, a, vals)
 
 
 def test_packed_value_state_matches_value_sets():

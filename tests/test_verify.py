@@ -166,7 +166,7 @@ def test_packing_builds_only_the_listed_violations(monkeypatch):
     assert len(built) <= 64
 
 
-def test_violation_cap_zero():
+def test_reports_under_the_cap_list_every_violation():
     # under the cap every violation is listed; a valid report lists none
     g = GridParams(3, 2, 2)
     bad = Configuration(g, [Rook((0, 0), full(2)), Rook((0, 1), full(2))])
