@@ -81,10 +81,26 @@ def sphere_bound_c(g: GridParams) -> int:
 
 def rodemich_max_coverage(N: int, n: int, k: int) -> Fraction:
     """Amortized coverage bound: N full rooks cover at most
-    kNn - (k-1)N^2 / n^(k-2) points.  Raw formula, not clamped to n^k."""
+    kNn - (k-1)N^2 / n^(k-2) points.  Raw formula, not clamped to n^k, and
+    a bound for N <= n^(k-1) only: past that it falls below n^k, which
+    n^(k-1) rooks already cover."""
     if N < 0 or n < 1 or k < 1:
         raise InvalidArgument("need N >= 0, n >= 1, k >= 1")
-    return Fraction(k * N * n) - Fraction((k - 1) * N * N, n ** (k - 2))
+    return Fraction(k * N * n) - Fraction((k - 1) * N * N * n * n, n ** k)
+
+
+def covering_lower(g: GridParams) -> tuple:
+    """(bound, name): the larger of the sphere bound ceil(n^k / ball) and
+    Rodemich's ceil(n^(k-1) / (k-1)), the least N whose
+    rodemich_max_coverage reaches n^k (E. R. Rodemich, Coverings by rook
+    domains, J. Combin. Theory A 9, 1970), for k >= 2; the sphere bound
+    on ties.  Rodemich's holds for every l, since an l-rook covers part
+    of what the k-rook at its point does, and before rounding it is the
+    larger once l(n-1) + 1 > n(k-1)."""
+    sphere = sphere_packing_bounds(g)[0]
+    if g.k >= 2 and (rodemich := -(-(g.n ** (g.k - 1)) // (g.k - 1))) > sphere:
+        return rodemich, "rodemich"
+    return sphere, "sphere"
 
 
 def improved_covering_lower_bound(k: int, l: int) -> float:
@@ -169,9 +185,11 @@ def a32_profile(t: float) -> float:
 @dataclass(frozen=True)
 class BoundReport:
     """All closed-form bounds applicable to one instance, plus the
-    asymptotic-density constants for its (k, l)."""
+    asymptotic-density constants for its (k, l).  a_lower is
+    covering_lower's bound and a_lower_by its name."""
 
     a_lower: int
+    a_lower_by: str
     a_upper: int
     b_upper: Fraction
     b_incidence: Fraction
@@ -182,7 +200,7 @@ class BoundReport:
 
 
 def bound_report(g: GridParams) -> BoundReport:
-    a_lower, a_upper = sphere_packing_bounds(g)
+    a_lower, a_lower_by = covering_lower(g)
     c_upper = singleton_bound_c(g) if g.l >= 2 else None
     c_sphere = sphere_bound_c(g) if g.l >= 2 else None
     try:
@@ -210,7 +228,8 @@ def bound_report(g: GridParams) -> BoundReport:
 
     return BoundReport(
         a_lower=a_lower,
-        a_upper=a_upper,
+        a_lower_by=a_lower_by,
+        a_upper=sphere_packing_bounds(g)[1],
         b_upper=singleton_bound_b(g),
         b_incidence=incidence_bound_b(g),
         b_hypercube=b_hypercube,

@@ -152,8 +152,8 @@ def _locked_cache():
 
 # ---------------------------------------------------------------- commands
 # the bounds document's keys after n, k and l; a BoundReport field that is None is left out
-_BOUND_KEYS = ("a_lower", "a_upper", "b_upper", "b_incidence", "asymptotic", "b_hypercube",
-               "c_upper", "c_sphere")
+_BOUND_KEYS = ("a_lower", "a_lower_by", "a_upper", "b_upper", "b_incidence", "asymptotic",
+               "b_hypercube", "c_upper", "c_sphere")
 
 
 def cmd_bounds(args) -> int:

@@ -66,6 +66,9 @@ class GridParams:
             raise InvalidArgument(f"dimension must be >= 1, got {self.k}")
         if not 1 <= self.l <= self.k:
             raise InvalidArgument(f"arity must satisfy 1 <= l <= k, got l={self.l}, k={self.k}")
+        # from this k on 2^k > MAX_INDEX: refuse it, n = 1 too, before computing n^k
+        if self.k >= MAX_INDEX.bit_length():
+            raise InstanceTooLarge(f"dimension {self.k} exceeds the index width")
         if self.n**self.k > MAX_INDEX:
             raise InstanceTooLarge(f"{self.n}^{self.k} exceeds the index width")
 

@@ -23,11 +23,12 @@ from .core import (
 )
 from .bounds import (
     NotApplicable,
+    covering_lower,
     hypercube_bound_b,
     incidence_bound_b,
+    rodemich_max_coverage,
     singleton_bound_c,
     sphere_bound_c,
-    sphere_packing_bounds,
 )
 from .verify import verify_covering, verify_packing, verify_two_packing
 
@@ -71,6 +72,10 @@ class SolveResult:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+class _Proven(Exception):
+    """Raised by a search whose incumbent meets its closed-form bound."""
 
 
 class _Instance:
@@ -234,18 +239,19 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
 
     best = [value, placements] starts at [-1, []] and search replaces it
     whole: the covering and packing searches seed it before their first
-    tick(), max coverage at N = 0 only.  tick() counts a node and raises
-    _BudgetExhausted past the budget, and a search too deep for the stack
-    stops on RecursionError alike, and stats.stop_reason says which of
-    the three stopped it.  A search may also count nodes itself, by
-    adding them to stats.nodes, where tick() could not stop any of them:
-    at or below the node cap and off the multiples of 4,096 (where the
-    clock is read).  A proven run reports (best value, best value) as
-    (lower, upper), a capped one capped_bounds(best value), and the
-    result is exact, with optimum lower, when they meet.  Bounds that
-    meet always have the witness of best: the seeds see to that, as max
-    coverage's capped bounds (max(best, 0), min(N ball, n^k)) meet at 0
-    when N = 0 only.
+    tick(), max coverage at N = 0 only.  A search whose best meets its
+    closed-form bound may end there by raising _Proven.  tick() counts a
+    node and raises _BudgetExhausted past the budget, and a search too
+    deep for the stack stops on RecursionError alike, and
+    stats.stop_reason says which of the three stopped it.  A search may
+    also count nodes itself, by adding them to stats.nodes, where tick()
+    could not stop any of them: at or below the node cap and off the
+    multiples of 4,096 (where the clock is read).  A proven run reports
+    (best value, best value) as (lower, upper), a capped one
+    capped_bounds(best value), and the result is exact, with optimum
+    lower, when they meet.  Bounds that meet always have the witness of
+    best: the seeds see to that, as max coverage's capped bounds
+    (max(best, 0), upper) meet at 0 when N = 0 only.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -263,6 +269,8 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     best = [-1, []]
     try:
         search(inst, tick, stats, best)
+    except _Proven:
+        pass
     except _BudgetExhausted as stop:
         stats.stop_reason = stop.args[0]
     except RecursionError:
@@ -323,7 +331,9 @@ def exact_min_covering(
 ) -> SolveResult:
     """Minimum number of l-rooks covering H(n, k), by depth-first
     branch-and-bound on the first uncovered point, seeded with the better
-    of the modular diagonal and the greedy covering.
+    of the modular diagonal and the greedy covering.  The search stops as
+    soon as best meets covering_lower, which is also the lower bound of a
+    capped run.
 
     live is a mask over placement indices: the candidates for the first
     uncovered point p are by_cov[p] & live, taken lowest first.
@@ -377,7 +387,7 @@ def exact_min_covering(
     a count that reaches the node cap or a multiple of 4,096.  Every
     other cut child is counted where it is tested.
     """
-    sphere_lower, _ = sphere_packing_bounds(g)
+    lower, _ = covering_lower(g)
     max_nodes = (budget or SolverBudget()).max_nodes
 
     def search(inst, tick, stats, best):
@@ -456,6 +466,8 @@ def exact_min_covering(
                 if child == full:
                     if depth + 1 < top:
                         best[:] = [depth + 1, chosen + [i]]
+                        if depth + 1 <= lower:
+                            raise _Proven
                 elif (c := child.bit_count()) < need:
                     stats.pruned += 1
                 else:
@@ -485,8 +497,8 @@ def exact_min_covering(
                         live &= ~orbit
 
         try:
-            tick()  # the root, pruned when sphere_lower = ceil(npts / ball) >= best
-            if best[0] > sphere_lower:
+            tick()  # the root, pruned when the seed meets lower
+            if best[0] > lower:
                 live = (1 << len(covs)) - 1
                 root = by_point[0]
                 if symmetry_breaking:
@@ -503,7 +515,7 @@ def exact_min_covering(
         finally:
             del branch  # branch calls itself through its cell: free it
 
-    return _solve(g, "min_cover", budget, search, lambda value: (sphere_lower, value))
+    return _solve(g, "min_cover", budget, search, lambda value: (lower, value))
 
 
 def _overlap_update(by_point):
@@ -580,7 +592,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
     never exceeds the candidate count and falls by at most one when a
     candidate leaves.  upper is the closed-form bound reported when the
     budget runs out; an incumbent that meets it is proven optimal, so the
-    search stops there (dfs returns True).
+    search stops there (_Proven).
 
     Orbital branching: the value permutations of each axis that fix the
     chosen points map the conflicts onto themselves.  The orbit of the
@@ -626,7 +638,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 if depth > best[0]:
                     best[:] = [depth, list(chosen)]
                 if best[0] >= upper:
-                    return True
+                    raise _Proven
                 if not cands:
                     return
                 slack = best[0] - depth
@@ -642,8 +654,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(i)
-                if dfs(cands & allowed[i], depth + 1, free & ~ptmask[i // D]):
-                    return True
+                dfs(cands & allowed[i], depth + 1, free & ~ptmask[i // D])
                 chosen.pop()
                 lo -= 1
                 if orbital:
@@ -799,7 +810,9 @@ def exact_max_coverage(
     """Maximum number of points covered by exactly N l-rooks, by an
     include/exclude dfs of its own: the include child drops every
     placement at its point, and a node is pruned when ball fresh points
-    per rook still to place cannot beat the best found."""
+    per rook still to place cannot beat the best found.  The search stops
+    once best meets upper = min(N ball, n^k, floor(Rodemich)), the last
+    for N <= n^(k-1) only (see rodemich_max_coverage)."""
     if type(N) is not int:  # bool and float would pass the range checks
         raise InvalidArgument(f"N = {N!r} is not an integer")
     if N < 0:
@@ -808,6 +821,8 @@ def exact_max_coverage(
         raise InvalidArgument(f"cannot place {N} rooks on {g.num_points} points")
     ball = g.ball
     upper = min(N * ball, g.num_points)
+    if N <= g.n ** (g.k - 1):
+        upper = min(upper, int(rodemich_max_coverage(N, g.n, g.k)))
 
     def search(inst, tick, stats, best):
         covs, D, block = inst.placements, inst.D, inst.block
@@ -823,7 +838,9 @@ def exact_max_coverage(
                 if not left:
                     if reach > best[0]:
                         best[:] = [reach, list(chosen)]
-                    return best[0] >= upper
+                        if reach >= upper:
+                            raise _Proven
+                    return
                 if cands.bit_count() < left:
                     return
                 if reach <= best[0]:
@@ -833,8 +850,7 @@ def exact_max_coverage(
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(i)
-                if dfs(cands & ~(block << i // D * D), covered | covs[i], depth + 1):
-                    return True
+                dfs(cands & ~(block << i // D * D), covered | covs[i], depth + 1)
                 chosen.pop()
 
         try:

@@ -13,6 +13,7 @@ from rookpack.bounds import (
     NotApplicable,
     a32_profile,
     bound_report,
+    covering_lower,
     hypercube_bound_b,
     improved_covering_lower_bound,
     is_prime,
@@ -78,9 +79,33 @@ def test_rodemich():
     assert rodemich_max_coverage(0, 4, 3) == 0
     # exact rational, no clamping
     assert rodemich_max_coverage(5, 3, 2) == Fraction(30 - 25)
+    assert rodemich_max_coverage(3, 4, 3) == Fraction(63, 2)
+    # at k = 1 the second term vanishes: N rooks on one line count N n
+    for N, n in [(0, 1), (1, 1), (1, 5), (3, 4), (7, 2)]:
+        assert rodemich_max_coverage(N, n, 1) == N * n
     for args in ((-1, 2, 2), (1, 0, 2)):
         with pytest.raises(InvalidArgument):
             rodemich_max_coverage(*args)
+
+
+def test_covering_lower():
+    # Rodemich's n^(k-1) / (k-1) wins once l(n-1) + 1 > n(k-1)
+    assert covering_lower(GridParams(3, 3, 2)) == (6, "sphere")
+    assert covering_lower(GridParams(3, 3, 3)) == (5, "rodemich")
+    assert covering_lower(GridParams(4, 3, 3)) == (8, "rodemich")
+    assert covering_lower(GridParams(4, 1, 1)) == (1, "sphere")
+    assert covering_lower(GridParams(1, 4, 2)) == (1, "sphere")  # a tie
+    assert covering_lower(GridParams(2, 2, 2)) == (2, "sphere")  # a tie
+    for n in range(3, 16):
+        assert covering_lower(GridParams(n, 2, 2)) == (n, "rodemich")
+        assert covering_lower(GridParams(n, 2, 1)) == (n, "sphere")  # a tie
+    # it is the least N at which rodemich_max_coverage reaches n^k
+    for n in range(1, 6):
+        for k in range(2, 5):
+            lower, name = covering_lower(GridParams(n, k, k))
+            least = next(N for N in range(n ** k + 1)
+                         if rodemich_max_coverage(N, n, k) >= n ** k)
+            assert lower == max(least, sphere_packing_bounds(GridParams(n, k, k))[0])
 
 
 def test_improved_bound_full_arity():
@@ -168,7 +193,8 @@ def test_a32_profile():
 
 def test_bound_report():
     rep = bound_report(GridParams(3, 3, 2))
-    assert rep.a_lower == 6 and rep.a_upper == 9
+    assert (rep.a_lower, rep.a_lower_by, rep.a_upper) == (6, "sphere", 9)
+    assert bound_report(GridParams(4, 3, 3)).a_lower_by == "rodemich"
     assert rep.b_upper == Fraction(27, 2)
     assert rep.b_incidence == Fraction(81, 7)
     assert rep.c_upper == 9 and rep.c_sphere == 5

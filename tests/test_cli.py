@@ -60,7 +60,7 @@ def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "3", "--k", "3", "--l", "2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["a_lower"] == 6 and doc["a_upper"] == 9
+    assert (doc["a_lower"], doc["a_lower_by"], doc["a_upper"]) == (6, "sphere", 9)
     assert doc["b_upper"] == "27/2"
     assert doc["b_incidence"] == "81/7"
     assert doc["c_upper"] == 9 and doc["c_sphere"] == 5
@@ -69,6 +69,10 @@ def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "2", "--k", "7", "--l", "5")
     doc = json.loads(out)
     assert (code, doc["b_hypercube"], doc["c_sphere"]) == (0, 64, 21)
+    _validate(doc, "bound_report.schema.json")
+    code, out, _ = run(capsys, "bounds", "--n", "5", "--k", "3", "--l", "3")
+    doc = json.loads(out)
+    assert (code, doc["a_lower"], doc["a_lower_by"]) == (0, 13, "rodemich")
     _validate(doc, "bound_report.schema.json")
 
 
@@ -92,7 +96,7 @@ def test_bounds_documents_are_pinned(capsys):
                     grids += 1
     assert grids == 85
     assert digest.hexdigest() == (
-        "ef451cb86f5cc0208ac4ff706624e4f7f8b2b7f7123499ee523c1781c6f4cc54")
+        "52d1b8115b6c3a4479fe02a0e80031e02270f152a93c7bae76e55eefc8b2d625")
 
 
 def test_construct_verify_round_trip(capsys, tmp_path):
@@ -690,6 +694,15 @@ def test_config_file_integers_only(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "verify", "pack", str(path))
         assert code == 2 and "integer" in err, (key, bad)
+
+
+def test_config_file_with_huge_dimension(capsys, tmp_path):
+    # refused by GridParams from k alone, before n^k is computed
+    path = tmp_path / "huge.json"
+    for n, k in [(3, 2_000_000), (1, 10**6)]:
+        path.write_text(json.dumps({"n": n, "k": k, "l": 1, "rooks": []}))
+        code, out, err = run(capsys, "verify", "cover", str(path))
+        assert (code, out) == (2, "") and "dimension" in err, (n, k)
 
 
 def test_point_cap_env_validation(capsys, monkeypatch):

@@ -132,6 +132,12 @@ def test_gridparams_validation():
         GridParams(3, 0, 0)
     with pytest.raises(InstanceTooLarge):
         GridParams(2, 64, 1)  # 2^64 points overflow the index width
+    # a dimension at which 2^k overflows is refused before n^k is computed,
+    # and at n = 1 too, where n^k = 1
+    for big in [(3, 2_000_000, 1), (1, 10**6, 1), (2, 63, 1)]:
+        with pytest.raises(InstanceTooLarge, match="dimension"):
+            GridParams(*big)
+    assert GridParams(1, 62, 1).num_points == 1
     for bad in [(2.5, 2, 1), (True, 2, 1), (3, 2.0, 1), (3, 2, 1.0)]:
         with pytest.raises(InvalidArgument, match="not an integer"):
             GridParams(*bad)  # bool and float sizes are not coerced

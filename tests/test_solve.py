@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from rookpack.bounds import incidence_bound_b, singleton_bound_b
+from rookpack.bounds import covering_lower, incidence_bound_b, singleton_bound_b
 from rookpack.core import (
     Configuration,
     GridParams,
@@ -102,9 +102,11 @@ def test_max_coverage():
 
 def test_max_coverage_search_tree_pinned():
     # node and pruned counts of the max-coverage search on H(4, 2) with
-    # 2-rooks; N = 1 and N = 4 stop once the best meets min(N * ball, n^k)
+    # 2-rooks; each N stops once the best meets min(N * ball, n^k,
+    # floor(Rodemich)): N = 1 at N * ball, N = 2 and 3 at Rodemich's
+    # 2Nn - N^2, N = 4 at n^k
     g = GridParams(4, 2, 2)
-    for N, counts in [(1, (2, 0, 7)), (2, (271, 0, 12)), (3, (1_359, 0, 15)), (4, (5, 0, 16))]:
+    for N, counts in [(1, (2, 0, 7)), (2, (11, 0, 12)), (3, (120, 0, 15)), (4, (5, 0, 16))]:
         res = exact_max_coverage(g, N)
         assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, N
         assert check_witness(res.mode, res.witness, res.optimum, N=N)
@@ -112,7 +114,9 @@ def test_max_coverage_search_tree_pinned():
 
 def test_max_coverage_matches_oracle():
     # on every grid with n^k <= 64 where enumerating the N-subsets of the P
-    # placements costs at most 200k rook visits, C(P, N) * max(N, 1)
+    # placements costs at most 200k rook visits, C(P, N) * max(N, 1); the
+    # upper bound of a run capped at its root holds the optimum too, also
+    # past N = n^(k-1), where Rodemich's formula is no bound
     checked = 0
     for k in range(1, 7):
         for n in [n for n in range(1, 65) if n ** k <= 64]:
@@ -123,8 +127,10 @@ def test_max_coverage_matches_oracle():
                     if math.comb(P, N) * max(N, 1) > 200_000:
                         continue
                     res = exact_max_coverage(g, N)
-                    assert res.exact and res.optimum == brute_force_max_coverage(g, N), (g, N)
+                    optimum = brute_force_max_coverage(g, N)
+                    assert res.exact and res.optimum == optimum, (g, N)
                     assert check_witness(res.mode, res.witness, res.optimum, N=N), (g, N)
+                    assert exact_max_coverage(g, N, SolverBudget(0, 1e9)).upper_bound >= optimum
                     checked += 1
     assert checked == 796
 
@@ -460,14 +466,14 @@ def test_packing_search_tree_pinned():
 
 def test_covering_search_tree_pinned():
     # node and pruned counts of the covering search: sibling exclusion,
-    # orbital branching, the bound test with its fresh-gain buckets and
-    # the greedy seed each reshape these trees
+    # orbital branching, the bound test with its fresh-gain buckets, the
+    # greedy seed and the stop at covering_lower each reshape these trees.
+    # a(4,3,3) = 8 is Rodemich's bound, so its search stops at the first
+    # 8-rook covering
     for nkl, sym, counts in [
         ((3, 3, 2), False, (37_784, 33_928, 7)),
         ((3, 3, 2), True, (10_650, 9_607, 7)),
-        ((4, 3, 3), False, (29_165, 24_919, 8)),
-        ((5, 2, 2), False, (339, 274, 5)),
-        ((6, 2, 2), False, (2_000, 1_675, 6)),
+        ((4, 3, 3), False, (28_500, 24_379, 8)),
     ]:
         res = exact_min_covering(GridParams(*nkl), symmetry_breaking=sym)
         assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, (nkl, sym)
@@ -479,11 +485,34 @@ def test_covering_search_tree_pinned():
     for nkl, counts in [((10, 3, 2), (2_001, 1_891)), ((6, 4, 3), (2_001, 1_878))]:
         res = exact_min_covering(GridParams(*nkl), SolverBudget(2_000, 1e9))
         assert (res.stats.nodes, res.stats.pruned) == counts, nkl
-    # the greedy seed meets the sphere bound, which proves it at the root
-    for nkl, value in [((2, 7, 7), 16), ((3, 4, 4), 9)]:
+    # the seed meets covering_lower, which proves it at the root: the
+    # sphere bound for the first two, Rodemich's for the others
+    for nkl, value in [((2, 7, 7), 16), ((3, 4, 4), 9), ((6, 3, 3), 18)] + [
+            ((n, 2, 2), n) for n in range(3, 16)]:
         res = exact_min_covering(GridParams(*nkl))
-        assert (res.exact, res.optimum, res.stats.nodes) == (True, value, 1)
+        assert (res.exact, res.optimum, res.stats.nodes) == (True, value, 1), nkl
         assert check_witness(res.mode, res.witness, value)
+
+
+def test_covering_lower_against_exact_optima():
+    # on every grid with n^k <= 64: covering_lower is at most every
+    # covering the search returns, an enumeration finds no smaller
+    # covering wherever that is affordable, and wherever the search
+    # closes at the root, its optimum is covering_lower
+    budget = SolverBudget(200_000, 1e9)
+    enumerated = at_root = 0
+    for g in _small_grids():
+        lower, _ = covering_lower(g)
+        res = exact_min_covering(g, budget)
+        assert lower <= res.upper_bound, g
+        if res.stats.nodes == 1:
+            at_root += 1
+            assert res.exact and res.optimum == lower, g
+        P = g.num_points * math.comb(g.k, g.l)
+        if sum(math.comb(P, s) * max(s, 1) for s in range(lower)) <= 3_000_000:
+            enumerated += 1
+            assert enumerate_min_covering(g, max_size=lower - 1) is None, g
+    assert (enumerated, at_root) == (100, 111)
 
 
 def test_covering_trees_pinned_at_budget_edges():
@@ -505,7 +534,7 @@ def test_covering_trees_pinned_at_budget_edges():
                         digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                             res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "095a31846e196afe8df583d3cd195f6b8b3dcd720b2ba5b6f8819eb4145d225d")
+        "971354505129ade76b533770c81233c1cfc5b410d93599e5fe1ae001fb73a560")
 
 
 def _small_grids(low=0, high=64):
@@ -530,7 +559,7 @@ def test_covering_trees_pinned_past_64_points():
                 digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                     res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "9256252e47244be5d196498543ab039000c2b2c7880b94f1d239e5106b3c2d4b")
+        "413f4ab0e3c8d4c8b33e3b53e268f8676a6ee188f714ca3042c1abd07a705917")
 
 
 def test_covering_optima_and_witnesses_pinned():
