@@ -226,18 +226,16 @@ def cmd_verify(args) -> int:
 
 def _solver(args):
     """(SolveResult.mode, cache record flags, solve(g, budget)) for a
-    solve or table request.  --strict belongs to mode c, --symmetry to a
-    and --N to coverage; the other modes reject them."""
-    mode, strict, sym, N = args.mode, args.strict, args.symmetry, args.N
-    for flag, given, owner in (("--strict", strict, "c"), ("--symmetry", sym, "a"),
-                               ("--N", N is not None, "coverage")):
+    solve or table request.  --strict belongs to mode c and --N to
+    coverage; the other modes reject them."""
+    mode, strict, N = args.mode, args.strict, args.N
+    for flag, given, owner in (("--strict", strict, "c"), ("--N", N is not None, "coverage")):
         if given and mode != owner:
             raise InvalidArgument(f"{flag} is for mode {owner} only")
     if mode == "coverage" and N is None:
         raise InvalidArgument("coverage mode needs --N")
     if mode == "a":
-        return ("min_cover", "sym" if sym else "",
-                lambda g, budget: exact_min_covering(g, budget, symmetry_breaking=sym))
+        return "min_cover", "", exact_min_covering
     if mode == "b":
         return "max_pack", "", exact_max_packing
     if mode == "c":
@@ -325,10 +323,10 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(spec: str):
+def _parse_range(spec: str) -> range:
     lo, sep, hi = spec.partition("..")
     try:
-        return list(range(int(lo), int(hi if sep else lo) + 1))
+        return range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise InvalidArgument(f"bad range {spec!r}, expected N or LO..HI")
 
@@ -337,6 +335,7 @@ def cmd_table(args) -> int:
     ns = _parse_range(args.n)
     if not ns:
         raise InvalidArgument("empty n range")
+    GridParams(ns[-1], args.k, args.l).check_bitset()  # the largest grid, before any solve
     budget = SolverBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     _, _, solve = _solver(args)
     rows = ["n,lower,exact,upper,density,status"]
@@ -408,7 +407,6 @@ def _build_parser():
         s.add_argument(flag, type=int, required=True)
     s.add_argument("--N", type=int)
     s.add_argument("--strict", action="store_true")
-    s.add_argument("--symmetry", action="store_true")
     s.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
     s.add_argument("--max-seconds", type=float, default=SolverBudget.max_seconds)
     s.set_defaults(fn=cmd_solve)
@@ -427,7 +425,7 @@ def _build_parser():
     t.add_argument("--n", required=True, help="range like 2..5")
     t.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
     t.add_argument("--max-seconds", type=float, default=SolverBudget.max_seconds)
-    t.set_defaults(fn=cmd_table, strict=False, symmetry=False, N=None)
+    t.set_defaults(fn=cmd_table, strict=False, N=None)
 
     m = sub.add_parser("compose", help="blowup / stack / extend a configuration")
     m.add_argument("op", choices=("blowup", "stack", "extend"))

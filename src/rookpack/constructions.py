@@ -64,10 +64,10 @@ def diagonal_slab_block(n1: int, k: int, l: int) -> tuple:
     f = largest_prime_power(k)
     if f < l:
         raise InvalidParams(f"largest prime power {f} below arity {l}")
+    g = GridParams(n1, k, l)  # refuses l < 1 before it divides f
     classes = -((-f) // l)
     if n1 * l <= f:
         raise InvalidParams(f"need n1 > f(k)/l = {f}/{l}")
-    g = GridParams(n1, k, l)
     class_dirs = [frozenset((i * l + t) % k for t in range(l)) for i in range(classes)]
     rooks = []
     for p in product(range(n1), repeat=k):

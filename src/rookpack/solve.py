@@ -349,9 +349,10 @@ def exact_min_covering(
     one whose rooks, taken lowest first for each first uncovered point,
     give the least index sequence is never cut, since a permutation that
     moves one of its rooks onto an earlier sibling gives an optimal
-    covering with a lesser sequence.  With symmetry_breaking the root
-    also keeps only the placements that are minimal under axis
-    permutations, which the same argument allows.
+    covering with a lesser sequence.  The same argument lets the root keep
+    only the placements that are least in their orbit under the axis
+    permutations.  symmetry_breaking is ignored; it is kept until the
+    benchmark stops passing it (ROADMAP item 1).
 
     The bound.  A child at depth + 1 may add at most left = best - depth
     - 2 rooks, each covering its fresh gain: ball less its overlap with
@@ -500,14 +501,12 @@ def exact_min_covering(
             tick()  # the root, pruned when the seed meets lower
             if best[0] > lower:
                 live = (1 << len(covs)) - 1
-                root = by_point[0]
-                if symmetry_breaking:
-                    # a placement covering point 0 is off it on at most
-                    # one axis, which its direction set holds; its orbit's
-                    # least member moves that axis last and its others to
-                    # 0..l-2: set 0 at point 0, and set k - l, which is
-                    # {0..l-2, k-1}, at points 1..n-1 of the last axis
-                    root = 1 | _repeat(1 << g.k - g.l, D, g.n) & ~block
+                # a placement covering point 0 is off it on at most one
+                # axis, which its direction set holds; its orbit's least
+                # member moves that axis last and its others to 0..l-2:
+                # set 0 at point 0, and set k - l, which is {0..l-2, k-1},
+                # at points 1..n-1 of the last axis
+                root = 1 | _repeat(1 << g.k - g.l, D, g.n) & ~block
                 branch(0, live, 0, root, 0, orbits.all_free, 0, 0,
                        bound(best[0] - 2, 0, live, 0, 0, root))
             else:

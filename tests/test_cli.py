@@ -144,6 +144,11 @@ def test_construct_unknown_and_missing_params(capsys, tmp_path):
                          "--t", "5", "--out", str(path))
     assert _usage_error(code, out, err) and "takes no --t" in err
     assert not path.exists()
+    # an arity outside 1..k is refused before it is used
+    for l in ("0", "-1", "4"):
+        code, out, err = run(capsys, "construct", "diagonal_slab_block", "--n1", "3", "--k", "3",
+                             "--l", l)
+        assert _usage_error(code, out, err), l
 
 
 def test_verify_invalid_exit_code(capsys, tmp_path):
@@ -200,8 +205,6 @@ def test_solve_flag_records_replay(capsys, tmp_path):
         (("solve", "c", "--n", "2", "--k", "3", "--l", "2"), 2, "solve_c_2_3_2.json"),
         (("solve", "c", "--n", "2", "--k", "3", "--l", "2", "--strict"), 4,
          "solve_c_strict_2_3_2.json"),
-        (("solve", "a", "--n", "3", "--k", "3", "--l", "2", "--symmetry"), 7,
-         "solve_a_sym_3_3_2.json"),
     ]
     for argv, optimum, record in cases:
         code, first, _ = run(capsys, *argv)
@@ -217,27 +220,29 @@ def test_solve_flag_records_replay(capsys, tmp_path):
 
 
 def test_solve_rejects_flags_the_mode_ignores(capsys, tmp_path):
-    # --strict belongs to mode c, --symmetry to a and --N to coverage: any
-    # other mode exits 2 with one error line, before it opens the cache
+    # --strict belongs to mode c and --N to coverage: any other mode exits
+    # 2 with one error line, before it opens the cache
     grid = ("--n", "2", "--k", "3", "--l", "2")
-    owned = {"c": ("--strict",), "a": ("--symmetry",), "coverage": ("--N", "4")}
+    owned = {"c": ("--strict",), "coverage": ("--N", "4")}
     for mode in ("a", "b", "c", "coverage"):
         argv = ("solve", mode, *grid, *(owned["coverage"] if mode == "coverage" else ()))
         for owner, flag in owned.items():
             if owner != mode:
                 code, out, err = run(capsys, *argv, *flag)
                 assert (code, out, err) == (2, "", f"error: {flag[0]} is for mode {owner} only\n")
+    # the root's axis filter always runs, so no flag asks for it
+    code, out, err = run(capsys, "solve", "a", *grid, "--symmetry")
+    assert (code, out) == (2, "") and "unrecognized arguments: --symmetry" in err
     assert not (tmp_path / "cache").exists()
     # each mode with the flags it owns prints what it printed before the
     # check was added, wall times aside
     digest = hashlib.sha256()
-    for argv in (("a",), ("a", "--symmetry"), ("b",), ("c",), ("c", "--strict"),
-                 ("coverage", "--N", "4")):
+    for argv in (("a",), ("b",), ("c",), ("c", "--strict"), ("coverage", "--N", "4")):
         code, out, _ = run(capsys, "solve", argv[0], *grid, *argv[1:])
         assert code == 0, argv
         digest.update(re.sub(r'"wall_time": [^,]*', "", out).encode())
     assert digest.hexdigest() == (
-        "b65d132425ed4b4eb0095a96622979a7ec9e52fabedd9e6e917f5ac42b9d8957")
+        "4b4db0022996bb3b4f9db3a3a8413deeab6f5d737d2a11cbe9f05d388a038522")
 
 
 def test_verify_rejects_strict_outside_pack2(capsys, tmp_path):
@@ -319,17 +324,17 @@ def test_solve_record_of_other_sources_recomputed(capsys, tmp_path):
     # other sources are dropped, so the node count is this search's
     argv = ("solve", "a", "--n", "3", "--k", "3", "--l", "2")
     code, first, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(first)["stats"]["nodes"] == 37_784
+    assert code == 0 and json.loads(first)["stats"]["nodes"] == 10_650
     cache = tmp_path / "cache"
     revision = (cache / ".lock").read_bytes()
-    stale = first.replace('"nodes": 37784,', '"nodes": 60852,')
+    stale = first.replace('"nodes": 10650,', '"nodes": 60852,')
     (cache / "solve_a_3_3_2.json").write_text(stale)
     code, again, _ = run(capsys, *argv)
     assert code == 0 and again == stale  # written by these sources: replayed
     (cache / "solve_b_2_2_2.json").write_text("{}")
     (cache / ".lock").write_text("other sources")
     code, again, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(again)["stats"]["nodes"] == 37_784
+    assert code == 0 and json.loads(again)["stats"]["nodes"] == 10_650
     assert (cache / ".lock").read_bytes() == revision
     assert sorted(p.name for p in cache.iterdir()) == [".lock", "solve_a_3_3_2.json"]
     assert (cache / "solve_a_3_3_2.json").read_text() == again
@@ -532,13 +537,25 @@ def test_table_empty_range(capsys):
     assert _usage_error(code, out, err) and "empty" in err
 
 
-def test_table_bad_range(capsys):
+def test_table_bad_range(capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
                        "--n", "x..3")
     assert code == 2 and "range" in err
     code, out, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2",
                          "--n", "0..3")
     assert _usage_error(code, out, err)
+    # a range is never built as a list: this one's largest grid is refused
+    code, out, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "1",
+                         "--n", "2..1000000000000")
+    assert _usage_error(code, out, err) and "index width" in err
+    # H(6,2) has 36 points, over a cap of 30: the table exits 2 before it
+    # solves the grids below it
+    solves = []
+    monkeypatch.setattr("rookpack.cli.exact_min_covering", lambda g, budget: solves.append(g))
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "30")
+    code, out, err = run(capsys, "table", "--mode", "a", "--k", "2", "--l", "2", "--n", "2..6")
+    assert _usage_error(code, out, err) and "36 points" in err
+    assert solves == []
 
 
 def test_compose_round_trips(capsys, tmp_path):

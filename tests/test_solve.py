@@ -470,13 +470,9 @@ def test_covering_search_tree_pinned():
     # greedy seed and the stop at covering_lower each reshape these trees.
     # a(4,3,3) = 8 is Rodemich's bound, so its search stops at the first
     # 8-rook covering
-    for nkl, sym, counts in [
-        ((3, 3, 2), False, (37_784, 33_928, 7)),
-        ((3, 3, 2), True, (10_650, 9_607, 7)),
-        ((4, 3, 3), False, (28_500, 24_379, 8)),
-    ]:
-        res = exact_min_covering(GridParams(*nkl), symmetry_breaking=sym)
-        assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, (nkl, sym)
+    for nkl, counts in [((3, 3, 2), (10_650, 9_607, 7)), ((4, 3, 3), (28_500, 24_379, 8))]:
+        res = exact_min_covering(GridParams(*nkl))
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, nkl
     capped = exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000_000, 1e9))
     assert (capped.exact, capped.lower_bound, capped.upper_bound) == (False, 10, 12)
     assert (capped.stats.nodes, capped.stats.pruned) == (1_000_001, 930_011)
@@ -517,24 +513,21 @@ def test_covering_lower_against_exact_optima():
 
 def test_covering_trees_pinned_at_budget_edges():
     # (nodes, pruned, exact, lower, upper, witness) of every covering solve
-    # on the grids with n^k <= 64, with and without the root's axis filter,
-    # at node caps around 0, 50 and the clock's 4,096-node period: a search
-    # that counts pruned children in bulk must stop exactly where one tick
-    # per child did
+    # on the grids with n^k <= 64, at node caps around 0, 50 and the
+    # clock's 4,096-node period: a search that counts pruned children in
+    # bulk must stop exactly where one tick per child did
     digest = hashlib.sha256()
     for k in range(1, 7):
         for n in [n for n in range(1, 65) if n ** k <= 64]:
             for l in range(1, k + 1):
-                for sym in (False, True):
-                    for cap in (0, 1, 50, 4_095, 4_096, 4_097, 200_000):
-                        res = exact_min_covering(GridParams(n, k, l), SolverBudget(cap, 1e9),
-                                                 symmetry_breaking=sym)
-                        rooks = None if res.witness is None else tuple(
-                            (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
-                        digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
-                                            res.lower_bound, res.upper_bound, rooks)).encode())
+                for cap in (0, 1, 50, 4_095, 4_096, 4_097, 200_000):
+                    res = exact_min_covering(GridParams(n, k, l), SolverBudget(cap, 1e9))
+                    rooks = None if res.witness is None else tuple(
+                        (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+                    digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
+                                        res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "971354505129ade76b533770c81233c1cfc5b410d93599e5fe1ae001fb73a560")
+        "f782dcf111d3d1fab19ab0bbbb429f7e84989cc58b1088e5d79c31d8e5082ab0")
 
 
 def _small_grids(low=0, high=64):
@@ -545,36 +538,34 @@ def _small_grids(low=0, high=64):
 
 def test_covering_trees_pinned_past_64_points():
     # (nodes, pruned, exact, lower, upper, witness) of every covering solve
-    # on the 84 grids with 64 < n^k <= 128, with and without the root's
-    # axis filter, at caps one past the clock's first two edges
+    # on the 84 grids with 64 < n^k <= 128, at caps one past the clock's
+    # first two edges
     grids = _small_grids(64, 128)
     assert len(grids) == 84
     digest = hashlib.sha256()
     for g in grids:
-        for sym in (False, True):
-            for cap in (4_097, 8_193):
-                res = exact_min_covering(g, SolverBudget(cap, 1e9), symmetry_breaking=sym)
-                rooks = None if res.witness is None else tuple(
-                    (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
-                digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
-                                    res.lower_bound, res.upper_bound, rooks)).encode())
+        for cap in (4_097, 8_193):
+            res = exact_min_covering(g, SolverBudget(cap, 1e9))
+            rooks = None if res.witness is None else tuple(
+                (r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+            digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
+                                res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "413f4ab0e3c8d4c8b33e3b53e268f8676a6ee188f714ca3042c1abd07a705917")
+        "f78a8ca512d46d4ab45f91901d16607caf60427551787e21fea3d462beb06e22")
 
 
 def test_covering_optima_and_witnesses_pinned():
-    # (grid, axis filter, optimum, witness) of every covering solve on the
-    # grids with n^k <= 64 that is exact at 200k nodes; no node counts, so
-    # a sharper bound that prunes more must leave this digest as it is
+    # (grid, optimum, witness) of every covering solve on the grids with
+    # n^k <= 64 that is exact at 200k nodes; no node counts, so a sharper
+    # bound that prunes more must leave this digest as it is
     digest = hashlib.sha256()
     for g in _small_grids():
-        for sym in (False, True):
-            res = exact_min_covering(g, SolverBudget(200_000, 1e9), symmetry_breaking=sym)
-            if res.exact:
-                rooks = tuple((r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
-                digest.update(repr(((g.n, g.k, g.l), sym, res.optimum, rooks)).encode())
+        res = exact_min_covering(g, SolverBudget(200_000, 1e9))
+        if res.exact:
+            rooks = tuple((r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
+            digest.update(repr(((g.n, g.k, g.l), res.optimum, rooks)).encode())
     assert digest.hexdigest() == (
-        "7678ed097a7705fd0ee16c9f29605f7793b467df972d3c41650bbf7ebc80d758")
+        "a26318a21fbb0c6b439aa727d0f49ace4f3f6b0175e1383e4bfe51a2390fbcf3")
 
 
 def test_covering_node_cap_stops_one_past_the_cap():
@@ -584,15 +575,14 @@ def test_covering_node_cap_stops_one_past_the_cap():
     # stops where one tick per child would, also across the clock's first
     # two 4,096-node edges
     for g in _small_grids():
-        for sym in (False, True):
-            size = exact_min_covering(g, SolverBudget(200_000, 1e9), symmetry_breaking=sym).stats.nodes
-            for caps in (range(4_090, 4_102), range(8_186, 8_198)):
-                pruned = []
-                for cap in (c for c in caps if c < size):
-                    res = exact_min_covering(g, SolverBudget(cap, 1e9), symmetry_breaking=sym)
-                    assert (res.stats.nodes, res.stats.stop_reason) == (cap + 1, "node_cap"), (g, sym, cap)
-                    pruned.append(res.stats.pruned)
-                assert all(b - a in (0, 1) for a, b in zip(pruned, pruned[1:])), (g, sym, pruned)
+        size = exact_min_covering(g, SolverBudget(200_000, 1e9)).stats.nodes
+        for caps in (range(4_090, 4_102), range(8_186, 8_198)):
+            pruned = []
+            for cap in (c for c in caps if c < size):
+                res = exact_min_covering(g, SolverBudget(cap, 1e9))
+                assert (res.stats.nodes, res.stats.stop_reason) == (cap + 1, "node_cap"), (g, cap)
+                pruned.append(res.stats.pruned)
+            assert all(b - a in (0, 1) for a, b in zip(pruned, pruned[1:])), (g, pruned)
 
 
 def test_bucketed_fresh_gains_bound_the_best_ones():
@@ -680,9 +670,8 @@ def test_packing_trees_pinned_at_budget_edges():
 
 def test_searches_and_oracles_agree():
     # on every grid with n^k <= 64, at 200k nodes, in every mode: each
-    # witness verifies, the bounds bracket the other runs' witnesses, the
-    # covering optimum with the root's axis filter equals the one without,
-    # and the enumeration oracles agree where they are affordable
+    # witness verifies, the bounds bracket the witness, and the
+    # enumeration oracles agree where they are affordable
     budget = SolverBudget(200_000, 1e9)
     closed = dict.fromkeys(["a", "b", "c_closed", "c_strict"], 0)
     enumerated = dict(closed)
@@ -691,18 +680,15 @@ def test_searches_and_oracles_agree():
             for l in range(1, k + 1):
                 g = GridParams(n, k, l)
                 P = n ** k * math.comb(k, l)
-                plain = exact_min_covering(g, budget)
-                sym = exact_min_covering(g, budget, symmetry_breaking=True)
-                for res in (plain, sym):
-                    assert check_witness(res.mode, res.witness, res.upper_bound), (g, res)
-                    assert res.lower_bound <= min(plain.upper_bound, sym.upper_bound), g
-                if plain.exact and sym.exact:
+                cover = exact_min_covering(g, budget)
+                assert check_witness(cover.mode, cover.witness, cover.upper_bound), g
+                assert cover.lower_bound <= cover.upper_bound, g
+                if cover.exact:
                     closed["a"] += 1
-                    assert sym.optimum == plain.optimum, g
-                    cost = sum(math.comb(P, s) * max(s, 1) for s in range(plain.optimum + 1))
-                    if plain.optimum <= 5 and cost <= 3_000_000:
+                    cost = sum(math.comb(P, s) * max(s, 1) for s in range(cover.optimum + 1))
+                    if cover.optimum <= 5 and cost <= 3_000_000:
                         enumerated["a"] += 1
-                        assert enumerate_min_covering(g, max_size=plain.optimum) == plain.optimum, g
+                        assert enumerate_min_covering(g, max_size=cover.optimum) == cover.optimum, g
                 runs = [("b", exact_max_packing(g, budget), enumerate_max_packing)]
                 if l >= 2:
                     runs += [(f"c_{two}", exact_max_two_packing(g, two, budget),
@@ -767,12 +753,12 @@ def test_check_witness_max_coverage():
     assert not check_witness("max_coverage", None, 15, N=3)
 
 
-def test_symmetry_breaking_same_optimum():
-    g = GridParams(3, 3, 2)
-    plain = exact_min_covering(g)
-    sym = exact_min_covering(g, symmetry_breaking=True)
-    assert sym.exact and sym.optimum == plain.optimum
-    assert check_witness(sym.mode, sym.witness, sym.optimum)
+def test_symmetry_breaking_keyword_is_ignored():
+    # the benchmark still passes symmetry_breaking; either value runs the
+    # one search, with the root's axis filter
+    for sym in (False, True):
+        res = exact_min_covering(GridParams(3, 3, 2), symmetry_breaking=sym)
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (10_650, 9_607, 7), sym
 
 
 def _orbit_least_root(g):
@@ -796,9 +782,9 @@ def _orbit_least_root(g):
 
 
 def test_axis_filter_keeps_the_orbit_least_root_placements():
-    # with symmetry_breaking the covering root keeps direction set 0 at
-    # point 0 and set k - l = {0..l-2, k-1} at the points 1..n-1 of the
-    # last axis; here that closed form meets the brute-force orbit minima
+    # the covering root keeps direction set 0 at point 0 and set
+    # k - l = {0..l-2, k-1} at the points 1..n-1 of the last axis; here
+    # that closed form meets the brute-force orbit minima
     grids = [GridParams(n, k, l) for k in range(1, 7) for n in range(1, 65)
              if n ** k <= 4_096 for l in range(1, k + 1)]
     assert len(grids) == 321
@@ -944,7 +930,6 @@ def test_solves_free_their_tables_on_return():
     # to find, in every mode and for every stop reason
     cases = [
         ("proven", lambda: exact_min_covering(GridParams(3, 3, 2))),
-        ("proven", lambda: exact_min_covering(GridParams(3, 3, 2), symmetry_breaking=True)),
         ("node_cap", lambda: exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000, 1e9))),
         ("time_cap", lambda: exact_min_covering(GridParams(3, 3, 2), SolverBudget(max_seconds=0.0))),
         ("proven", lambda: exact_max_packing(GridParams(3, 3, 2))),
