@@ -9,7 +9,8 @@ available axis index.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations, product, repeat, starmap
+from collections import Counter
+from itertools import chain, combinations, permutations, product, repeat, starmap
 from operator import add, attrgetter
 
 from .core import (
@@ -148,35 +149,27 @@ def c_k2_construction(n: int, k: int) -> Configuration:
 
 
 def _cross_cover(points):
-    """Rows R and columns C such that every (x, y) point lies in an R-row
-    or a C-column, minimizing max(|R|, |C|).
+    """Rows R and columns C such that every distinct (x, y) point lies in
+    an R-row or a C-column, with max(|R|, |C|) kept small.
 
-    Unlike a plain minimum line cover, the two sides are priced jointly:
-    one finishing rook supplies one row line and one column line, so the
+    A heuristic, not a minimum: for each budget p from 0 up it forces
+    every row through more than p points and every column through more
+    than p points, then finishes with the rows of all points left, or
+    else their columns, and returns the first pair within p.  One
+    finishing rook supplies one row line and one column line, so the
     cost of a cover is the larger of the two sides.
     """
-    all_rows = {x for x, _ in points}
-    all_cols = {y for _, y in points}
-    for p in range(max(len(all_rows), len(all_cols)) + 1):
-        rows, cols = set(), set()
-        live = set(points)
-        while True:
-            row_span = {}
-            col_span = {}
-            for x, y in live:
-                row_span.setdefault(x, set()).add(y)
-                col_span.setdefault(y, set()).add(x)
-            # a row touching more than p columns can never be absorbed
-            # by the column side, so it is forced (and vice versa)
-            forced_r = {x for x, cs in row_span.items() if len(cs) > p}
-            forced_c = {y for y, rs in col_span.items() if len(rs) > p}
-            if not forced_r and not forced_c:
-                break
-            rows |= forced_r
-            cols |= forced_c
-            live = {(x, y) for x, y in live if x not in rows and y not in cols}
+    row_span = Counter(x for x, _ in points)
+    col_span = Counter(y for _, y in points)
+    for p in range(max(len(row_span), len(col_span)) + 1):
+        # a row through more than p points can never be absorbed by the
+        # column side, so it is forced (and vice versa); forcing only
+        # shrinks the other lines' spans, so one round forces them all
+        rows = {x for x, m in row_span.items() if m > p}
+        cols = {y for y, m in col_span.items() if m > p}
         if len(rows) > p or len(cols) > p:
             continue
+        live = [(x, y) for x, y in points if x not in rows and y not in cols]
         rest_r = {x for x, _ in live}
         rest_c = {y for _, y in live}
         if len(rows) + len(rest_r) <= p:
@@ -225,27 +218,21 @@ def a32_covering(a: int, b: int) -> Configuration:
             place((s - 1 - j, s - 1 - i, s - 1 - m), (0, 2))
             v += 1
 
-    base_cov = config_coverage(Configuration(g, rooks)).bits
+    # digit idx of `bits` is bit idx of the coverage, so plane m is every s-th digit from m
+    bits = format(config_coverage(Configuration(g, rooks)).bits, f"0{s**3}b")[::-1]
     for m in range(s):
-        uncovered = []
-        for x in range(s):
-            for y in range(s):
-                idx = (x * s + y) * s + m
-                if not (base_cov >> idx) & 1:
-                    uncovered.append((x, y))
+        uncovered = [divmod(q, s) for q, d in enumerate(bits[m::s]) if d == "0"]
         rows, cols = _cross_cover(uncovered)
         for t in range(max(len(rows), len(cols))):
             r = rows[t % len(rows)] if rows else None
             c = cols[t % len(cols)] if cols else None
             # pad the short side with any free point on the line.  One is free: the plane holds
             # < s family rooks (4b < s), r and c hold < s finishing ones, a lone line none
-            cand = []
-            if r is not None and c is not None:
-                cand.append((r, c))
-            if r is not None:
-                cand.extend((r, y) for y in range(s))
-            if c is not None:
-                cand.extend((x, c) for x in range(s))
+            cand = chain(
+                [(r, c)] if r is not None and c is not None else (),
+                zip(repeat(r), range(s)) if r is not None else (),
+                zip(range(s), repeat(c)) if c is not None else (),
+            )
             for x, y in cand:
                 if (x, y, m) not in occupied:
                     place((x, y, m), (0, 1))
@@ -263,10 +250,10 @@ def b_k2_inductive(n: int, k: int) -> Configuration:
     """
     if k < 2:
         raise InvalidParams("need k >= 2")
+    g = GridParams(n, k, 2)  # refuses n < 1 and a huge k before (k-1)!^2 is computed
     q = math.factorial(k - 1) ** 2
-    if n % q != 0 or n == 0:
+    if n % q != 0:
         raise InvalidParams(f"need (k-1)!^2 = {q} to divide n")
-    g = GridParams(n, k, 2)
     if k == 2:
         return _sorted_config(g, (Rook((i, i), frozenset((0, 1))) for i in range(n)))
 

@@ -115,7 +115,8 @@ def verify_two_packing(c: Configuration, mode: str = "closed") -> VerifyReport:
     Each point counts the rooks reaching it, saturating at 2, raised by
     one strided slice per rook line.  A rook's own point lies on all its
     lines, so it is reset to its count before the rook plus one (closed)
-    or plus none (strict).
+    or plus none (strict).  The doubled points are found with
+    bytearray.find, and only those past the listed ones are counted.
     """
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
@@ -132,11 +133,14 @@ def verify_two_packing(c: Configuration, mode: str = "closed") -> VerifyReport:
             reached[line] = reached[line].translate(_SATURATING_INC)
         reached[b] = min(before + (mode == "closed"), 2)
 
-    # owners of the listed doubled points: one more pass, by line id
     lowest, p = [], reached.find(2)
     while p >= 0 and len(lowest) < VIOLATION_CAP:
         lowest.append(p)
         p = reached.find(2, p + 1)
+    # p is the first doubled point past the listed ones, or -1
+    total = len(lowest) + (reached.count(2, p) if p >= 0 else 0)
+
+    # owners of the listed doubled points: one more pass, by line id
     wanted = {}
     for p in lowest:
         for a, w in enumerate(weights):
@@ -147,7 +151,6 @@ def verify_two_packing(c: Configuration, mode: str = "closed") -> VerifyReport:
             for p in wanted.get(a * N + b - r.point[a] * weights[a], ()):
                 if (p != b or mode == "closed") and owners[p][-1:] != [i]:
                     owners[p].append(i)
-    total = reached.count(2)
     violations = tuple(Violation("double", point=p, rooks=tuple(owners[p][:2])) for p in lowest)
     return VerifyReport(violations, total)
 

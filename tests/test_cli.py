@@ -149,6 +149,9 @@ def test_construct_unknown_and_missing_params(capsys, tmp_path):
         code, out, err = run(capsys, "construct", "diagonal_slab_block", "--n1", "3", "--k", "3",
                              "--l", l)
         assert _usage_error(code, out, err), l
+    # a dimension past the index width is refused before (k-1)!^2 is formatted
+    code, out, err = run(capsys, "construct", "b_k2_inductive", "--n", "36", "--k", "2000")
+    assert _usage_error(code, out, err) and "dimension 2000" in err
 
 
 def test_verify_invalid_exit_code(capsys, tmp_path):

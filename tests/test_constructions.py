@@ -1,5 +1,6 @@
 """Explicit coverings / packings and composition operators."""
 
+import hashlib
 import itertools
 import math
 
@@ -223,10 +224,26 @@ def test_a32_covering_steep_ratio():
 
 
 def test_a32_covering_more_ratios():
-    for a, b, cap in [(7, 3, 288), (11, 5, 760)]:
+    for a, b, cap in [(7, 3, 288), (11, 5, 760), (20, 9, 2484)]:
         c = a32_covering(a, b)
         assert verify_covering(c).valid
         assert len(c) <= cap == 4 * b * b + 12 * a * b
+
+
+def test_a32_covering_rooks_pinned():
+    # (point, dirs) of every rook over the 49 ratios a/b > 2 with a <= 15;
+    # a faster scan of the planes must place exactly the same rooks
+    digest, ratios = hashlib.sha256(), 0
+    for a in range(1, 16):
+        for b in range(1, a):
+            if a > 2 * b:
+                for r in a32_covering(a, b).rooks:
+                    digest.update(repr((r.point, sorted(r.dirs))).encode())
+                digest.update(b"|")
+                ratios += 1
+    assert ratios == 49
+    assert digest.hexdigest() == (
+        "4440481337a9ace1dcf10356415cab0fb18543765cd5b8434c1214c7f9112739")
 
 
 def test_a32_covering_params():

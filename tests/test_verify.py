@@ -150,6 +150,33 @@ def test_two_packing_violation_cap():
     assert [v.rooks for v in rep.violations] == [owners[p][:2] for p in doubled[:VIOLATION_CAP]]
 
 
+def test_two_packing_count_at_the_listing_cap():
+    # R rooks along axis 0 on distinct rows, C along axis 1 on distinct
+    # columns, each standing off the other family's lines: exactly R*C
+    # doubled points in both modes, the last grid point among them
+    rng = random.Random(41)
+    n = 15
+    g = GridParams(n, 2, 1)
+    pts = list(itertools.product(range(n), repeat=2))
+    for rows, cols in [(5, 0), (0, 4), (7, 9), (8, 8), (5, 13), (14, 14)]:
+        ys = [n - 1] + rng.sample(range(1, n - 1), rows - 1) if rows else []
+        xs = [n - 1] + rng.sample(range(1, n - 1), cols - 1) if cols else []
+        rooks = [Rook((0, y), {0}) for y in ys] + [Rook((x, 0), {1}) for x in xs]
+        rng.shuffle(rooks)
+        c = Configuration(g, rooks)
+        for mode, reaches in (("closed", covers), ("strict", attacks)):
+            doubled = []
+            for p in pts:
+                own = tuple(i for i, r in enumerate(rooks) if reaches(r, p, g))
+                if len(own) >= 2:
+                    doubled.append((point_index(p, g), own[:2]))
+            assert len(doubled) == rows * cols
+            rep = verify_two_packing(c, mode)
+            assert rep.total_violations == len(doubled), (rows, cols, mode)
+            assert [(v.point, v.rooks) for v in rep.violations] == doubled[:VIOLATION_CAP]
+            assert rep.capped == (len(doubled) > VIOLATION_CAP)
+
+
 def test_packing_builds_only_the_listed_violations(monkeypatch):
     built = []
 
