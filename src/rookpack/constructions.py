@@ -49,6 +49,7 @@ def diagonal_covering(n: int, k: int) -> Configuration:
     if n < 1 or k < 1:
         raise InvalidParams("need n >= 1 and k >= 1")
     g = GridParams(n, k, k)
+    g.check_bitset()
     full = frozenset(range(k))
     return _sorted_config(g, (Rook(p, full) for p in _diagonal_points(n, k)))
 
@@ -66,6 +67,7 @@ def diagonal_slab_block(n1: int, k: int, l: int) -> tuple:
     if f < l:
         raise InvalidParams(f"largest prime power {f} below arity {l}")
     g = GridParams(n1, k, l)  # refuses l < 1 before it divides f
+    g.check_bitset()
     classes = -((-f) // l)
     if n1 * l <= f:
         raise InvalidParams(f"need n1 > f(k)/l = {f}/{l}")
@@ -93,6 +95,7 @@ def distance3_code(p: int, k: int) -> Configuration:
     if p < k:
         raise InvalidParams(f"need p >= k, got p={p}, k={k}")
     g = GridParams(p, k, k)
+    g.check_bitset()
     full = frozenset(range(k))
     rooks = []
     for prefix in product(range(p), repeat=k - 2):
@@ -110,6 +113,7 @@ def block_packing(n: int, k: int, t: int) -> Configuration:
     if n < 2 or k < 1 or t < 1:
         raise InvalidParams("need n >= 2, k >= 1, t >= 1")
     g = GridParams(n, k * t, t)
+    g.check_bitset()
     blocks = [(b, sum(b) % n == 0) for b in product(range(n), repeat=t)]
     # tails over blocks j..k-1 in point order: `none` with no zero-sum
     # block, `one` with exactly one, paired with that block's axes
@@ -132,6 +136,7 @@ def c_k2_construction(n: int, k: int) -> Configuration:
     if n <= k * (k - 1):
         raise InvalidParams(f"need n > k(k-1) = {k * (k - 1)}")
     g = GridParams(n, k, 2)
+    g.check_bitset()
     lo = k * (k - 1)
     rooks = []
     for i, j in combinations(range(1, k + 1), 2):
@@ -195,6 +200,7 @@ def a32_covering(a: int, b: int) -> Configuration:
         raise InvalidParams("need a/b > 2")
     s = 2 * a + 2 * b
     g = GridParams(s, 3, 2)
+    g.check_bitset()
     rooks = []
     occupied = set()
 
@@ -251,6 +257,7 @@ def b_k2_inductive(n: int, k: int) -> Configuration:
     if k < 2:
         raise InvalidParams("need k >= 2")
     g = GridParams(n, k, 2)  # refuses n < 1 and a huge k before (k-1)!^2 is computed
+    g.check_bitset()
     q = math.factorial(k - 1) ** 2
     if n % q != 0:
         raise InvalidParams(f"need (k-1)!^2 = {q} to divide n")
@@ -294,6 +301,8 @@ def b_k2_size_constant(k: int):
 def _blowup(outer: Configuration, inner_points, n_inner: int) -> Configuration:
     g = outer.params
     ng = GridParams(g.n * n_inner, g.k, g.l)
+    ng.check_bitset()
+    inner_points = list(inner_points)  # it may be lazy: read it only within the cap
     rooks = []
     for R in outer.rooks:
         for x in inner_points:
@@ -307,7 +316,7 @@ def _diagonal_blowup(outer: Configuration, n_inner: int, verify, kind: str) -> C
         raise InvalidParams("need n_inner >= 1")
     if not verify(outer).valid:
         raise InvalidInput(f"outer configuration is not a {kind}")
-    return _blowup(outer, list(_diagonal_points(n_inner, outer.params.k)), n_inner)
+    return _blowup(outer, _diagonal_points(n_inner, outer.params.k), n_inner)
 
 
 def blowup_covering(outer: Configuration, n_inner: int) -> Configuration:
@@ -341,6 +350,7 @@ def stack(cfg: Configuration) -> Configuration:
     if not verify_packing(cfg).valid:
         raise InvalidInput("input configuration is not a packing")
     ng = GridParams(g.n, g.k + 1, g.l)
+    ng.check_bitset()
     rooks = [Rook(r.point + (z,), r.dirs) for z in range(g.n) for r in cfg.rooks]
     return _sorted_config(ng, rooks)
 
@@ -361,6 +371,7 @@ def extend_covering(cfg: Configuration) -> Configuration:
     if not verify_covering(cfg).valid:
         raise InvalidInput("input configuration is not a covering")
     ng = GridParams(g.n + 1, g.k, g.l)
+    ng.check_bitset()
     rooks = [Rook(tuple(x + 1 for x in r.point), r.dirs) for r in cfg.rooks]
     for p in product(range(g.n + 1), repeat=g.k):
         zeros = [i for i in range(g.k) if p[i] == 0]

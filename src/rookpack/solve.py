@@ -88,7 +88,10 @@ class _Instance:
     A rook reaches the points of its l axis lines, so every mask of
     placements on a line is a per-axis pattern shifted into place by
     line(): attackers[a] holds along[a] at each point of the axis-a line
-    through point 0, and occupants[a] the whole block there."""
+    through point 0, and occupants[a] the whole block there.  Likewise
+    planes[a][b], for b != a, holds attackers[b] at each point of the
+    axis-a line through point 0: the placements attacking along b in the
+    (a, b) plane through point 0."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
@@ -109,6 +112,13 @@ class _Instance:
         """pattern, laid along the axis-a line through point 0, moved onto
         the axis-a line through point pidx."""
         return pattern << (pidx - self.points[pidx][a] * self.weights[a]) * self.D
+
+    @cached_property
+    def planes(self):
+        D, n = self.D, self.g.n
+        return [[_repeat(pattern, w * D, n) if b != a else 0
+                 for b, pattern in enumerate(self.attackers)]
+                for a, w in enumerate(self.weights)]
 
     def config(self, chosen):
         D = self.D
@@ -566,12 +576,28 @@ def _pack_conflicts(inst, i):
     return m
 
 
+def _closed_conflicts(inst, i):
+    """Rooks covering a point placement i covers.  For each axis a of i,
+    those are the rooks on i's axis-a line, and those off it that attack
+    it along some b != a, which sit in the (a, b) plane through i's
+    point."""
+    D, weights = inst.D, inst.weights
+    q, m = i // D, 0
+    p = inst.points[q]
+    for a in inst.dirsets[i % D]:
+        m |= inst.line(a, q, inst.occupants[a])
+        corner = q - p[a] * weights[a]
+        for b, plane in enumerate(inst.planes[a]):
+            if b != a:
+                m |= plane << (corner - p[b] * weights[b]) * D
+    return m
+
+
 # The placements that cannot coexist with placement i, i included, as a
 # mask over placement indices, in each mode of _max_independent.
 _CONFLICTS = {
     "max_pack": _pack_conflicts,
-    # rooks covering a point i covers
-    "max_two_pack_closed": lambda inst, i: _union(inst.by_cov, inst.placements[i]),
+    "max_two_pack_closed": _closed_conflicts,
     # rooks attacking a point i attacks, and rooks on i's point
     "max_two_pack_strict": lambda inst, i: (
         _union(inst.by_att, inst.placements[i] ^ 1 << i // inst.D)
@@ -670,14 +696,11 @@ def _max_independent(g, mode, budget, cap_for, upper):
     return _solve(g, mode, budget, search, lambda value: (value, upper))
 
 
-def _unit_cap(inst, unit, strict):
-    """cap for _max_independent when each rook holds unit points of its
-    coverage (its attack set when strict) alone: the points the candidates
-    reach, // unit."""
-    by_point, masks, D = inst.by_cov, inst.placements, inst.D
-    if strict:
-        by_point = inst.by_att
-        masks = [cov ^ 1 << i // D for i, cov in enumerate(masks)]
+def _unit_cap(inst, unit):
+    """cap for strict two-packings, where each rook holds the unit points
+    of its attack set alone: the points the candidates attack, // unit."""
+    by_point, D = inst.by_att, inst.D
+    masks = [cov ^ 1 << i // D for i, cov in enumerate(inst.placements)]
     npts = len(by_point)
 
     def cap(cands):
@@ -707,30 +730,67 @@ def _window(step, span):
     return shifts
 
 
+def _axis_masks(inst):
+    """(starts, fold, axes): the masks and shifts of the packing caps'
+    shift kernels, which work on whole masks of candidate placements.
+
+    Placement p*D + j is the j-th direction set at point p, so each point
+    owns a D-bit block; starts holds the first bit of every block, and the
+    shifts x |= x >> t for t in fold OR each block into its first bit.
+    axes[a] is (along, plane, line): the placements attacking along a; the
+    block starts of the points with x_a = 0; and the shifts that OR each
+    axis-a line onto its point with x_a = 0 (x |= x >> t) or spread that
+    point back along the line (x |= x << t).
+    """
+    g, D, npts = inst.g, inst.D, inst.npts
+    n = g.n
+    axes = []
+    for along, w in zip(inst.along, inst.weights):
+        # the points with x_a = 0 are the first w of every n*w points
+        plane = _repeat(_repeat(1, D, w), n * w * D, npts // (n * w))
+        axes.append((_repeat(along, D, npts), plane, _window(w * D, n)))
+    return _repeat(1, D, npts), _window(1, D), axes
+
+
+def _reach_cap(inst, unit):
+    """cap for closed two-packings, where each rook holds the unit points
+    of its coverage alone: the points the candidates reach, // unit.
+    Those are the points on an axis-a line, for any a, that holds a
+    candidate attacking along a (a rook's point lies on its own lines).
+    Per axis the kernel gathers and spreads the candidates' whole blocks,
+    and folds the blocks into their first bits once, at the end."""
+    starts, fold, axes = _axis_masks(inst)
+    axes = [(along, plane * inst.block, line) for along, plane, line in axes]
+
+    def cap(cands):
+        reached = 0
+        for along, blocks, line in axes:
+            heads = cands & along
+            for t in line:
+                heads |= heads >> t
+            heads &= blocks
+            for t in line:
+                heads |= heads << t
+            reached |= heads
+        for t in fold:
+            reached |= reached >> t
+        return (reached & starts).bit_count() // unit
+
+    return cap
+
+
 def _clique_counter(inst):
     """counts(cands) -> (lines, cliques) for a mask of candidate placements:
     the axis-a lines, over all a, holding a candidate attacking along a, and
     the pairs (axis a, point q) whose clique meets the candidates.  That
     clique is every placement at q plus those on q's axis-a line attacking
-    along a; no two of them fit in one packing.
-
-    Placement p*D + j is the j-th direction set at point p, so each point
-    owns a D-bit block.  Per axis, a few shifts on whole masks OR each block
-    into its first bit, gather those bits along the axis onto the points
-    with x_a = 0, and spread them back along the line.
+    along a; no two of them fit in one packing.  Per axis the kernel folds
+    the blocks of the candidates attacking along a into their first bits,
+    gathers those onto the points with x_a = 0, counts them, and spreads
+    them back along the line (see _axis_masks).
     """
-    g, D, npts = inst.g, inst.D, inst.npts
-    n = g.n
-    starts = _repeat(1, D, npts)
-    fold = _window(1, D)
-    axes = []
-    for along, w in zip(inst.along, inst.weights):
-        # placements attacking along a, and the block starts of the points
-        # with x_a = 0: the first w of every n*w points
-        along = _repeat(along, D, npts)
-        plane = _repeat(_repeat(1, D, w), n * w * D, npts // (n * w))
-        line = _window(w * D, n)
-        axes.append((along, fold + line, plane, line))
+    starts, fold, axes = _axis_masks(inst)
+    axes = [(along, fold + line, plane, line) for along, plane, line in axes]
 
     def counts(cands):
         occupied = cands
@@ -790,16 +850,15 @@ def exact_max_two_packing(
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     if g.l < 2:
         raise InvalidArgument("two-packing needs l >= 2")
-    strict = mode == "strict"
-    if not strict:
-        unit = g.ball
+    if mode == "closed":
+        unit, cap = g.ball, _reach_cap
         upper = min(int(singleton_bound_c(g)), sphere_bound_c(g))
     else:
-        unit = g.l * (g.n - 1)
+        unit, cap = g.l * (g.n - 1), _unit_cap
         # strict attack sets are pairwise disjoint, each of unit points
         upper = g.num_points // unit if unit else g.num_points
     return _max_independent(
-        g, f"max_two_pack_{mode}", budget, lambda inst: _unit_cap(inst, unit, strict), upper
+        g, f"max_two_pack_{mode}", budget, lambda inst: cap(inst, unit), upper
     )
 
 

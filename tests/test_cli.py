@@ -154,6 +154,20 @@ def test_construct_unknown_and_missing_params(capsys, tmp_path):
     assert _usage_error(code, out, err) and "dimension 2000" in err
 
 
+def test_construct_and_compose_over_the_point_cap_exit_usage(capsys, tmp_path, monkeypatch):
+    diag = str(tmp_path / "diag.json")
+    code, _, _ = run(capsys, "construct", "diagonal_covering", "--n", "5", "--k", "2",
+                     "--out", diag)
+    assert code == 0
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "100")
+    for argv in (("construct", "diagonal_covering", "--n", "4", "--k", "6"),
+                 ("construct", "b_k2_inductive", "--n", "8", "--k", "3"),
+                 ("compose", "blowup", diag, "--kind", "cover", "--n-inner", "3"),
+                 ("compose", "stack", diag)):
+        code, out, err = run(capsys, *argv)
+        assert _usage_error(code, out, err) and "cap 100" in err, argv
+
+
 def test_verify_invalid_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "k": 2, "l": 2, "rooks": []}))

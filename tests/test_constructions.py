@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from rookpack.core import Configuration, GridParams, Rook
+from rookpack.core import Configuration, GridParams, InstanceTooLarge, Rook
 from rookpack.constructions import (
     CONSTRUCTIONS,
     InvalidInput,
@@ -446,3 +446,33 @@ def test_registry_names_and_arity():
         assert len(params) == len(args)
         cfg = fn(*args)
         assert isinstance(cfg, Configuration)
+
+
+def test_generators_and_compose_refuse_grids_over_the_point_cap(monkeypatch):
+    # every generator and compose op checks its grid against the bitset cap
+    # before it builds a rook; each grid here has more than 100 points
+    cover, pack, two = diagonal_covering(10, 2), diagonal_covering(5, 2), distance3_code(3, 2)
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "100")
+    over = {
+        "diagonal_covering": (4, 6),
+        "diagonal_slab_block": (5, 3, 2),
+        "distance3_code": (5, 5),
+        "block_packing": (3, 3, 2),
+        "c_k2": (21, 5),
+        "a32_covering": (5, 2),
+        "b_k2_inductive": (8, 3),
+    }
+    assert set(over) == set(CONSTRUCTIONS)
+    for name, args in over.items():
+        with pytest.raises(InstanceTooLarge, match="cap 100"):
+            CONSTRUCTIONS[name][0](*args)
+    ops = [lambda: blowup_covering(cover, 2), lambda: blowup_packing(pack, 3),
+           lambda: blowup_two_packing(two, 5), lambda: stack(pack),
+           lambda: extend_covering(cover)]
+    for op in ops:
+        with pytest.raises(InstanceTooLarge, match="cap 100"):
+            op()
+    # refused before the n_inner^(k-1) inner points are listed
+    monkeypatch.delenv("ROOKPACK_POINT_CAP")
+    with pytest.raises(InstanceTooLarge):
+        blowup_covering(cover, 10**9)

@@ -36,6 +36,7 @@ from rookpack.solve import (
     _ValueOrbits,
     _gain_deficit,
     _overlap_update,
+    _reach_cap,
     _repeat,
     check_witness,
     encode_ilp,
@@ -156,13 +157,15 @@ def test_deep_search_ends_capped():
 
 
 def test_packings_never_build_the_coverage_table(monkeypatch):
-    # a packing takes its conflicts and caps from the line patterns alone,
-    # so the coverage ints of _Instance.placements, which for b(40, 3, 1)
-    # would take over a gigabyte, are never built
+    # a packing or closed two-packing takes its conflicts and caps from the
+    # line patterns alone, so the coverage ints of _Instance.placements,
+    # which for b(40, 3, 1) would take over a gigabyte, and the per-point
+    # table by_cov are never built
     def refuse(inst):
-        pytest.fail(f"a packing of {inst.g} built the coverage table")
+        pytest.fail(f"a packing of {inst.g} built a coverage table")
 
     monkeypatch.setattr(_Instance, "placements", property(refuse))
+    monkeypatch.setattr(_Instance, "by_cov", property(refuse))
     res = exact_max_packing(GridParams(3, 3, 2))
     assert (res.exact, res.optimum) == (True, 10)
     res = exact_max_packing(GridParams(6, 4, 2), SolverBudget(2_000, 1e9))
@@ -170,6 +173,13 @@ def test_packings_never_build_the_coverage_table(monkeypatch):
     res = exact_max_packing(GridParams(40, 3, 1), SolverBudget(5_000, 1e9))
     assert (res.lower_bound, res.upper_bound, res.stats.stop_reason) == (1_600, 4_571, "depth")
     assert check_witness(res.mode, res.witness, 1_600)
+    res = exact_max_two_packing(GridParams(3, 3, 2))
+    assert (res.exact, res.optimum) == (True, 4)
+    res = exact_max_two_packing(GridParams(6, 4, 2), budget=SolverBudget(2_000, 1e9))
+    assert (res.exact, res.lower_bound, res.upper_bound) == (False, 61, 117)
+    res = exact_max_two_packing(GridParams(30, 3, 2), budget=SolverBudget(2_000, 1e9))
+    assert (res.exact, res.lower_bound, res.upper_bound) == (False, 58, 90)
+    assert check_witness(res.mode, res.witness, 58)
 
 
 def test_solver_matches_oracles():
@@ -303,6 +313,27 @@ def test_clique_counter_matches_coordinates():
                 want = (len(set().union(*(lines[i] for i in chosen))),
                         len(set().union(*(cliques[i] for i in chosen))))
                 assert counts(sum(1 << i for i in chosen)) == want, (g, chosen)
+
+
+def test_reach_cap_matches_coordinates():
+    # the closed two-packing cap's count, at unit 1, against the points
+    # that core.covers finds rook by rook, on seeded random candidate sets;
+    # n = 1, k = 1, l = k and one direction set per point included
+    rng = random.Random(29)
+    grids = [(1, 1, 1), (1, 3, 2), (6, 1, 1), (3, 2, 1), (4, 2, 2), (2, 3, 1),
+             (3, 3, 2), (2, 4, 2), (2, 4, 4), (3, 4, 2), (2, 5, 3)]
+    for n, k, l in grids:
+        g = GridParams(n, k, l)
+        inst = _Instance(g)
+        reach = _reach_cap(inst, 1)
+        D, P = inst.D, inst.npts * inst.D
+        rooks = [Rook(inst.points[i // D], inst.dirsets[i % D]) for i in range(P)]
+        covered = [{q for q in inst.points if covers(r, q, g)} for r in rooks]
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            for _ in range(4):
+                chosen = [i for i in range(P) if rng.random() < density]
+                want = len(set().union(*(covered[i] for i in chosen)))
+                assert reach(sum(1 << i for i in chosen)) == want, (g, chosen)
 
 
 def test_incidence_bound_b_counting_proof():
