@@ -3,12 +3,16 @@ problems, a max-coverage solver, and an integer-program file writer.
 The enumeration oracles that check them are in rookpack.oracles.
 
 All solvers run under a mandatory budget: exceeding it returns the best
-bounds found so far flagged inexact, never a wrong optimum.
+bounds found so far flagged inexact, never a wrong optimum.  The clock
+is read only inside the search, at every 4,096th node, so the placement
+tables and the seed built before the root (the covering greedy included)
+always run to their end: a solve can overrun a small max_seconds by the
+set-up time of its grid.  Reading it there would make a seed depend on
+the speed of the machine.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +39,11 @@ from .verify import verify_covering, verify_packing, verify_two_packing
 
 @dataclass(frozen=True)
 class SolverBudget:
+    """Caps on a solve: max_nodes search nodes and max_seconds of wall
+    time.  max_seconds is checked inside the search only, so it does not
+    cut short the table build and seeding before the root (see the
+    module docstring)."""
+
     max_nodes: int = 5_000_000
     max_seconds: float = 60.0
 
@@ -147,14 +156,22 @@ class _Instance:
     def _reaching(self, own):
         """For each point u, the placements covering u (own) or attacking
         it (not own), as masks over placement indices.  A rook reaches u
-        from u itself or along one of u's k lines."""
-        table = []
-        for u in range(self.npts):
-            here = self.block << u * self.D
-            m = here
-            for a, pattern in enumerate(self.attackers):
-                m |= self.line(a, u, pattern)
-            table.append(m if own else m ^ here)
+        from u itself or along one of u's k lines: each axis's pattern is
+        shifted onto each of its lines once and ORed into the line's n
+        points."""
+        D, n, npts = self.D, self.g.n, self.npts
+        table = [self.block << u * D for u in range(npts)]
+        for pattern, w in zip(self.attackers, self.weights):
+            # an axis of weight w has its lines start at the first w
+            # points of every n*w
+            for slab in range(0, npts, n * w):
+                for start in range(slab, slab + w):
+                    m = pattern << start * D
+                    for u in range(start, start + n * w, w):
+                        table[u] |= m
+        if not own:
+            for u in range(npts):
+                table[u] ^= self.block << u * D
         return table
 
     @cached_property
@@ -293,30 +310,42 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
 
 def _greedy_covering(inst: _Instance):
     """Placements covering H(n, k), at distinct points: each the one with
-    the most uncovered points, the lowest index on ties.
+    the most uncovered points, the lowest index on ties.  exact_min_covering
+    runs it only where the modular diagonal exceeds covering_lower.
 
-    A gain only falls as points get covered, so a lazy min-heap of keys
-    (ball - gain) * P + index, with P placements, holds a stale gain for
-    each placement and rescores only its top.
+    The gains (uncovered points per placement) are a bit-sliced counter
+    over placement indices: bit j of slices[b] is bit b of placement j's
+    gain.  Every gain starts at ball, and a point that gets covered takes
+    one off each placement in its by_cov mask, a borrow rippling up the
+    slices until it runs out.  The pick narrows live, the placements at
+    free points, from the top slice down, keeping those with the bit set
+    wherever one has it, and takes the lowest left.  An uncovered point
+    holds no rook, so while one is left some live placement gains.
     """
-    covs, ball, D = inst.placements, inst.g.ball, inst.D
-    P = len(covs)
-    heap = list(range(P))  # every gain is ball at first
-    uncovered, used, chosen = inst.full, set(), []
+    covs, by_cov, ball, D, block = inst.placements, inst.by_cov, inst.g.ball, inst.D, inst.block
+    live = (1 << len(covs)) - 1
+    slices = [live if ball >> b & 1 else 0 for b in range(ball.bit_length())]
+    uncovered, chosen = inst.full, []
     while uncovered:
-        key = heap[0]
-        i = key % P
-        if i // D in used:
-            heapq.heappop(heap)
-            continue
-        fresh = (ball - (covs[i] & uncovered).bit_count()) * P + i
-        if fresh != key:
-            heapq.heapreplace(heap, fresh)
-            continue
-        heapq.heappop(heap)
-        used.add(i // D)
+        top = live
+        for bits in reversed(slices):
+            if top & bits:
+                top &= bits
+        i = (top & -top).bit_length() - 1
         chosen.append(i)
-        uncovered &= ~covs[i]
+        live &= ~(block << i // D * D)
+        fresh = covs[i] & uncovered
+        uncovered ^= fresh
+        while fresh:
+            u = fresh.bit_length() - 1
+            fresh ^= 1 << u
+            borrow = by_cov[u]
+            for b, bits in enumerate(slices):
+                bits ^= borrow
+                slices[b] = bits
+                borrow &= bits
+                if not borrow:
+                    break
     return chosen
 
 
@@ -340,10 +369,15 @@ def exact_min_covering(
     symmetry_breaking: bool = False,
 ) -> SolveResult:
     """Minimum number of l-rooks covering H(n, k), by depth-first
-    branch-and-bound on the first uncovered point, seeded with the better
-    of the modular diagonal and the greedy covering.  The search stops as
-    soon as best meets covering_lower, which is also the lower bound of a
-    capped run.
+    branch-and-bound on the first uncovered point, seeded with the modular
+    diagonal of n^(k-1) rooks, or with the greedy covering
+    (_greedy_covering) where that is smaller.  The greedy runs only where
+    the diagonal exceeds covering_lower, as no covering is smaller: not on
+    any l = 1 grid, where n^(k-1) is the sphere bound, nor on any
+    a(n,2,2), where it is Rodemich's.  The root closes when the seed meets
+    covering_lower, before the coverage tables, the value orbits and the
+    overlap memo are built.  The search stops as soon as best meets
+    covering_lower, which is also the lower bound of a capped run.
 
     live is a mask over placement indices: the candidates for the first
     uncovered point p are by_cov[p] & live, taken lowest first.
@@ -402,13 +436,19 @@ def exact_min_covering(
     max_nodes = (budget or SolverBudget()).max_nodes
 
     def search(inst, tick, stats, best):
-        covs, full, npts, ball, D = inst.placements, inst.full, inst.npts, g.ball, inst.D
+        D = inst.D
         # the modular diagonal attacking along axes 0..l-1 (direction set
         # 0): every axis-0 line holds one point of coordinate sum 0 mod n
         seed = [q * D for q, p in enumerate(inst.points) if sum(p) % g.n == 0]
-        seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
+        if len(seed) > lower:  # no covering is smaller than lower
+            seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
         best[:] = [len(seed), seed]
+        tick()  # the root, pruned when the seed meets lower
+        if best[0] <= lower:
+            stats.pruned += 1
+            return
 
+        covs, full, npts, ball = inst.placements, inst.full, inst.npts, g.ball
         by_point = inst.by_cov
         orbits = _ValueOrbits(inst)
         ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
@@ -508,19 +548,15 @@ def exact_min_covering(
                         live &= ~orbit
 
         try:
-            tick()  # the root, pruned when the seed meets lower
-            if best[0] > lower:
-                live = (1 << len(covs)) - 1
-                # a placement covering point 0 is off it on at most one
-                # axis, which its direction set holds; its orbit's least
-                # member moves that axis last and its others to 0..l-2:
-                # set 0 at point 0, and set k - l, which is {0..l-2, k-1},
-                # at points 1..n-1 of the last axis
-                root = 1 | _repeat(1 << g.k - g.l, D, g.n) & ~block
-                branch(0, live, 0, root, 0, orbits.all_free, 0, 0,
-                       bound(best[0] - 2, 0, live, 0, 0, root))
-            else:
-                stats.pruned += 1
+            live = (1 << len(covs)) - 1
+            # a placement covering point 0 is off it on at most one axis,
+            # which its direction set holds; its orbit's least member
+            # moves that axis last and its others to 0..l-2: set 0 at
+            # point 0, and set k - l, which is {0..l-2, k-1}, at points
+            # 1..n-1 of the last axis
+            root = 1 | _repeat(1 << g.k - g.l, D, g.n) & ~block
+            branch(0, live, 0, root, 0, orbits.all_free, 0, 0,
+                   bound(best[0] - 2, 0, live, 0, 0, root))
         finally:
             del branch  # branch calls itself through its cell: free it
 

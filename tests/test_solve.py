@@ -6,6 +6,7 @@ import io
 import math
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -17,6 +18,7 @@ from rookpack.core import (
     GridParams,
     InvalidArgument,
     Rook,
+    attacks,
     coverage_mask,
     covers,
 )
@@ -35,6 +37,7 @@ from rookpack.solve import (
     _Instance,
     _ValueOrbits,
     _gain_deficit,
+    _greedy_covering,
     _overlap_update,
     _reach_cap,
     _repeat,
@@ -180,6 +183,87 @@ def test_packings_never_build_the_coverage_table(monkeypatch):
     res = exact_max_two_packing(GridParams(30, 3, 2), budget=SolverBudget(2_000, 1e9))
     assert (res.exact, res.lower_bound, res.upper_bound) == (False, 58, 90)
     assert check_witness(res.mode, res.witness, 58)
+
+
+def test_root_closing_coverings_never_build_the_coverage_table(monkeypatch):
+    # where the modular diagonal meets covering_lower (every l = 1 grid,
+    # where n^(k-1) is the sphere bound, and every a(n,2,2), where it is
+    # Rodemich's) the solve closes at the root before the greedy runs or
+    # any table is built: a(40,3,1)'s by_cov alone would take gigabytes
+    def refuse(inst):
+        pytest.fail(f"a covering of {inst.g} closing at the root built a coverage table")
+
+    monkeypatch.setattr(_Instance, "placements", property(refuse))
+    monkeypatch.setattr(_Instance, "by_cov", property(refuse))
+    for nkl, value, budget in [((40, 3, 1), 1_600, None), ((100, 2, 2), 100, None),
+                               ((7, 3, 1), 49, SolverBudget(max_nodes=0))]:
+        res = exact_min_covering(GridParams(*nkl), budget)
+        assert (res.exact, res.optimum) == (True, value), nkl
+        assert verify_covering(res.witness).valid and len(res.witness) == value, nkl
+
+
+def _greedy_grids():
+    """Every grid with n^k <= 729 whose covering solve runs the greedy
+    (its diagonal of n^(k-1) rooks exceeds covering_lower), every one with
+    k = 1 or l = k, and the one-point grids with k <= 3."""
+    grids = [(1, k, l) for k in range(1, 4) for l in range(1, k + 1)]
+    for k in range(1, 10):
+        n = 2
+        while n ** k <= 729:
+            for l in range(1, k + 1):
+                if n ** (k - 1) > covering_lower(GridParams(n, k, l))[0] or k == 1 or l == k:
+                    grids.append((n, k, l))
+            n += 1
+    return grids
+
+
+def test_greedy_covering_matches_a_reference_greedy():
+    # each step of the reference rescores every placement at a free point
+    # and takes the most uncovered points, the lowest index on ties; a
+    # digest of all the seeds pins them, as the covering trees start there
+    digest = hashlib.sha256()
+    for n, k, l in _greedy_grids():
+        inst = _Instance(GridParams(n, k, l))
+        covs, D = inst.placements, inst.D
+        uncovered, live, expected = inst.full, list(range(len(covs))), []
+        while uncovered:
+            gains = [(covs[i] & uncovered).bit_count() for i in live]
+            i = live[gains.index(max(gains))]  # live is in index order
+            expected.append(i)
+            at = bisect_left(live, i // D * D)
+            del live[at:at + D]  # the D placements at i's point
+            uncovered &= ~covs[i]
+        seed = _greedy_covering(inst)
+        assert seed == expected, (n, k, l)
+        digest.update(f"{n},{k},{l}:{seed}\n".encode())
+    assert digest.hexdigest() == (
+        "76b38b83c1251c635c09cce09a49b428289ffc02e3ad91c734b16d4cab81329d")
+    # on H(4,6) with l = 4 (too big for the reference) some step would
+    # take a placement at a used point if the greedy let it: it must
+    # cover the grid from distinct points all the same
+    inst = _Instance(GridParams(4, 6, 4))
+    seed = _greedy_covering(inst)
+    assert len({i // inst.D for i in seed}) == len(seed) == 442
+    assert verify_covering(inst.config(seed)).valid
+    assert hashlib.sha256(repr(seed).encode()).hexdigest() == (
+        "5f78811073b42cda1605b98d1481fec57732c09743a85c85fbf1d3f584e6a445")
+
+
+def test_reaching_tables_match_coordinates():
+    # bit j of by_cov[u] (by_att[u]) is set iff placement j covers
+    # (attacks) point u, on every grid with n^k <= 64 and on some with up
+    # to 256 points
+    grids = [(n, k, l) for k in range(1, 7) for n in range(1, 65) if n ** k <= 64
+             for l in range(1, k + 1)]
+    for n, k, l in grids + [(256, 1, 1), (16, 2, 2), (6, 3, 3), (4, 4, 4), (2, 8, 8)]:
+        g = GridParams(n, k, l)
+        inst = _Instance(g)
+        rooks = [Rook(p, d) for p in inst.points for d in inst.dirsets]
+        for u, p in enumerate(inst.points):
+            by_cov, by_att = inst.by_cov[u], inst.by_att[u]
+            for j, r in enumerate(rooks):
+                assert (by_cov >> j & 1, by_att >> j & 1) == (covers(r, p, g), attacks(r, p, g)), (
+                    g, u, j)
 
 
 def test_solver_matches_oracles():
