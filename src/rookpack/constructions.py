@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import chain, combinations, permutations, product, repeat, starmap
-from operator import add, attrgetter
+from operator import add, attrgetter, xor
 
 from .core import (
     Configuration,
@@ -103,6 +104,50 @@ def distance3_code(p: int, k: int) -> Configuration:
         check2 = sum((i + 1) * x for i, x in enumerate(prefix)) % p
         rooks.append(Rook(prefix + (check1, check2), full))
     return _sorted_config(g, rooks)
+
+
+def latin_covering(n: int) -> Configuration:
+    """ceil(n^2 / 2) full rooks covering H(n, 3), Rodemich's bound: the
+    values split into a low block of n // 2 and a high block of the
+    rest, and the block of size s at offset o holds the Latin square
+    (o+x, o+y, o+((-x-y) mod s)) for x, y < s.  Two coordinates of every
+    point lie in one block, whose rook agreeing there covers it."""
+    g = GridParams(n, 3, 3)
+    g.check_bitset()
+    full, h = frozenset(range(3)), n // 2
+    rooks = [Rook((o + x, o + y, o + (-x - y) % s), full)
+             for o, s in ((0, h), (h, n - h)) for x in range(s) for y in range(s)]
+    return _sorted_config(g, rooks)
+
+
+def _hamming_syndromes(k, l):
+    """The grid H(2, k) of l-rooks, k = 2^m - 1, and its (point, syndrome)
+    pairs in point order: a point's syndrome is the XOR of the 1-based
+    positions of its set coordinates, and the Hamming code is the points
+    of syndrome 0."""
+    if k < 1 or k & (k + 1):
+        raise InvalidParams(f"need k = 2^m - 1, got {k}")
+    g = GridParams(2, k, l)
+    g.check_bitset()
+    return g, ((p, reduce(xor, (a + 1 for a, x in enumerate(p) if x), 0))
+               for p in product(range(2), repeat=k))
+
+
+def hamming_code(k: int) -> Configuration:
+    """The binary Hamming code of length k = 2^m - 1 as 2^(k-m) full rooks.
+    Its radius-1 balls tile H(2, k), so it is both a covering and a closed
+    two-packing, and meets both sphere bounds."""
+    g, points = _hamming_syndromes(k, k)
+    full = frozenset(range(k))
+    return Configuration(g, [Rook(p, full) for p, s in points if not s])
+
+
+def hamming_complement(k: int) -> Configuration:
+    """A packing of 2^k - 2^(k-m) 1-rooks in H(2, k), k = 2^m - 1, the
+    incidence bound: every point off the Hamming code attacks along the
+    axis whose flip takes it into the code, so it attacks no rook."""
+    g, points = _hamming_syndromes(k, 1)
+    return Configuration(g, [Rook(p, frozenset((s - 1,))) for p, s in points if s])
 
 
 def block_packing(n: int, k: int, t: int) -> Configuration:
@@ -400,4 +445,7 @@ CONSTRUCTIONS = {
     "c_k2": (c_k2_construction, ("n", "k")),
     "a32_covering": (a32_covering, ("a", "b")),
     "b_k2_inductive": (b_k2_inductive, ("n", "k")),
+    "latin_covering": (latin_covering, ("n",)),
+    "hamming_code": (hamming_code, ("k",)),
+    "hamming_complement": (hamming_complement, ("k",)),
 }

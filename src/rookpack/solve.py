@@ -4,11 +4,12 @@ The enumeration oracles that check them are in rookpack.oracles.
 
 All solvers run under a mandatory budget: exceeding it returns the best
 bounds found so far flagged inexact, never a wrong optimum.  The clock
-is read only inside the search, at every 4,096th node, so the placement
-tables and the seed built before the root (the covering greedy included)
-always run to their end: a solve can overrun a small max_seconds by the
-set-up time of its grid.  Reading it there would make a seed depend on
-the speed of the machine.
+is read only inside the search, at the root and at every 4,096th node,
+so the placement tables and the seed built before the root (the
+covering greedy included) always run to their end: a solve can overrun
+a small max_seconds by the set-up time of its grid and, once past the
+root, by up to 4,095 nodes.  Reading it in the set-up would make a seed
+depend on the speed of the machine.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .verify import verify_covering, verify_packing, verify_two_packing
 @dataclass(frozen=True)
 class SolverBudget:
     """Caps on a solve: max_nodes search nodes and max_seconds of wall
-    time.  max_seconds is checked inside the search only, so it does not
-    cut short the table build and seeding before the root (see the
-    module docstring)."""
+    time.  max_seconds is checked at the root and then at every 4,096th
+    node, so it does not cut short the table build and seeding before
+    the root (see the module docstring)."""
 
     max_nodes: int = 5_000_000
     max_seconds: float = 60.0
@@ -272,8 +273,9 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     deep for the stack stops on RecursionError alike, and
     stats.stop_reason says which of the three stopped it.  A search may
     also count nodes itself, by adding them to stats.nodes, where tick()
-    could not stop any of them: at or below the node cap and off the
-    multiples of 4,096 (where the clock is read).  A proven run reports
+    could not stop any of them: at or below the node cap and off node 1
+    and the multiples of 4,096, where the clock is read.  Every search
+    reaches its root, node 1, through tick().  A proven run reports
     (best value, best value) as (lower, upper), a capped one
     capped_bounds(best value), and the result is exact, with optimum
     lower, when they meet.  Bounds that meet always have the witness of
@@ -288,7 +290,7 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
         stats.nodes += 1
         if stats.nodes > budget.max_nodes:
             raise _BudgetExhausted("node_cap")
-        if stats.nodes % 4096 == 0:
+        if stats.nodes % 4096 == 0 or stats.nodes == 1:
             if time.perf_counter() - start > budget.max_seconds:
                 raise _BudgetExhausted("time_cap")
 
@@ -306,6 +308,46 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     witness = inst.config(best[1]) if best[0] >= 0 else None
     lower, upper = (best[0], best[0]) if stats.stop_reason == "proven" else capped_bounds(best[0])
     return SolveResult(mode, lower if lower == upper else None, witness, stats, lower, upper)
+
+
+def _closed_form_seed(inst: _Instance, mode):
+    """The placements of a configuration meeting the solve's own bound on
+    one of these families, or None off them:
+
+    - b(n,2,1) = 2n - 2: (0, j) along axis 0 and (i, 0) along axis 1 for
+      i, j >= 1, each alone on its line; the incidence bound;
+    - a(n,3,3) = ceil(n^2 / 2): with the values split into a low block
+      of n // 2 and a high block of the rest, the full rooks
+      (o+x, o+y, o+z) with x + y + z = 0 mod s in each block of size s at
+      offset o; Rodemich's bound.  Two of a point's three coordinates
+      lie in one block, and that block's rook agreeing there covers it;
+    - at n = 2 and k = 2^m - 1, the binary Hamming code T, the points
+      whose set coordinates' 1-based positions XOR to 0: a(2,k,k) and
+      c(2,k,k) closed = |T| = 2^(k-m), the sphere bounds, and
+      b(2,k,1) = 2^k - |T|, the incidence bound, from the complement of
+      T, each point attacking along the axis whose flip takes it into T.
+
+    A family's n = 1 grid holds no b(n,2,1) rook, which misses the bound.
+    """
+    g, n, D = inst.g, inst.g.n, inst.D
+    if mode == "max_pack" and g.k == 2 and g.l == 1:
+        # point (x, y) is index x n + y, and dirsets[a] is (a,) when l = 1
+        return [j * D for j in range(1, n)] + [i * n * D + 1 for i in range(1, n)]
+    if mode == "min_cover" and g.k == g.l == 3:
+        h = n // 2
+        return [((o + x) * n + o + y) * n + o + (-x - y) % s
+                for o, s in ((0, h), (h, n - h)) for x in range(s) for y in range(s)]
+    if n == 2 and g.k & (g.k + 1) == 0:
+        # syndromes[q]: the XOR of the 1-based positions of point q's set
+        # coordinates, axis 0 being q's most significant bit
+        syndromes = [0]
+        for a in reversed(range(g.k)):
+            syndromes += [s ^ a + 1 for s in syndromes]
+        if mode == "max_pack" and g.l == 1:
+            return [q * D + s - 1 for q, s in enumerate(syndromes) if s]
+        if mode in ("min_cover", "max_two_pack_closed") and g.l == g.k:
+            return [q for q, s in enumerate(syndromes) if not s]
+    return None
 
 
 def _greedy_covering(inst: _Instance):
@@ -369,8 +411,10 @@ def exact_min_covering(
     symmetry_breaking: bool = False,
 ) -> SolveResult:
     """Minimum number of l-rooks covering H(n, k), by depth-first
-    branch-and-bound on the first uncovered point, seeded with the modular
-    diagonal of n^(k-1) rooks, or with the greedy covering
+    branch-and-bound on the first uncovered point, seeded with a
+    closed-form covering meeting covering_lower where one is known
+    (_closed_form_seed: a(n,3,3) and the binary Hamming codes), else with
+    the modular diagonal of n^(k-1) rooks, or with the greedy covering
     (_greedy_covering) where that is smaller.  The greedy runs only where
     the diagonal exceeds covering_lower, as no covering is smaller: not on
     any l = 1 grid, where n^(k-1) is the sphere bound, nor on any
@@ -437,11 +481,13 @@ def exact_min_covering(
 
     def search(inst, tick, stats, best):
         D = inst.D
-        # the modular diagonal attacking along axes 0..l-1 (direction set
-        # 0): every axis-0 line holds one point of coordinate sum 0 mod n
-        seed = [q * D for q, p in enumerate(inst.points) if sum(p) % g.n == 0]
-        if len(seed) > lower:  # no covering is smaller than lower
-            seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
+        seed = _closed_form_seed(inst, "min_cover")
+        if seed is None or len(seed) > lower:
+            # the modular diagonal attacking along axes 0..l-1 (direction
+            # set 0): every axis-0 line holds one point of coordinate sum 0 mod n
+            seed = [q * D for q, p in enumerate(inst.points) if sum(p) % g.n == 0]
+            if len(seed) > lower:  # no covering is smaller than lower
+                seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
         best[:] = [len(seed), seed]
         tick()  # the root, pruned when the seed meets lower
         if best[0] <= lower:
@@ -644,7 +690,11 @@ _CONFLICTS = {
 
 def _max_independent(g, mode, budget, cap_for, upper):
     """Shared include/exclude search for max_pack and max_two_pack,
-    seeded with the greedy pick in placement order.
+    seeded with the closed-form configuration of _closed_form_seed where
+    it meets upper, else with the greedy pick in placement order.  A seed
+    that meets upper closes the solve at its root, which reports (nodes,
+    pruned) = (1, 0), before the conflict memo (for a closed-form seed),
+    the cap and the value orbits are built.
 
     Candidate sets are ints over placement indices: the head is the lowest
     set bit, and the include child keeps the tail minus the head's
@@ -670,13 +720,18 @@ def _max_independent(g, mode, budget, cap_for, upper):
     def search(inst, tick, stats, best):
         P, D = inst.npts * inst.D, inst.D
         full = (1 << P) - 1
-        allowed = _Memo(lambda i: full ^ conflicts(inst, i))
-        seed, cands = [], full
-        while cands:
-            i = (cands & -cands).bit_length() - 1
-            seed.append(i)
-            cands &= allowed[i]
+        seed = _closed_form_seed(inst, mode)
+        if seed is None or len(seed) < upper:
+            allowed = _Memo(lambda i: full ^ conflicts(inst, i))
+            seed, cands = [], full
+            while cands:
+                i = (cands & -cands).bit_length() - 1
+                seed.append(i)
+                cands &= allowed[i]
         best[:] = [len(seed), seed]
+        if best[0] >= upper:  # proven at the root, before any cap or orbit
+            tick()
+            raise _Proven
 
         cap = cap_for(inst)
         orbits = _ValueOrbits(inst)
@@ -867,7 +922,9 @@ def _pack_cap(inst):
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
     """Maximum number of l-rooks with no rook attacking another; upper is
     the clique bound incidence_bound_b, lowered to the hypercube bound
-    where that applies."""
+    where that applies.  b(n,2,1) = 2n - 2 for n >= 2 and b(2,k,1) =
+    2^k - 2^k / (k + 1) for k = 2^m - 1 meet the clique bound with a
+    closed-form seed and close at the root."""
     upper = int(incidence_bound_b(g))
     try:
         upper = min(upper, hypercube_bound_b(g))
@@ -881,7 +938,9 @@ def exact_max_two_packing(
 ) -> SolveResult:
     """Maximum number of l-rooks with no grid point reached twice; upper
     is the lesser of the plane and sphere bounds for closed coverage sets,
-    and the count of disjoint attack sets for strict ones."""
+    and the count of disjoint attack sets for strict ones.  Closed
+    c(2,k,k) for k = 2^m - 1 meets the sphere bound with the binary
+    Hamming code and closes at the root."""
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     if g.l < 2:

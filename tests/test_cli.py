@@ -108,6 +108,9 @@ def test_construct_verify_round_trip(capsys, tmp_path):
         ("c_k2", ["--n", "7", "--k", "2"], "pack2", []),
         ("a32_covering", ["--a", "5", "--b", "2"], "cover", []),
         ("b_k2_inductive", ["--n", "4", "--k", "3"], "pack", []),
+        ("latin_covering", ["--n", "5"], "cover", []),
+        ("hamming_code", ["--k", "7"], "pack2", []),
+        ("hamming_complement", ["--k", "7"], "pack", []),
     ]
     for name, params, kind, flags in cases:
         path = str(tmp_path / f"{name}.json")

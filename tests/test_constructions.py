@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from rookpack.core import Configuration, GridParams, InstanceTooLarge, Rook
+from rookpack.bounds import covering_lower, incidence_bound_b, sphere_bound_c
+from rookpack.core import Configuration, GridParams, InstanceTooLarge, InvalidArgument, Rook
 from rookpack.constructions import (
     CONSTRUCTIONS,
     InvalidInput,
@@ -23,8 +24,12 @@ from rookpack.constructions import (
     diagonal_slab_block,
     distance3_code,
     extend_covering,
+    hamming_code,
+    hamming_complement,
+    latin_covering,
     stack,
 )
+from rookpack.solve import _closed_form_seed, _Instance
 from rookpack.verify import verify_covering, verify_packing, verify_two_packing
 
 
@@ -112,6 +117,55 @@ def test_distance3_errors():
         distance3_code(3, 4)  # p < k
     with pytest.raises(InvalidParams):
         distance3_code(5, 1)
+
+
+# --- codes that meet their bounds ---
+
+
+def test_code_constructions_meet_their_bounds():
+    # latin_covering meets Rodemich's bound ceil(n^2/2), the Hamming code
+    # the sphere bounds of a covering and a closed two-packing, and its
+    # complement the incidence bound of a packing of 1-rooks
+    for n in range(1, 16):
+        cfg = latin_covering(n)
+        assert cfg.params == GridParams(n, 3, 3)
+        assert verify_covering(cfg).valid
+        assert len(cfg) == covering_lower(cfg.params)[0] == -(-n * n // 2), n
+    for k in (1, 3, 7, 15):
+        code, rest = hamming_code(k), hamming_complement(k)
+        assert (code.params, rest.params) == (GridParams(2, k, k), GridParams(2, k, 1))
+        assert verify_covering(code).valid
+        assert len(code) == covering_lower(code.params)[0] == 2 ** k // (k + 1), k
+        if k > 1:
+            assert verify_two_packing(code, "closed").valid
+            assert len(code) == sphere_bound_c(code.params), k
+        assert verify_packing(rest).valid
+        assert len(rest) == incidence_bound_b(rest.params) == 2 ** k - len(code), k
+    for k in (0, 2, 4, 6, 8):
+        for build in (hamming_code, hamming_complement):
+            with pytest.raises(InvalidParams, match="2\\^m - 1"):
+                build(k)
+    with pytest.raises(InvalidArgument):
+        latin_covering(0)
+
+
+def _seed_rooks(g, mode):
+    inst = _Instance(g)
+    return {(r.point, r.dirs) for r in inst.config(_closed_form_seed(inst, mode)).rooks}
+
+
+def test_solver_seeds_are_the_generators_rooks():
+    # the solver cannot import constructions, so it builds the same
+    # configurations from its own placement indices
+    for n in range(1, 13):
+        want = {(r.point, r.dirs) for r in latin_covering(n).rooks}
+        assert _seed_rooks(GridParams(n, 3, 3), "min_cover") == want, n
+    for k in (3, 7):
+        code = {(r.point, r.dirs) for r in hamming_code(k).rooks}
+        assert _seed_rooks(GridParams(2, k, k), "min_cover") == code, k
+        assert _seed_rooks(GridParams(2, k, k), "max_two_pack_closed") == code, k
+        rest = {(r.point, r.dirs) for r in hamming_complement(k).rooks}
+        assert _seed_rooks(GridParams(2, k, 1), "max_pack") == rest, k
 
 
 # --- block packings ---
@@ -431,6 +485,7 @@ def test_registry_names_and_arity():
     assert set(CONSTRUCTIONS) == {
         "diagonal_covering", "diagonal_slab_block", "distance3_code",
         "block_packing", "c_k2", "a32_covering", "b_k2_inductive",
+        "latin_covering", "hamming_code", "hamming_complement",
     }
     samples = {
         "diagonal_covering": (3, 2),
@@ -440,6 +495,9 @@ def test_registry_names_and_arity():
         "c_k2": (7, 2),
         "a32_covering": (5, 2),
         "b_k2_inductive": (4, 2),
+        "latin_covering": (4,),
+        "hamming_code": (3,),
+        "hamming_complement": (7,),
     }
     for name, (fn, params) in CONSTRUCTIONS.items():
         args = samples[name]
@@ -461,6 +519,9 @@ def test_generators_and_compose_refuse_grids_over_the_point_cap(monkeypatch):
         "c_k2": (21, 5),
         "a32_covering": (5, 2),
         "b_k2_inductive": (8, 3),
+        "latin_covering": (5,),
+        "hamming_code": (7,),
+        "hamming_complement": (7,),
     }
     assert set(over) == set(CONSTRUCTIONS)
     for name, args in over.items():

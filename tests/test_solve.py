@@ -9,6 +9,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +49,7 @@ from rookpack.solve import (
     exact_max_two_packing,
     exact_min_covering,
 )
+from rookpack import solve as solve_module
 from rookpack.verify import verify_covering, verify_packing, verify_two_packing
 
 
@@ -200,6 +202,58 @@ def test_root_closing_coverings_never_build_the_coverage_table(monkeypatch):
         res = exact_min_covering(GridParams(*nkl), budget)
         assert (res.exact, res.optimum) == (True, value), nkl
         assert verify_covering(res.witness).valid and len(res.witness) == value, nkl
+
+
+def test_closed_form_families_close_at_the_root(monkeypatch):
+    # b(n,2,1), a(n,3,3), and at n = 2 and k = 2^m - 1 a(2,k,k), c(2,k,k)
+    # closed and b(2,k,1) each have a closed-form seed meeting the solve's
+    # own bound, so the solve ends at its root before any table, greedy,
+    # cap, memo or value orbit is built
+    def refuse(*args):
+        pytest.fail("a solve closing at the root built a table")
+
+    monkeypatch.setattr(_Instance, "placements", property(refuse))
+    monkeypatch.setattr(_Instance, "by_cov", property(refuse))
+    for name in ("_ValueOrbits", "_Memo", "_greedy_covering", "_pack_cap", "_reach_cap"):
+        monkeypatch.setattr(solve_module, name, refuse)
+    runs = [(exact_max_packing, (n, 2, 1), 2 * n - 2) for n in range(2, 201)]
+    runs += [(exact_min_covering, (n, 3, 3), -(-n * n // 2)) for n in range(1, 41)]
+    for k in (3, 7, 15):
+        code = 2 ** k // (k + 1)
+        runs += [(exact_min_covering, (2, k, k), code), (exact_max_two_packing, (2, k, k), code),
+                 (exact_max_packing, (2, k, 1), 2 ** k - code)]
+    for solve, nkl, value in runs:
+        res = solve(GridParams(*nkl))
+        assert (res.exact, res.optimum, res.stats.nodes) == (True, value, 1), (solve, nkl)
+        assert check_witness(res.mode, res.witness, value), (solve, nkl)
+
+
+def test_literature_values_at_l_equal_k():
+    # at l = k a rook covers the radius-1 Hamming ball about its point, so
+    # a(n,k,k) is the covering code size K_n(k,1), and c(n,k,k) closed the
+    # code size A_n(k,3), as two balls are disjoint iff their centres are
+    # 3 apart; at n = 2 the points off a packing of 1-rooks dominate the
+    # cube, so b(2,k,1) = 2^k - K_2(k,1) (Cohen, Honkala, Litsyn and
+    # Lobstein, Covering Codes, 1997).  On every binary and ternary grid
+    # with n^k <= 243, an exact value is the listed one and a capped
+    # bracket holds it
+    budget = SolverBudget(10_000, 1e9)
+    tables = {2: ([1, 2, 2, 4, 7, 12, 16], [1, 1, 2, 2, 4, 8, 16]),
+              3: ([1, 3, 5, 9, 27], [1, 1, 3, 9, 18])}
+    exact = 0
+    for n, (K, A) in tables.items():
+        for k, (cover, code) in enumerate(zip(K, A), 1):
+            g = GridParams(n, k, k)
+            runs = [(exact_min_covering(g, budget), cover)]
+            if k >= 2:
+                runs.append((exact_max_two_packing(g, "closed", budget), code))
+            if n == 2:
+                runs.append((exact_max_packing(GridParams(2, k, 1), budget), 2 ** k - cover))
+            for res, value in runs:
+                assert res.lower_bound <= value <= res.upper_bound, (res.mode, n, k)
+                assert not res.exact or res.optimum == value, (res.mode, n, k)
+                exact += res.exact
+    assert exact == 24
 
 
 def _greedy_grids():
@@ -554,14 +608,14 @@ def test_packing_search_tree_pinned():
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((1, 1, 2), (0, 2)),
         ((1, 2, 2), (1, 2)), ((2, 1, 2), (1, 2)), ((2, 2, 2), (0, 2)),
     ]
-    # the clique bound is 2n - 2 at the root, so the search stops as soon as
-    # an incumbent meets it: b(n, 2, 1) closes in 2n + 3 nodes
+    # the clique bound is 2n - 2, which the L-shaped seed meets: b(n, 2, 1)
+    # closes at the root
     for n in range(4, 21):
         res = exact_max_packing(GridParams(n, 2, 1))
-        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (2 * n + 3, 0, 2 * n - 2)
+        assert (res.stats.nodes, res.stats.pruned, res.optimum) == (1, 0, 2 * n - 2)
     assert _rooks(exact_max_packing(GridParams(4, 2, 1))) == [
-        ((0, 0), (0,)), ((0, 1), (0,)), ((0, 2), (0,)),
-        ((1, 3), (1,)), ((2, 3), (1,)), ((3, 3), (1,)),
+        ((0, 1), (0,)), ((0, 2), (0,)), ((0, 3), (0,)),
+        ((1, 0), (1,)), ((2, 0), (1,)), ((3, 0), (1,)),
     ]
     capped = exact_max_packing(GridParams(12, 2, 1), SolverBudget(60_000, 1e9))
     assert (capped.exact, capped.lower_bound, capped.upper_bound) == (True, 22, 22)
@@ -583,9 +637,9 @@ def test_covering_search_tree_pinned():
     # node and pruned counts of the covering search: sibling exclusion,
     # orbital branching, the bound test with its fresh-gain buckets, the
     # greedy seed and the stop at covering_lower each reshape these trees.
-    # a(4,3,3) = 8 is Rodemich's bound, so its search stops at the first
-    # 8-rook covering
-    for nkl, counts in [((3, 3, 2), (10_650, 9_607, 7)), ((4, 3, 3), (28_500, 24_379, 8))]:
+    # a(2,6,3) = 16 is the sphere bound, so its search stops at the first
+    # 16-rook covering (1,033 nodes if it stops only below the bound)
+    for nkl, counts in [((3, 3, 2), (10_650, 9_607, 7)), ((2, 6, 3), (401, 384, 16))]:
         res = exact_min_covering(GridParams(*nkl))
         assert (res.stats.nodes, res.stats.pruned, res.optimum) == counts, nkl
     capped = exact_min_covering(GridParams(4, 3, 2), SolverBudget(1_000_000, 1e9))
@@ -598,7 +652,7 @@ def test_covering_search_tree_pinned():
         assert (res.stats.nodes, res.stats.pruned) == counts, nkl
     # the seed meets covering_lower, which proves it at the root: the
     # sphere bound for the first two, Rodemich's for the others
-    for nkl, value in [((2, 7, 7), 16), ((3, 4, 4), 9), ((6, 3, 3), 18)] + [
+    for nkl, value in [((2, 7, 7), 16), ((3, 4, 4), 9), ((4, 3, 3), 8), ((6, 3, 3), 18)] + [
             ((n, 2, 2), n) for n in range(3, 16)]:
         res = exact_min_covering(GridParams(*nkl))
         assert (res.exact, res.optimum, res.stats.nodes) == (True, value, 1), nkl
@@ -623,7 +677,7 @@ def test_covering_lower_against_exact_optima():
         if sum(math.comb(P, s) * max(s, 1) for s in range(lower)) <= 3_000_000:
             enumerated += 1
             assert enumerate_min_covering(g, max_size=lower - 1) is None, g
-    assert (enumerated, at_root) == (100, 111)
+    assert (enumerated, at_root) == (100, 113)
 
 
 def test_covering_trees_pinned_at_budget_edges():
@@ -642,7 +696,7 @@ def test_covering_trees_pinned_at_budget_edges():
                     digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                         res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "f782dcf111d3d1fab19ab0bbbb429f7e84989cc58b1088e5d79c31d8e5082ab0")
+        "115e040b56f2251572fbc499f22cecb7266b0471886735b89d753eec7c91a825")
 
 
 def _small_grids(low=0, high=64):
@@ -666,7 +720,7 @@ def test_covering_trees_pinned_past_64_points():
             digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                 res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "f78a8ca512d46d4ab45f91901d16607caf60427551787e21fea3d462beb06e22")
+        "c5f5352796ca71bfbb36942cfa560c2451b65a9a480f50a812ed9637fa42d1c7")
 
 
 def test_covering_optima_and_witnesses_pinned():
@@ -680,7 +734,7 @@ def test_covering_optima_and_witnesses_pinned():
             rooks = tuple((r.point, tuple(sorted(r.dirs))) for r in res.witness.rooks)
             digest.update(repr(((g.n, g.k, g.l), res.optimum, rooks)).encode())
     assert digest.hexdigest() == (
-        "a26318a21fbb0c6b439aa727d0f49ace4f3f6b0175e1383e4bfe51a2390fbcf3")
+        "c6a07298f469707b573afd14f65410a7d89c3d9a6598379b6cdba986c3ca1eab")
 
 
 def test_covering_node_cap_stops_one_past_the_cap():
@@ -780,10 +834,10 @@ def test_packing_trees_pinned_at_budget_edges():
                         digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                             res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "25660001da1579fe4e10f5b0f24bb5f1c3f931d3a2eef9226c8026eea613f8a1")
+        "f89aa8871efb1e56b4774ad76ad987e9683845f8aa44451367cd6ebdc2821d07")
 
 
-def test_searches_and_oracles_agree():
+def test_searches_and_oracles_agree(monkeypatch):
     # on every grid with n^k <= 64, at 200k nodes, in every mode: each
     # witness verifies, the bounds bracket the witness, and the
     # enumeration oracles agree where they are affordable
@@ -825,9 +879,13 @@ def test_searches_and_oracles_agree():
     assert all(enumerated[m] >= c for m, c in
                {"a": 97, "b": 100, "c_closed": 31, "c_strict": 30}.items()), enumerated
     # a guard on the orbit rule: dropping the orbit of a candidate whose
-    # value a chosen rook uses proves a(4,3,3) = 9
+    # value a chosen rook uses proves a(4,3,3) = 9.  Its Latin-square seed
+    # closes a(4,3,3) at the root, so the seed is withheld for the search
+    # to run; no grid with n^k <= 729 whose search runs shows that fault
+    # within 50,000 nodes
+    monkeypatch.setattr(solve_module, "_closed_form_seed", lambda inst, mode: None)
     res = exact_min_covering(GridParams(4, 3, 3), budget)
-    assert (res.exact, res.optimum) == (True, 8)
+    assert (res.exact, res.optimum, res.stats.nodes) == (True, 8, 28_500)
 
 
 def test_witnesses_valid_and_deterministic():
@@ -955,16 +1013,32 @@ def test_strict_two_packing_of_one_point_grids():
                 assert (res.exact, res.optimum) == (True, 1), (k, l, budget)
 
 
-def test_budget_time_limit():
+def test_budget_time_limit(monkeypatch):
     res = exact_max_packing(GridParams(4, 3, 2), SolverBudget(max_seconds=0.0))
     assert not res.exact
     assert res.lower_bound <= res.upper_bound
-    # the clock is read at every 4,096th node, also where that node lies in
-    # a run of pruned children counted at once (it does in both)
+    # after the root the clock is read at every 4,096th node, also where
+    # that node lies in a run of pruned children counted at once (it does
+    # in both): a clock that stands still for the start and the root's
+    # read and has moved by the next one stops the search there
     for nkl, pruned in [((4, 3, 2), 3_827), ((2, 5, 3), 3_967)]:
+        reads = iter((0.0, 0.0))
+        monkeypatch.setattr(solve_module, "time", SimpleNamespace(perf_counter=lambda: next(reads, 1.0)))
         res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
         assert (res.exact, res.stats.stop_reason) == (False, "time_cap"), nkl
         assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
+
+
+def test_time_cap_holds_from_the_root():
+    # the clock is also read at the root, so a spent time cap stops each
+    # search there, once its tables and seed are built, in every mode
+    zero = SolverBudget(max_seconds=0)
+    for res in (exact_min_covering(GridParams(10, 3, 2), zero),
+                exact_max_packing(GridParams(6, 4, 2), zero),
+                exact_max_two_packing(GridParams(6, 4, 2), "closed", zero),
+                exact_max_coverage(GridParams(8, 3, 2), 30, zero)):
+        assert (res.stats.nodes, res.stats.stop_reason, res.exact) == (1, "time_cap", False), res.mode
+        assert res.lower_bound <= res.upper_bound, res.mode
 
 
 def test_stop_reason_names_what_ended_the_search():
