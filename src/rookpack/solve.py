@@ -3,13 +3,8 @@ problems, a max-coverage solver, and an integer-program file writer.
 The enumeration oracles that check them are in rookpack.oracles.
 
 All solvers run under a mandatory budget: exceeding it returns the best
-bounds found so far flagged inexact, never a wrong optimum.  The clock
-is read only inside the search, at the root and at every 4,096th node,
-so the placement tables and the seed built before the root (the
-covering greedy included) always run to their end: a solve can overrun
-a small max_seconds by the set-up time of its grid and, once past the
-root, by up to 4,095 nodes.  Reading it in the set-up would make a seed
-depend on the speed of the machine.
+bounds found so far flagged inexact, never a wrong optimum.  The budget
+is read only inside the search, on the schedule SolverBudget states.
 """
 
 from __future__ import annotations
@@ -41,9 +36,14 @@ from .verify import verify_covering, verify_packing, verify_two_packing
 @dataclass(frozen=True)
 class SolverBudget:
     """Caps on a solve: max_nodes search nodes and max_seconds of wall
-    time.  max_seconds is checked at the root and then at every 4,096th
-    node, so it does not cut short the table build and seeding before
-    the root (see the module docstring)."""
+    time.  Both are read at the search's nodes only: node max_nodes + 1
+    stops it, and the clock is read at nodes 1, 2, 4, ..., 4,096 and then
+    at every 4,096th node.  So the placement tables and the seed built
+    before the root (the covering greedy included) always run to their
+    end, and a solve can overrun a small max_seconds by the set-up time
+    of its grid and, past the root, by fewer nodes than it has run, and
+    never by 4,096.  Reading the clock in the set-up would make a seed
+    depend on the speed of the machine."""
 
     max_nodes: int = 5_000_000
     max_seconds: float = 60.0
@@ -268,31 +268,39 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     best = [value, placements] starts at [-1, []] and search replaces it
     whole: the covering and packing searches seed it before their first
     tick(), max coverage at N = 0 only.  A search whose best meets its
-    closed-form bound may end there by raising _Proven.  tick() counts a
-    node and raises _BudgetExhausted past the budget, and a search too
-    deep for the stack stops on RecursionError alike, and
-    stats.stop_reason says which of the three stopped it.  A search may
-    also count nodes itself, by adding them to stats.nodes, where tick()
-    could not stop any of them: at or below the node cap and off node 1
-    and the multiples of 4,096, where the clock is read.  Every search
-    reaches its root, node 1, through tick().  A proven run reports
-    (best value, best value) as (lower, upper), a capped one
-    capped_bounds(best value), and the result is exact, with optimum
-    lower, when they meet.  Bounds that meet always have the witness of
-    best: the seeds see to that, as max coverage's capped bounds
-    (max(best, 0), upper) meet at 0 when N = 0 only.
+    closed-form bound may end there by raising _Proven.  tick(size=1,
+    pruned=False) counts size nodes, and with pruned also counts them as
+    pruned, all but a node at which the budget stops the search: it reads
+    the budget at each node due among them (see SolverBudget) and raises
+    _BudgetExhausted when it is spent.  A search too deep for the stack
+    stops on RecursionError alike, and stats.stop_reason says which of the
+    three stopped it.  Every node is counted through tick(), the root,
+    node 1, first.  A proven run reports (best value, best value) as
+    (lower, upper), a capped one capped_bounds(best value), and the
+    result is exact, with optimum lower, when they meet.  Bounds that
+    meet always have the witness of best: the seeds see to that, as max
+    coverage's capped bounds (max(best, 0), upper) meet at 0 when N = 0
+    only.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
     start = time.perf_counter()
+    due = 1  # the next node at which the budget is read
 
-    def tick():
-        stats.nodes += 1
-        if stats.nodes > budget.max_nodes:
-            raise _BudgetExhausted("node_cap")
-        if stats.nodes % 4096 == 0 or stats.nodes == 1:
-            if time.perf_counter() - start > budget.max_seconds:
-                raise _BudgetExhausted("time_cap")
+    def tick(size=1, pruned=False):
+        nonlocal due
+        nodes = stats.nodes + size
+        while nodes >= due:
+            cap = due > budget.max_nodes
+            if cap or time.perf_counter() - start > budget.max_seconds:
+                if pruned:
+                    stats.pruned += due - 1 - stats.nodes
+                stats.nodes = due
+                raise _BudgetExhausted("node_cap" if cap else "time_cap")
+            due = min(budget.max_nodes + 1, 2 * due, (due | 4095) + 1)
+        if pruned:
+            stats.pruned += size
+        stats.nodes = nodes
 
     inst = _Instance(g)
     best = [-1, []]
@@ -472,12 +480,11 @@ def exact_min_covering(
     at all when s < 0.  A child's first turn is taken in its parent,
     which passes it the slack: a child that is not orbital and whose
     slack cuts all its candidates would only count them and return, so
-    the parent counts them instead and makes no call, with one tick() for
-    a count that reaches the node cap or a multiple of 4,096.  Every
-    other cut child is counted where it is tested.
+    the parent counts them instead, by one tick(size, True), and makes no
+    call.  Every other child is counted by its own tick() where it is
+    tested, so the budget is read on _solve's schedule (see SolverBudget).
     """
     lower, _ = covering_lower(g)
-    max_nodes = (budget or SolverBudget()).max_nodes
 
     def search(inst, tick, stats, best):
         D = inst.D
@@ -514,19 +521,6 @@ def exact_min_covering(
                     return tight
             return slack
 
-        def book(size):
-            # count size pruned nodes inline, but by tick() each one past
-            # the node cap or on a multiple of 4,096, where it may stop
-            nodes = stats.nodes + size
-            while nodes > max_nodes or nodes >> 12 != stats.nodes >> 12:
-                edge = min(max_nodes + 1, (stats.nodes | 4095) + 1)
-                stats.pruned += edge - 1 - stats.nodes
-                stats.nodes = edge - 1
-                tick()
-                stats.pruned += 1
-            stats.pruned += nodes - stats.nodes
-            stats.nodes = nodes
-
         def branch(covered, live, depth, cands, p, free, o0, o1, slack):
             # cands hold the placements covering p, covered's first zero
             # bit; free holds the values no chosen point uses (see
@@ -554,12 +548,7 @@ def exact_min_covering(
                 cands ^= low
                 i = low.bit_length() - 1
                 child = covered | covs[i]
-                # count the child inline; tick() where it may stop
-                nodes = stats.nodes + 1
-                if nodes > max_nodes or not nodes & 4095:
-                    tick()
-                else:
-                    stats.nodes = nodes
+                tick()
                 if child == full:
                     if depth + 1 < top:
                         best[:] = [depth + 1, chosen + [i]]
@@ -579,7 +568,7 @@ def exact_min_covering(
                             not is_orbital[free_q & ~ptmask[at]]):
                         # the child's first turn would book all of sub as
                         # pruned and end it: book them here, with no call
-                        book(sub.bit_count())
+                        tick(sub.bit_count(), True)
                     else:
                         chosen.append(i)
                         branch(child, rest, depth + 1, sub, at, free_q, c0, c1, s)

@@ -8,7 +8,7 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -1013,32 +1013,83 @@ def test_strict_two_packing_of_one_point_grids():
                 assert (res.exact, res.optimum) == (True, 1), (k, l, budget)
 
 
+def _clock_moving_after(monkeypatch, still):
+    # a clock that reads 0.0 for its first still reads and 1.0 after
+    reads = iter((0.0,) * still)
+    monkeypatch.setattr(solve_module, "time", SimpleNamespace(perf_counter=lambda: next(reads, 1.0)))
+
+
 def test_budget_time_limit(monkeypatch):
     res = exact_max_packing(GridParams(4, 3, 2), SolverBudget(max_seconds=0.0))
     assert not res.exact
     assert res.lower_bound <= res.upper_bound
-    # after the root the clock is read at every 4,096th node, also where
-    # that node lies in a run of pruned children counted at once (it does
-    # in both): a clock that stands still for the start and the root's
-    # read and has moved by the next one stops the search there
+    # the clock is read at nodes 1, 2, 4, ..., 4,096, also where that node
+    # lies in a run of pruned children counted at once (4,096 does in
+    # both): a clock that stands still for the start and the reads at
+    # nodes 1 to 2,048 and has moved by the next one stops the search there
     for nkl, pruned in [((4, 3, 2), 3_827), ((2, 5, 3), 3_967)]:
-        reads = iter((0.0, 0.0))
-        monkeypatch.setattr(solve_module, "time", SimpleNamespace(perf_counter=lambda: next(reads, 1.0)))
+        _clock_moving_after(monkeypatch, 13)
         res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
         assert (res.exact, res.stats.stop_reason) == (False, "time_cap"), nkl
         assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
 
 
-def test_time_cap_holds_from_the_root():
-    # the clock is also read at the root, so a spent time cap stops each
-    # search there, once its tables and seed are built, in every mode
-    zero = SolverBudget(max_seconds=0)
-    for res in (exact_min_covering(GridParams(10, 3, 2), zero),
-                exact_max_packing(GridParams(6, 4, 2), zero),
-                exact_max_two_packing(GridParams(6, 4, 2), "closed", zero),
-                exact_max_coverage(GridParams(8, 3, 2), 30, zero)):
-        assert (res.stats.nodes, res.stats.stop_reason, res.exact) == (1, "time_cap", False), res.mode
-        assert res.lower_bound <= res.upper_bound, res.mode
+def test_time_cap_holds_from_the_root(monkeypatch):
+    # the clock is read at the root and at node 2, so a time cap spent by
+    # either read stops each search there, once its tables and seed are
+    # built, in every mode: a clock that moves after the start stops it
+    # at the root, and one that moves after the root's read at node 2
+    solves = (lambda budget: exact_min_covering(GridParams(10, 3, 2), budget),
+              lambda budget: exact_max_packing(GridParams(6, 4, 2), budget),
+              lambda budget: exact_max_two_packing(GridParams(6, 4, 2), "closed", budget),
+              lambda budget: exact_max_coverage(GridParams(8, 3, 2), 30, budget))
+    for solve in solves:
+        for node in (1, 2):
+            _clock_moving_after(monkeypatch, node)  # the start, and the root's read
+            res = solve(SolverBudget(max_seconds=0.5))
+            assert (res.stats.nodes, res.stats.stop_reason, res.exact) == (node, "time_cap", False), res.mode
+            assert res.lower_bound <= res.upper_bound, res.mode
+
+
+def _ledger(monkeypatch, ops, budget, bulk, still=None):
+    # (nodes, pruned, stop_reason) of a fake search booking ops, each
+    # (size, pruned), by one tick(size, pruned) or by one tick() a node
+    def search(inst, tick, stats, best):
+        for size, pruned in ops:
+            if bulk:
+                tick(size, pruned)
+            else:
+                for _ in range(size):
+                    tick()
+                    stats.pruned += pruned
+    if still is not None:
+        _clock_moving_after(monkeypatch, still)
+    stats = solve_module._solve(GridParams(2, 2, 1), "min_cover", budget, search,
+                                lambda value: (0, 1)).stats
+    return stats.nodes, stats.pruned, stats.stop_reason
+
+
+def test_bulk_ticks_book_what_single_ticks_do(monkeypatch):
+    # tick(size, True) counts and stops as size ticks of one pruned node
+    # each: under node caps at and around the clock's edges and inside
+    # bulk runs, and under clocks that move after each read up to 12,288
+    rng = random.Random(7)
+    ops = [(1, False) if rng.random() < 0.5 else (rng.choice((0, 1, 2, 7, rng.randrange(100))), True)
+           for _ in range(3_000)]
+    ends = list(accumulate(size for size, _ in ops))
+    inside = [end - size // 2 for (size, _), end in zip(ops, ends) if size >= 2][::40]
+    reads = [1 << e for e in range(13)] + [8_192, 12_288]
+    assert ends[-1] > reads[-1]
+    for cap in (0, 1, 2, 3, 2_047, 2_048, 4_095, 4_096, 4_097, 8_192, *inside, ends[-1], 10 ** 6):
+        budget = SolverBudget(cap, 1e9)
+        ledger = _ledger(monkeypatch, ops, budget, True)
+        assert ledger == _ledger(monkeypatch, ops, budget, False), cap
+        assert ledger[0] == min(cap + 1, ends[-1]), cap
+    for still, read in enumerate(reads, start=1):
+        budget = SolverBudget(10 ** 6, 0.5)
+        ledger = _ledger(monkeypatch, ops, budget, True, still)
+        assert ledger == _ledger(monkeypatch, ops, budget, False, still), still
+        assert ledger[::2] == (read, "time_cap"), still
 
 
 def test_stop_reason_names_what_ended_the_search():
