@@ -2,6 +2,10 @@
 problems, a max-coverage solver, and an integer-program file writer.
 The enumeration oracles that check them are in rookpack.oracles.
 
+The covering, two-packing and max-coverage searches branch over
+placements, (point, direction set) pairs; the packing search branches
+over points, since a packing is determined by its point set.
+
 All solvers run under a mandatory budget: exceeding it returns the best
 bounds found so far flagged inexact, never a wrong optimum.  The budget
 is read only inside the search, on the schedule SolverBudget states.
@@ -91,9 +95,9 @@ class _Proven(Exception):
 class _Instance:
     """Placement table for one grid.  Placement i is the direction set
     dirsets[i % D] at point i // D, so placements run through the
-    (point, direction set) pairs in lexicographic order, and every search,
-    mask and table refers to a placement by its index i; point p owns the
-    D-bit block of placements block << p*D.
+    (point, direction set) pairs in lexicographic order, and every mask
+    and table over placements refers to one by its index i; point p owns
+    the D-bit block of placements block << p*D.
 
     A rook reaches the points of its l axis lines, so every mask of
     placements on a line is a per-axis pattern shifted into place by
@@ -101,7 +105,8 @@ class _Instance:
     through point 0, and occupants[a] the whole block there.  Likewise
     planes[a][b], for b != a, holds attackers[b] at each point of the
     axis-a line through point 0: the placements attacking along b in the
-    (a, b) plane through point 0."""
+    (a, b) plane through point 0.  The packing search reads none of these:
+    it works on masks over points (_PointPacking)."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
@@ -113,22 +118,11 @@ class _Instance:
         self.D = D = len(self.dirsets)
         self.block = (1 << D) - 1
         self.weights = g.weights
-        # along[a]: the D-bit mask of the direction sets containing axis a
-        self.along = [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(g.k)]
-        self.attackers = [_repeat(m, w * D, g.n) for m, w in zip(self.along, self.weights)]
-        self.occupants = [_repeat(self.block, w * D, g.n) for w in self.weights]
 
     def line(self, a, pidx, pattern):
         """pattern, laid along the axis-a line through point 0, moved onto
         the axis-a line through point pidx."""
         return pattern << (pidx - self.points[pidx][a] * self.weights[a]) * self.D
-
-    @cached_property
-    def planes(self):
-        D, n = self.D, self.g.n
-        return [[_repeat(pattern, w * D, n) if b != a else 0
-                 for b, pattern in enumerate(self.attackers)]
-                for a, w in enumerate(self.weights)]
 
     def config(self, chosen):
         D = self.D
@@ -136,7 +130,27 @@ class _Instance:
             self.g, [Rook(self.points[i // D], self.dirsets[i % D]) for i in chosen]
         )
 
-    # The tables below are built on first use.
+    # The patterns and tables below are built on first use.
+
+    @cached_property
+    def along(self):
+        """along[a]: the D-bit mask of the direction sets containing axis a."""
+        return [sum(1 << j for j, d in enumerate(self.dirsets) if a in d) for a in range(self.g.k)]
+
+    @cached_property
+    def attackers(self):
+        return [_repeat(m, w * self.D, self.g.n) for m, w in zip(self.along, self.weights)]
+
+    @cached_property
+    def occupants(self):
+        return [_repeat(self.block, w * self.D, self.g.n) for w in self.weights]
+
+    @cached_property
+    def planes(self):
+        D, n = self.D, self.g.n
+        return [[_repeat(pattern, w * D, n) if b != a else 0
+                 for b, pattern in enumerate(self.attackers)]
+                for a, w in enumerate(self.weights)]
 
     @cached_property
     def placements(self):
@@ -209,17 +223,18 @@ class _ValueOrbits:
     pidx's coordinate, so a child's int is free & ~ptmask[pidx];
     orbital[free] is True when some axis of free has two or more values.
 
-    at_dirs[j] is the mask of the placements with the j-th direction set,
-    and at_values[a][vals] that of the placements whose point has its
-    axis-a value in the bitset vals.  ptmask, orbital and each
-    at_values[a] are memos filled on first lookup, so a solve builds only
-    the entries it reaches, and frees them when it returns.  cover_orbit
-    and pack_orbit give the orbits of exact_min_covering and
-    _max_independent.
+    The masks run over the search's items, D to a point: placements for
+    D = inst.D, points for D = 1.  at_dirs[j] is the mask of the items
+    with the j-th direction set, and at_values[a][vals] that of the items
+    whose point has its axis-a value in the bitset vals.  ptmask, orbital
+    and each at_values[a] are memos filled on first lookup, so a solve
+    builds only the entries it reaches, and frees them when it returns.
+    cover_orbit and pack_orbit give the orbits of exact_min_covering, and
+    of _max_independent and the point search of exact_max_packing.
     """
 
-    def __init__(self, inst: _Instance):
-        g, D, npts, n = inst.g, inst.D, inst.npts, inst.g.n
+    def __init__(self, inst: _Instance, D: int):
+        g, npts, n = inst.g, inst.npts, inst.g.n
         points = inst.points
         field = (1 << n) - 1
         shifts = [a * n for a in range(g.k)]
@@ -251,7 +266,7 @@ class _ValueOrbits:
             return 0
 
         def pack_orbit(free, i):
-            """The placements that head i stands for at a node with unused
+            """The items that head i stands for at a node with unused
             values free, itself included."""
             orbit = at_dirs[i % D]
             for a, (s, x) in enumerate(zip(shifts, points[i // D])):
@@ -329,6 +344,9 @@ def _closed_form_seed(inst: _Instance, mode):
       (o+x, o+y, o+z) with x + y + z = 0 mod s in each block of size s at
       offset o; Rodemich's bound.  Two of a point's three coordinates
       lie in one block, and that block's rook agreeing there covers it;
+    - at n = 2 with (k - l)^2 < k, b(2,k,l) = 2^(k-1), Huang's hypercube
+      bound, from the even-weight points attacking along axes 0..l-1:
+      two of them differ in two coordinates or more, so no line holds two;
     - at n = 2 and k = 2^m - 1, the binary Hamming code T, the points
       whose set coordinates' 1-based positions XOR to 0: a(2,k,k) and
       c(2,k,k) closed = |T| = 2^(k-m), the sphere bounds, and
@@ -345,6 +363,9 @@ def _closed_form_seed(inst: _Instance, mode):
         h = n // 2
         return [((o + x) * n + o + y) * n + o + (-x - y) % s
                 for o, s in ((0, h), (h, n - h)) for x in range(s) for y in range(s)]
+    if mode == "max_pack" and n == 2 and (g.k - g.l) ** 2 < g.k:
+        # dirsets[0] is (0, ..., l-1); a point's index has its coordinates as bits
+        return [q * D for q in range(inst.npts) if not q.bit_count() & 1]
     if n == 2 and g.k & (g.k + 1) == 0:
         # syndromes[q]: the XOR of the 1-based positions of point q's set
         # coordinates, axis 0 being q's most significant bit
@@ -503,7 +524,7 @@ def exact_min_covering(
 
         covs, full, npts, ball = inst.placements, inst.full, inst.npts, g.ball
         by_point = inst.by_cov
-        orbits = _ValueOrbits(inst)
+        orbits = _ValueOrbits(inst, D)
         ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
         overlap_update = _overlap_update(by_point)
         block = inst.block
@@ -636,17 +657,6 @@ def _union(table, bits):
     return mask
 
 
-def _pack_conflicts(inst, i):
-    """Rooks on a point placement i covers (its own included), and rooks
-    attacking i's point along one of its k lines."""
-    q, m = i // inst.D, 0
-    for a, pattern in enumerate(inst.attackers):
-        m |= inst.line(a, q, pattern)
-    for a in inst.dirsets[i % inst.D]:
-        m |= inst.line(a, q, inst.occupants[a])
-    return m
-
-
 def _closed_conflicts(inst, i):
     """Rooks covering a point placement i covers.  For each axis a of i,
     those are the rooks on i's axis-a line, and those off it that attack
@@ -667,7 +677,6 @@ def _closed_conflicts(inst, i):
 # The placements that cannot coexist with placement i, i included, as a
 # mask over placement indices, in each mode of _max_independent.
 _CONFLICTS = {
-    "max_pack": _pack_conflicts,
     "max_two_pack_closed": _closed_conflicts,
     # rooks attacking a point i attacks, and rooks on i's point
     "max_two_pack_strict": lambda inst, i: (
@@ -678,9 +687,10 @@ _CONFLICTS = {
 
 
 def _max_independent(g, mode, budget, cap_for, upper):
-    """Shared include/exclude search for max_pack and max_two_pack,
-    seeded with the closed-form configuration of _closed_form_seed where
-    it meets upper, else with the greedy pick in placement order.  A seed
+    """Include/exclude search over placements for max_two_pack (closed
+    and strict; exact_max_packing searches points instead), seeded with
+    the closed-form configuration of _closed_form_seed where it meets
+    upper, else with the greedy pick in placement order.  A seed
     that meets upper closes the solve at its root, which reports (nodes,
     pruned) = (1, 0), before the conflict memo (for a closed-form seed),
     the cap and the value orbits are built.
@@ -723,7 +733,7 @@ def _max_independent(g, mode, budget, cap_for, upper):
             raise _Proven
 
         cap = cap_for(inst)
-        orbits = _ValueOrbits(inst)
+        orbits = _ValueOrbits(inst, D)
         ptmask, is_orbital, pack_orbit = orbits.ptmask, orbits.orbital, orbits.pack_orbit
         chosen = []
 
@@ -810,37 +820,26 @@ def _window(step, span):
     return shifts
 
 
-def _axis_masks(inst):
-    """(starts, fold, axes): the masks and shifts of the packing caps'
-    shift kernels, which work on whole masks of candidate placements.
-
-    Placement p*D + j is the j-th direction set at point p, so each point
-    owns a D-bit block; starts holds the first bit of every block, and the
-    shifts x |= x >> t for t in fold OR each block into its first bit.
-    axes[a] is (along, plane, line): the placements attacking along a; the
-    block starts of the points with x_a = 0; and the shifts that OR each
-    axis-a line onto its point with x_a = 0 (x |= x >> t) or spread that
-    point back along the line (x |= x << t).
-    """
-    g, D, npts = inst.g, inst.D, inst.npts
-    n = g.n
-    axes = []
-    for along, w in zip(inst.along, inst.weights):
-        # the points with x_a = 0 are the first w of every n*w points
-        plane = _repeat(_repeat(1, D, w), n * w * D, npts // (n * w))
-        axes.append((_repeat(along, D, npts), plane, _window(w * D, n)))
-    return _repeat(1, D, npts), _window(1, D), axes
-
-
 def _reach_cap(inst, unit):
     """cap for closed two-packings, where each rook holds the unit points
     of its coverage alone: the points the candidates reach, // unit.
     Those are the points on an axis-a line, for any a, that holds a
     candidate attacking along a (a rook's point lies on its own lines).
-    Per axis the kernel gathers and spreads the candidates' whole blocks,
-    and folds the blocks into their first bits once, at the end."""
-    starts, fold, axes = _axis_masks(inst)
-    axes = [(along, plane * inst.block, line) for along, plane, line in axes]
+
+    Placement p*D + j is the j-th direction set at point p, so each point
+    owns a D-bit block.  Per axis the kernel gathers the whole blocks of
+    the candidates attacking along a onto the points with x_a = 0
+    (x |= x >> t for t in line), keeps those, and spreads them back along
+    the line (x |= x << t); it folds the blocks into their first bits
+    (starts) once, at the end."""
+    g, D, npts = inst.g, inst.D, inst.npts
+    n = g.n
+    axes = []
+    for along, w in zip(inst.along, inst.weights):
+        # the points with x_a = 0 are the first w of every n*w points
+        blocks = _repeat(_repeat(inst.block, D, w), n * w * D, npts // (n * w))
+        axes.append((_repeat(along, D, npts), blocks, _window(w * D, n)))
+    starts, fold = _repeat(1, D, npts), _window(1, D)
 
     def cap(cands):
         reached = 0
@@ -859,67 +858,217 @@ def _reach_cap(inst, unit):
     return cap
 
 
-def _clique_counter(inst):
-    """counts(cands) -> (lines, cliques) for a mask of candidate placements:
-    the axis-a lines, over all a, holding a candidate attacking along a, and
-    the pairs (axis a, point q) whose clique meets the candidates.  That
-    clique is every placement at q plus those on q's axis-a line attacking
-    along a; no two of them fit in one packing.  Per axis the kernel folds
-    the blocks of the candidates attacking along a into their first bits,
-    gathers those onto the points with x_a = 0, counts them, and spreads
-    them back along the line (see _axis_masks).
+def _at_least(masks, m):
+    """The bits set in at least m >= 1 of masks."""
+    t = [0] * m  # t[j]: the bits set in at least j + 1 of the masks so far
+    for x in masks:
+        for j in range(m - 1, 0, -1):
+            t[j] |= t[j - 1] & x
+        t[0] |= x
+    return t[-1]
+
+
+class _PointPacking:
+    """The packing search's kernel, on masks over the n^k points: bit p
+    stands for point p.
+
+    A point set S is a packing iff every point of S is alone in S on at
+    least l of its k lines, its lonely lines.  It then attacks along its
+    lowest l lonely axes (witness), and no other rook lies on those lines.
+
+    A node's state is (chosen, empty, single, locked): S as a mask; per
+    axis a, the points whose axis-a line holds no point of S (empty[a],
+    the complement of occ[a]) and exactly one (single[a]); and locked, the
+    lines of the points of S left with exactly l lonely lines, which no
+    point may join.  lonely[q] counts the lonely lines of each q in S.  A
+    point is a candidate iff it is off locked and at least l of its lines
+    are empty: those become its lonely lines, and a point of S sharing a
+    line with it (two points share one at most) had more than l, or the
+    line would be locked, so it keeps l.  root is (all points, *state of
+    the empty S).
+
+    include(p, cands, *state) -> (cands, *state, hit): p joins S.  cands
+    are the candidates left beside p, the child's are those that stay
+    candidates, and hit lists the points of S that lost a lonely line;
+    restore(hit) gives their counts back when the child's subtree is done.
+
+    counts(cands, empty) -> (lines, cliques): the empty lines holding a
+    candidate, over all axes, and the cliques (a, q) meeting the
+    candidates: q is one, or lies on an empty axis-a line holding one.
+    Per axis the kernel gathers the empty-line candidates onto the points
+    with x_a = 0 with _window's shifts and counts them; as those lines
+    hold n points each, and hold every candidate off occ[a], the cliques
+    on axis a number n lines_a plus the candidates on occ[a].  A rook
+    added below holds l empty lines alone, and meets l(n-1)+k of those
+    cliques, k at its point and n-1 along each line it attacks along,
+    which no other rook meets; so cap(cands, empty) = min(lines // l,
+    cliques // (l(n-1)+k)) bounds the rooks cands can add, and at the root
+    it is the incidence bound.  One point leaving takes at most k lines
+    and kn cliques with it, so lowers the cap by at most step.
     """
-    starts, fold, axes = _axis_masks(inst)
-    axes = [(along, fold + line, plane, line) for along, plane, line in axes]
 
-    def counts(cands):
-        occupied = cands
-        for t in fold:
-            occupied |= occupied >> t
-        occupied &= starts
-        lines = cliques = 0
-        for along, gather, plane, line in axes:
-            heads = cands & along
-            for t in gather:
-                heads |= heads >> t
-            heads &= plane
-            lines += heads.bit_count()
-            for t in line:
-                heads |= heads << t
-            cliques += (heads | occupied).bit_count()
-        return lines, cliques
+    def __init__(self, inst: _Instance):
+        g, npts, weights, D = inst.g, inst.npts, inst.weights, inst.D
+        n, k, l = g.n, g.k, g.l
+        full = (1 << npts) - 1
+        self.root = (full, 0, [full] * k, [0] * k, 0)
+        lonely = [0] * npts
+        points, axes = inst.points, range(k)
+        # the axis-a line through point 0, the points with x_a = 0 (the
+        # first w of every n*w), and the shifts gathering a line onto them
+        line0 = [_repeat(1, w, n) for w in weights]
+        heads = [(_repeat((1 << w) - 1, n * w, npts // (n * w)), _window(w, n)) for w in weights]
+        per_rook = l * (n - 1) + k
+        self.step = max(-(-k // l), -(-k * n // per_rook))
+        index = {d: j for j, d in enumerate(inst.dirsets)}
 
-    return counts
+        if l <= k - l + 1:  # count empty lines up to l, or occupied ones past k - l
+            def fit(cands, empty):
+                return cands & _at_least(empty, l)
+        else:
+            def fit(cands, empty):
+                return cands & ~_at_least([~e for e in empty], k - l + 1)
 
+        def include(p, cands, chosen, empty, single, locked):
+            x, empty, single, own, hit = points[p], empty[:], single[:], [], []
+            for a in axes:
+                if empty[a] >> p & 1:
+                    line = line0[a] << p - x[a] * weights[a]
+                    empty[a] ^= line
+                    single[a] |= line
+                    own.append(line)
+                elif single[a] >> p & 1:
+                    line = line0[a] << p - x[a] * weights[a]
+                    single[a] ^= line
+                    q = (chosen & line).bit_length() - 1
+                    lonely[q] -= 1
+                    hit.append(q)
+                    if lonely[q] == l:  # q's other lines are off p's: final
+                        y = points[q]
+                        for b in axes:
+                            if single[b] >> q & 1:
+                                locked |= line0[b] << q - y[b] * weights[b]
+            lonely[p] = len(own)
+            if len(own) == l:
+                for line in own:
+                    locked |= line
+            return fit(cands & ~locked, empty), chosen | 1 << p, empty, single, locked, hit
 
-def _pack_cap(inst):
-    """cap for packings.  A rook holds its l lines alone, and lies in
-    exactly l(n-1)+k of the cliques of _clique_counter (l(n-1) as an
-    attacker, k as the occupant of its point), each of which holds at most
-    one rook; so both counts, divided by those, cap the packing."""
-    g = inst.g
-    counts = _clique_counter(inst)
-    per_rook = g.l * (g.n - 1) + g.k
+        def restore(hit):
+            for q in hit:
+                lonely[q] += 1
 
-    def cap(cands):
-        lines, cliques = counts(cands)
-        return min(lines // g.l, cliques // per_rook)
+        def counts(cands, empty):
+            lines = cliques = 0
+            for e, (plane, gather) in zip(empty, heads):
+                x = cands & e
+                cliques -= x.bit_count()
+                for t in gather:
+                    x |= x >> t
+                lines += (x & plane).bit_count()
+            return lines, n * lines + k * cands.bit_count() + cliques
 
-    return cap
+        def cap(cands, empty):
+            lines, cliques = counts(cands, empty)
+            return min(lines // l, cliques // per_rook)
+
+        def witness(chosen, single):
+            """The placements of the points chosen, each along its lowest
+            l lonely axes."""
+            return [q * D + index[tuple([a for a in axes if single[a] >> q & 1][:l])]
+                    for q in chosen]
+
+        self.include, self.restore, self.counts, self.cap, self.witness = (
+            include, restore, counts, cap, witness)
 
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
     """Maximum number of l-rooks with no rook attacking another; upper is
-    the clique bound incidence_bound_b, lowered to the hypercube bound
-    where that applies.  b(n,2,1) = 2n - 2 for n >= 2 and b(2,k,1) =
-    2^k - 2^k / (k + 1) for k = 2^m - 1 meet the clique bound with a
-    closed-form seed and close at the root."""
+    the clique bound incidence_bound_b, lowered to Huang's hypercube bound
+    where that applies.  A closed-form seed meeting upper closes b(n,2,1)
+    = 2n - 2 for n >= 2, b(2,k,l) = 2^(k-1) for (k - l)^2 < k, and
+    b(2,k,1) = 2^k - 2^k / (k + 1) for k = 2^m - 1 at the root.
+
+    Elsewhere an include/exclude search runs over the n^k points on
+    _PointPacking's masks, seeded with the greedy pick in point order; the
+    witness takes each point's lowest l lonely axes.  The head is the
+    lowest candidate, a node is pruned when depth + cap(cands) <= best,
+    and the search stops once best meets upper.  Orbital branching is
+    _max_independent's, on points: after the include child, the exclude
+    step drops the head's pack_orbit from cands.
+    """
     upper = int(incidence_bound_b(g))
     try:
         upper = min(upper, hypercube_bound_b(g))
     except NotApplicable:
         pass
-    return _max_independent(g, "max_pack", budget, _pack_cap, upper)
+
+    def search(inst, tick, stats, best):
+        seed = _closed_form_seed(inst, "max_pack")
+        if seed is None or len(seed) < upper:
+            kernel = _PointPacking(inst)
+            cands, chosen, empty, single, locked = kernel.root
+            seed = []
+            while cands:
+                p = (cands & -cands).bit_length() - 1
+                seed.append(p)
+                cands, chosen, empty, single, locked, _ = kernel.include(
+                    p, cands ^ 1 << p, chosen, empty, single, locked)
+            seed = kernel.witness(seed, single)
+        best[:] = [len(seed), seed]
+        if best[0] >= upper:  # proven at the root, before any cap or orbit
+            tick()
+            raise _Proven
+
+        include, restore, cap, witness, step = (
+            kernel.include, kernel.restore, kernel.cap, kernel.witness, kernel.step)
+        orbits = _ValueOrbits(inst, 1)
+        ptmask, is_orbital, pack_orbit = orbits.ptmask, orbits.orbital, orbits.pack_orbit
+        path = []
+
+        def dfs(cands, depth, free, chosen, empty, single, locked):
+            # free holds the values no chosen point uses (see _ValueOrbits);
+            # lo..hi brackets the cap along the exclude chain, as a point
+            # leaving cands lowers it by at most step
+            orbital = is_orbital[free]
+            lo, hi = 0, inst.npts
+            while True:
+                tick()
+                if depth > best[0]:
+                    best[:] = [depth, witness(path, single)]
+                if best[0] >= upper:
+                    raise _Proven
+                if not cands:
+                    return
+                slack = best[0] - depth
+                if cands.bit_count() <= slack or hi <= slack:
+                    stats.pruned += 1
+                    return
+                if lo <= slack:
+                    lo = hi = cap(cands, empty)
+                    if hi <= slack:
+                        stats.pruned += 1
+                        return
+                low = cands & -cands
+                cands ^= low
+                p = low.bit_length() - 1
+                sub, below, em, si, lk, hit = include(p, cands, chosen, empty, single, locked)
+                path.append(p)
+                dfs(sub, depth + 1, free & ~ptmask[p], below, em, si, lk)
+                path.pop()
+                restore(hit)
+                lo -= step
+                if orbital:
+                    orbit = cands & pack_orbit(free, p)
+                    cands ^= orbit
+                    lo -= step * orbit.bit_count()
+
+        try:
+            dfs(kernel.root[0], 0, orbits.all_free, *kernel.root[1:])
+        finally:
+            del dfs  # dfs calls itself through its cell: free it
+
+    return _solve(g, "max_pack", budget, search, lambda value: (value, upper))
 
 
 def exact_max_two_packing(
@@ -1021,8 +1170,8 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     names = [f"y_{p}_{m}" for p in range(inst.npts) for m in dirmasks]
     # rows are (name, mask over placement indices, sense)
     if mode == "max_pack":
-        # the (line, point) cliques of _clique_counter: the placements at
-        # q and those attacking along q's axis-a line, at most one each
+        # the (line, point) cliques of incidence_bound_b: the placements
+        # at q and those attacking along q's axis-a line, at most one each
         rows = [(f"clique_{q}_{a}", inst.line(a, q, pattern) | inst.block << q * inst.D, "<=")
                 for q in range(inst.npts) for a, pattern in enumerate(inst.attackers)]
     else:

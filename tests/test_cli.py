@@ -255,14 +255,15 @@ def test_solve_rejects_flags_the_mode_ignores(capsys, tmp_path):
     assert (code, out) == (2, "") and "unrecognized arguments: --symmetry" in err
     assert not (tmp_path / "cache").exists()
     # each mode with the flags it owns prints what it printed before the
-    # check was added, wall times aside
+    # check was added, wall times aside, save b's witness: b(2,3,2) is now
+    # the even-weight points of its closed-form seed
     digest = hashlib.sha256()
     for argv in (("a",), ("b",), ("c",), ("c", "--strict"), ("coverage", "--N", "4")):
         code, out, _ = run(capsys, "solve", argv[0], *grid, *argv[1:])
         assert code == 0, argv
         digest.update(re.sub(r'"wall_time": [^,]*', "", out).encode())
     assert digest.hexdigest() == (
-        "4b4db0022996bb3b4f9db3a3a8413deeab6f5d737d2a11cbe9f05d388a038522")
+        "5535badc0ef41b316f1efab90a68e437e20fafcefc54c09ba6c7d3f1d995b09e")
 
 
 def test_verify_rejects_strict_outside_pack2(capsys, tmp_path):

@@ -34,8 +34,8 @@ from rookpack.oracles import (
 from rookpack.solve import (
     _CONFLICTS,
     SolverBudget,
-    _clique_counter,
     _Instance,
+    _PointPacking,
     _ValueOrbits,
     _gain_deficit,
     _greedy_covering,
@@ -165,19 +165,23 @@ def test_packings_never_build_the_coverage_table(monkeypatch):
     # a packing or closed two-packing takes its conflicts and caps from the
     # line patterns alone, so the coverage ints of _Instance.placements,
     # which for b(40, 3, 1) would take over a gigabyte, and the per-point
-    # table by_cov are never built
+    # table by_cov are never built; a packing works on masks over points,
+    # so it builds no placement pattern or table at all
     def refuse(inst):
-        pytest.fail(f"a packing of {inst.g} built a coverage table")
+        pytest.fail(f"a packing of {inst.g} built a placement table")
 
     monkeypatch.setattr(_Instance, "placements", property(refuse))
     monkeypatch.setattr(_Instance, "by_cov", property(refuse))
-    res = exact_max_packing(GridParams(3, 3, 2))
-    assert (res.exact, res.optimum) == (True, 10)
-    res = exact_max_packing(GridParams(6, 4, 2), SolverBudget(2_000, 1e9))
-    assert (res.exact, res.lower_bound, res.upper_bound) == (False, 216, 370)
-    res = exact_max_packing(GridParams(40, 3, 1), SolverBudget(5_000, 1e9))
-    assert (res.lower_bound, res.upper_bound, res.stats.stop_reason) == (1_600, 4_571, "depth")
-    assert check_witness(res.mode, res.witness, 1_600)
+    with monkeypatch.context() as packing:
+        for name in ("attackers", "occupants", "planes", "by_att"):
+            packing.setattr(_Instance, name, property(refuse))
+        res = exact_max_packing(GridParams(3, 3, 2))
+        assert (res.exact, res.optimum) == (True, 10)
+        res = exact_max_packing(GridParams(6, 4, 2), SolverBudget(2_000, 1e9))
+        assert (res.exact, res.lower_bound, res.upper_bound) == (False, 216, 370)
+        res = exact_max_packing(GridParams(40, 3, 1), SolverBudget(5_000, 1e9))
+        assert (res.lower_bound, res.upper_bound, res.stats.stop_reason) == (1_600, 4_571, "depth")
+        assert check_witness(res.mode, res.witness, 1_600)
     res = exact_max_two_packing(GridParams(3, 3, 2))
     assert (res.exact, res.optimum) == (True, 4)
     res = exact_max_two_packing(GridParams(6, 4, 2), budget=SolverBudget(2_000, 1e9))
@@ -205,19 +209,22 @@ def test_root_closing_coverings_never_build_the_coverage_table(monkeypatch):
 
 
 def test_closed_form_families_close_at_the_root(monkeypatch):
-    # b(n,2,1), a(n,3,3), and at n = 2 and k = 2^m - 1 a(2,k,k), c(2,k,k)
-    # closed and b(2,k,1) each have a closed-form seed meeting the solve's
-    # own bound, so the solve ends at its root before any table, greedy,
-    # cap, memo or value orbit is built
+    # b(n,2,1), a(n,3,3), b(2,k,l) with (k - l)^2 < k, and at n = 2 and
+    # k = 2^m - 1 a(2,k,k), c(2,k,k) closed and b(2,k,1) each have a
+    # closed-form seed meeting the solve's own bound, so the solve ends at
+    # its root before any table, greedy, cap, memo or value orbit is built
     def refuse(*args):
         pytest.fail("a solve closing at the root built a table")
 
     monkeypatch.setattr(_Instance, "placements", property(refuse))
     monkeypatch.setattr(_Instance, "by_cov", property(refuse))
-    for name in ("_ValueOrbits", "_Memo", "_greedy_covering", "_pack_cap", "_reach_cap"):
+    for name in ("_ValueOrbits", "_Memo", "_greedy_covering", "_PointPacking", "_reach_cap"):
         monkeypatch.setattr(solve_module, name, refuse)
     runs = [(exact_max_packing, (n, 2, 1), 2 * n - 2) for n in range(2, 201)]
     runs += [(exact_min_covering, (n, 3, 3), -(-n * n // 2)) for n in range(1, 41)]
+    # Huang's hypercube bound, met by the even-weight points
+    runs += [(exact_max_packing, (2, k, l), 2 ** (k - 1))
+             for k in range(1, 16) for l in range(1, k + 1) if (k - l) ** 2 < k]
     for k in (3, 7, 15):
         code = 2 ** k // (k + 1)
         runs += [(exact_min_covering, (2, k, k), code), (exact_max_two_packing, (2, k, k), code),
@@ -253,7 +260,7 @@ def test_literature_values_at_l_equal_k():
                 assert res.lower_bound <= value <= res.upper_bound, (res.mode, n, k)
                 assert not res.exact or res.optimum == value, (res.mode, n, k)
                 exact += res.exact
-    assert exact == 24
+    assert exact == 25
 
 
 def _greedy_grids():
@@ -342,9 +349,9 @@ def test_solver_matches_oracles():
 
 
 def test_conflict_masks_match_coordinates():
-    # every conflict mask of the packing kernels against the oracles' clash
-    # sets, which core.covers decides point by point, on each grid with
-    # n^k <= 64, n = 1 included
+    # every conflict mask of the two-packing kernels against the oracles'
+    # clash sets, which core.covers decides point by point, on each grid
+    # with n^k <= 64, n = 1 included
     for k in range(1, 7):
         for n in [n for n in range(1, 65) if n ** k <= 64]:
             for l in range(1, k + 1):
@@ -356,7 +363,7 @@ def test_conflict_masks_match_coordinates():
                     (inst.points[i // D], frozenset(inst.dirsets[i % D])) for i in range(P)
                 ]
                 for mode, conflicts in _CONFLICTS.items():
-                    if mode == "max_pack" or l >= 2:
+                    if l >= 2:
                         want = [sum(map((1).__lshift__, c)) for c in _oracle_clashes(rooks, mode)]
                         got = [conflicts(inst, i) for i in range(P)]
                         assert got == want, (g, mode)
@@ -367,7 +374,7 @@ def test_value_orbit_masks_match_coordinates():
     # against the placements' own coordinates, n = 1 and l = k included
     for n, k, l in [(1, 2, 1), (2, 3, 2), (3, 2, 1), (4, 3, 3), (3, 3, 2), (5, 2, 2)]:
         inst = _Instance(GridParams(n, k, l))
-        orbits = _ValueOrbits(inst)
+        orbits = _ValueOrbits(inst, inst.D)
         at_dirs, at_values = orbits.at_dirs, orbits.at_values
         P, D = len(inst.placements), inst.D
         for j, d in enumerate(inst.dirsets):
@@ -381,14 +388,14 @@ def test_value_orbit_masks_match_coordinates():
 def test_packed_value_state_matches_value_sets():
     # the searches' packed unused values (n bits per axis) against per-axis
     # value sets, on seeded random (unused values, point) pairs: ptmask,
-    # the orbital flag, and the orbits of both searches, n = 1 and k = 1
-    # included
+    # the orbital flag, and the orbits of the three searches (the point
+    # search's at D = 1), n = 1 and k = 1 included
     rng = random.Random(2011)
     for n in range(1, 6):
         for k in range(1, 5):
             for l in sorted({1, (k + 1) // 2, k}):
                 inst = _Instance(GridParams(n, k, l))
-                orbits = _ValueOrbits(inst)
+                orbits, by_point = _ValueOrbits(inst, inst.D), _ValueOrbits(inst, 1)
                 P, D, points, dirsets = len(inst.placements), inst.D, inst.points, inst.dirsets
                 for _ in range(8):
                     unused = [{v for v in range(n) if rng.random() < 0.6} for _ in range(k)]
@@ -422,35 +429,59 @@ def test_packed_value_state_matches_value_sets():
                             points[r // D][a] in unused[a] if q[a] in unused[a]
                             else points[r // D][a] == q[a] for a in range(k)))
                         assert orbits.pack_orbit(free, head) == want, (n, k, l)
+                        want = sum(1 << r for r, x in enumerate(points) if all(
+                            x[a] in unused[a] if q[a] in unused[a] else x[a] == q[a]
+                            for a in range(k)))
+                        assert by_point.pack_orbit(free, head // D) == want, (n, k, l)
 
 
-def test_clique_counter_matches_coordinates():
-    # the shift-and-mask counts against the lines and (line, point) cliques
-    # that core.covers finds rook by rook, on seeded random candidate sets;
-    # n = 1, k = 1, l = k and one direction set per point included
-    rng = random.Random(20)
-    grids = [(1, 1, 1), (1, 3, 2), (6, 1, 1), (3, 2, 1), (4, 2, 2), (2, 3, 1),
-             (3, 3, 2), (2, 4, 2), (2, 4, 4), (3, 4, 2), (2, 5, 3)]
+def test_point_packing_kernel_matches_coordinates():
+    # the point search's state after each point of seeded random packings
+    # S joins, against coordinates: the candidates are the points p off S
+    # for which verify_packing accepts S + p, each point along its lowest l
+    # lonely axes; (lines, cliques) are the empty lines holding a candidate
+    # and the (axis a, point q) cliques meeting the candidates (q is one,
+    # or lies on an empty axis-a line holding one), from core.covers; and
+    # the witness rule gives S as a packing; n = 1, k = 1 and l = k included
+    rng = random.Random(34)
+    grids = [(1, 1, 1), (1, 3, 2), (6, 1, 1), (3, 2, 1), (4, 2, 2), (8, 2, 1), (2, 3, 1),
+             (3, 3, 2), (3, 3, 3), (4, 3, 1), (2, 4, 2), (2, 4, 4), (2, 5, 3), (2, 6, 4)]
     for n, k, l in grids:
         g = GridParams(n, k, l)
         inst = _Instance(g)
-        counts = _clique_counter(inst)
-        D = inst.D
-        rooks = [Rook(inst.points[i // D], inst.dirsets[i % D]) for i in range(len(inst.placements))]
-        # the axis-a lines a rook attacks along, and the cliques (a, q) it
-        # meets: it sits on q, or covers q from across q's axis-a line
-        lines = [{(a, r.point[:a] + r.point[a + 1 :]) for a in r.dirs} for r in rooks]
-        cliques = [
-            {(a, q) for q in inst.points for a in range(k)
-             if covers(r, q, g) and (q == r.point or q[a] != r.point[a])}
-            for r in rooks
-        ]
-        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
-            for _ in range(4):
-                chosen = [i for i in range(len(rooks)) if rng.random() < density]
-                want = (len(set().union(*(lines[i] for i in chosen))),
-                        len(set().union(*(cliques[i] for i in chosen))))
-                assert counts(sum(1 << i for i in chosen)) == want, (g, chosen)
+        points, full, everywhere = inst.points, inst.full, range(inst.npts)
+        # on_line[i][a]: the points on point i's axis-a line, by core.covers
+        on_line = [[{j for j, q in enumerate(points) if covers(Rook(p, (a,)), q, g)}
+                    for a in range(k)] for p in points]
+
+        def as_rooks(ids):
+            # each point along its lowest l lonely axes, topped up with its
+            # lowest other axes where it has fewer
+            rooks = []
+            for i in ids:
+                lonely = [a for a in range(k) if not on_line[i][a] & set(ids) - {i}]
+                rooks.append(Rook(points[i], (lonely + [a for a in range(k) if a not in lonely])[:l]))
+            return Configuration(g, rooks)
+
+        for _ in range(3):
+            kernel = _PointPacking(inst)
+            cands, *state = kernel.root
+            chosen = []
+            while cands:
+                p = rng.choice([i for i in everywhere if cands >> i & 1])
+                chosen.append(p)
+                cands, *state, _ = kernel.include(p, full ^ state[0] ^ 1 << p, *state)
+                want = [i for i in everywhere
+                        if i not in chosen and verify_packing(as_rooks(chosen + [i])).valid]
+                assert [i for i in everywhere if cands >> i & 1] == want, (g, chosen)
+                # (axis, candidate) pairs whose line holds no point of S
+                free = [(a, i) for a in range(k) for i in want if not on_line[i][a] & set(chosen)]
+                lines = {(a, min(on_line[i][a])) for a, i in free}
+                cliques = {(a, q) for a in range(k) for q in want}
+                cliques |= {(a, q) for a, i in free for q in on_line[i][a]}
+                assert kernel.counts(cands, state[1]) == (len(lines), len(cliques)), (g, chosen)
+                witness = inst.config(kernel.witness(chosen, state[2]))
+                assert witness == as_rooks(chosen) and verify_packing(witness).valid, (g, chosen)
 
 
 def test_reach_cap_matches_coordinates():
@@ -590,7 +621,7 @@ def test_packing_search_tree_pinned():
     # node and pruned counts and witnesses of the include/exclude search:
     # a kernel change that reshapes the tree shows up here
     b = exact_max_packing(GridParams(3, 3, 2))
-    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (393, 195, 10)
+    assert (b.stats.nodes, b.stats.pruned, b.optimum) == (103, 49, 10)
     assert _rooks(b) == [
         ((0, 0, 0), (0, 1)), ((0, 0, 1), (0, 1)), ((0, 1, 2), (0, 2)),
         ((0, 2, 2), (0, 2)), ((1, 0, 2), (1, 2)), ((1, 1, 0), (0, 1)),
@@ -621,9 +652,9 @@ def test_packing_search_tree_pinned():
     assert (capped.exact, capped.lower_bound, capped.upper_bound) == (True, 22, 22)
     assert len(capped.witness) == 22
     capped = exact_max_packing(GridParams(3, 3, 1), SolverBudget(100_000, 1e9))
-    assert (capped.stats.nodes, capped.exact, capped.optimum) == (411, True, 15)
+    assert (capped.stats.nodes, capped.exact, capped.optimum) == (269, True, 15)
     assert check_witness(capped.mode, capped.witness, 15)
-    # the greedy seed of b(2,7,5) meets Huang's hypercube bound 2^(k-1)
+    # the even-weight seed of b(2,7,5) meets Huang's hypercube bound 2^(k-1)
     res = exact_max_packing(GridParams(2, 7, 5), SolverBudget(20_000, 1e9))
     assert (res.exact, res.optimum, res.stats.nodes) == (True, 64, 1)
     assert check_witness(res.mode, res.witness, 64)
@@ -834,7 +865,7 @@ def test_packing_trees_pinned_at_budget_edges():
                         digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                             res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "f89aa8871efb1e56b4774ad76ad987e9683845f8aa44451367cd6ebdc2821d07")
+        "c434d0fff1174cf7554f8522e772391ffe74319e9328abe3de37741e3b86968a")
 
 
 def test_searches_and_oracles_agree(monkeypatch):
@@ -875,7 +906,7 @@ def test_searches_and_oracles_agree(monkeypatch):
                         enumerated[name] += 1
                         assert oracle(g) == res.optimum, (g, name)
     assert all(closed[m] >= c for m, c in
-               {"a": 117, "b": 118, "c_closed": 39, "c_strict": 39}.items()), closed
+               {"a": 117, "b": 119, "c_closed": 39, "c_strict": 39}.items()), closed
     assert all(enumerated[m] >= c for m, c in
                {"a": 97, "b": 100, "c_closed": 31, "c_strict": 30}.items()), enumerated
     # a guard on the orbit rule: dropping the orbit of a candidate whose
