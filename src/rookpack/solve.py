@@ -8,7 +8,8 @@ over points, since a packing is determined by its point set.
 
 All solvers run under a mandatory budget: exceeding it returns the best
 bounds found so far flagged inexact, never a wrong optimum.  The budget
-is read only inside the search, on the schedule SolverBudget states.
+is read on the schedule SolverBudget states: at search nodes, and once
+in the covering's set-up.
 """
 
 from __future__ import annotations
@@ -40,14 +41,18 @@ from .verify import verify_covering, verify_packing, verify_two_packing
 @dataclass(frozen=True)
 class SolverBudget:
     """Caps on a solve: max_nodes search nodes and max_seconds of wall
-    time.  Both are read at the search's nodes only: node max_nodes + 1
-    stops it, and the clock is read at nodes 1, 2, 4, ..., 4,096 and then
-    at every 4,096th node.  So the placement tables and the seed built
-    before the root (the covering greedy included) always run to their
-    end, and a solve can overrun a small max_seconds by the set-up time
-    of its grid and, past the root, by fewer nodes than it has run, and
-    never by 4,096.  Reading the clock in the set-up would make a seed
-    depend on the speed of the machine."""
+    time.  Both are read at the search's nodes: node max_nodes + 1 stops
+    it, and the clock is read at nodes 1, 2, 4, ..., 4,096 and then at
+    every 4,096th node.  The clock is read once more in the set-up, by
+    the covering search between its per-point table and its greedy seed:
+    a max_seconds already spent there skips the greedy, and the root's
+    read then stops the solve with the modular diagonal as its incumbent.
+    So a seed depends on the speed of the machine only in a solve that
+    its time cap stops at the root, and a run whose cap is never reached
+    is the same on every machine.  Every other table and seed built
+    before the root runs to its end, so a solve can overrun a small
+    max_seconds by one phase of its set-up and, past the root, by fewer
+    nodes than it has run, and never by 4,096."""
 
     max_nodes: int = 5_000_000
     max_seconds: float = 60.0
@@ -106,7 +111,13 @@ class _Instance:
     planes[a][b], for b != a, holds attackers[b] at each point of the
     axis-a line through point 0: the placements attacking along b in the
     (a, b) plane through point 0.  The packing search reads none of these:
-    it works on masks over points (_PointPacking)."""
+    it works on masks over points (_PointPacking).
+
+    placements, the coverage ints, is a _Table built entry by entry on
+    first lookup: a capped covering reads few of them (246 of a(10,3,2)'s
+    3,000 at 2,000 nodes), so no solve builds the whole table before its
+    root.  It keeps a list's len() and iteration in index order, which the
+    benchmark's table check (perfbench's table_op) reads."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
@@ -157,16 +168,19 @@ class _Instance:
         """placements[i]: the coverage bitset of placement i over point
         indices, the union of its lines; each line is a per-axis pattern
         of n points shifted to the line's first point."""
-        g, table = self.g, []
-        patterns = [sum(1 << v * w for v in range(g.n)) for w in self.weights]
-        for pidx, p in enumerate(self.points):
-            line_masks = [pat << (pidx - x * w) for pat, x, w in zip(patterns, p, self.weights)]
-            for d in self.dirsets:
-                cov = 0
-                for a in d:
-                    cov |= line_masks[a]
-                table.append(cov)
-        return table
+        D, points = self.D, self.points
+        # per direction set, the (pattern, axis, weight) of each of its lines
+        lines = [[(sum(1 << v * w for v in range(self.g.n)), a, w)
+                  for a, w in enumerate(self.weights) if a in d] for d in self.dirsets]
+
+        def fill(i):
+            q = i // D
+            p, cov = points[q], 0
+            for pattern, a, w in lines[i % D]:
+                cov |= pattern << q - p[a] * w
+            return cov
+
+        return _Table(fill, self.npts * D)
 
     def _reaching(self, own):
         """For each point u, the placements covering u (own) or attacking
@@ -212,6 +226,33 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+class _Table:
+    """A table of size entries, each built by fill(i) on its first lookup.
+    entries is a list that holds 0 for an entry not built yet, so no
+    entry may be 0.  table[i] builds entry i if needed; a hot loop inlines
+    that as entries[i] or build(i), a bare list index once the entry is
+    built.  len() and iteration in index order, which builds every entry,
+    keep the sequence contract of the list the table stands for."""
+
+    __slots__ = ("entries", "fill")
+
+    def __init__(self, fill, size):
+        self.entries, self.fill = [0] * size, fill
+
+    def build(self, i):
+        value = self.entries[i] = self.fill(i)
+        return value
+
+    def __getitem__(self, i):
+        return self.entries[i] or self.build(i)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.entries)))
 
 
 class _ValueOrbits:
@@ -287,15 +328,16 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     pruned=False) counts size nodes, and with pruned also counts them as
     pruned, all but a node at which the budget stops the search: it reads
     the budget at each node due among them (see SolverBudget) and raises
-    _BudgetExhausted when it is spent.  A search too deep for the stack
-    stops on RecursionError alike, and stats.stop_reason says which of the
-    three stopped it.  Every node is counted through tick(), the root,
-    node 1, first.  A proven run reports (best value, best value) as
-    (lower, upper), a capped one capped_bounds(best value), and the
-    result is exact, with optimum lower, when they meet.  Bounds that
-    meet always have the witness of best: the seeds see to that, as max
-    coverage's capped bounds (max(best, 0), upper) meet at 0 when N = 0
-    only.
+    _BudgetExhausted when it is spent; tick.late() reads the clock alone,
+    counting no node, and says whether max_seconds has passed.  A search
+    too deep for the stack stops on RecursionError alike, and
+    stats.stop_reason says which of the three stopped it.  Every node is
+    counted through tick(), the root, node 1, first.  A proven run
+    reports (best value, best value) as (lower, upper), a capped one
+    capped_bounds(best value), and the result is exact, with optimum
+    lower, when they meet.  Bounds that meet always have the witness of
+    best: the seeds see to that, as max coverage's capped bounds
+    (max(best, 0), upper) meet at 0 when N = 0 only.
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -317,6 +359,7 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
             stats.pruned += size
         stats.nodes = nodes
 
+    tick.late = lambda: time.perf_counter() - start > budget.max_seconds
     inst = _Instance(g)
     best = [-1, []]
     try:
@@ -447,8 +490,11 @@ def exact_min_covering(
     (_greedy_covering) where that is smaller.  The greedy runs only where
     the diagonal exceeds covering_lower, as no covering is smaller: not on
     any l = 1 grid, where n^(k-1) is the sphere bound, nor on any
-    a(n,2,2), where it is Rodemich's.  The root closes when the seed meets
-    covering_lower, before the coverage tables, the value orbits and the
+    a(n,2,2), where it is Rodemich's, and not where by_cov, built first,
+    has spent the time cap (see SolverBudget).  The greedy reads the
+    coverage ints of the rooks it picks only, and the search those of the
+    candidates it tries.  The root closes when the seed meets
+    covering_lower, before the per-point table, the value orbits and the
     overlap memo are built.  The search stops as soon as best meets
     covering_lower, which is also the lower bound of a capped run.
 
@@ -515,7 +561,11 @@ def exact_min_covering(
             # set 0): every axis-0 line holds one point of coordinate sum 0 mod n
             seed = [q * D for q, p in enumerate(inst.points) if sum(p) % g.n == 0]
             if len(seed) > lower:  # no covering is smaller than lower
-                seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
+                # the greedy's table first: a time cap it spends skips the
+                # greedy, and the root's read below stops the solve
+                inst.by_cov
+                if not tick.late():
+                    seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
         best[:] = [len(seed), seed]
         tick()  # the root, pruned when the seed meets lower
         if best[0] <= lower:
@@ -523,6 +573,7 @@ def exact_min_covering(
             return
 
         covs, full, npts, ball = inst.placements, inst.full, inst.npts, g.ball
+        entries, build = covs.entries, covs.build
         by_point = inst.by_cov
         orbits = _ValueOrbits(inst, D)
         ptmask, is_orbital, cover_orbit = orbits.ptmask, orbits.orbital, orbits.cover_orbit
@@ -568,7 +619,7 @@ def exact_min_covering(
                 low = cands & -cands
                 cands ^= low
                 i = low.bit_length() - 1
-                child = covered | covs[i]
+                child = covered | (entries[i] or build(i))
                 tick()
                 if child == full:
                     if depth + 1 < top:
@@ -789,8 +840,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
 def _unit_cap(inst, unit):
     """cap for strict two-packings, where each rook holds the unit points
     of its attack set alone: the points the candidates attack, // unit."""
-    by_point, D = inst.by_att, inst.D
-    masks = [cov ^ 1 << i // D for i, cov in enumerate(inst.placements)]
+    by_point, covs, D = inst.by_att, inst.placements, inst.D
+    masks = _Memo(lambda i: covs[i] ^ 1 << i // D)
     npts = len(by_point)
 
     def cap(cands):
@@ -1117,6 +1168,7 @@ def exact_max_coverage(
 
     def search(inst, tick, stats, best):
         covs, D, block = inst.placements, inst.D, inst.block
+        entries, build = covs.entries, covs.build
         chosen = []
         if not N:  # no rooks cover no points, which closes the bracket (0, 0)
             best[:] = [0, []]
@@ -1141,7 +1193,7 @@ def exact_max_coverage(
                 cands ^= low
                 i = low.bit_length() - 1
                 chosen.append(i)
-                dfs(cands & ~(block << i // D * D), covered | covs[i], depth + 1)
+                dfs(cands & ~(block << i // D * D), covered | (entries[i] or build(i)), depth + 1)
                 chosen.pop()
 
         try:

@@ -20,6 +20,7 @@ from rookpack.core import (
     InvalidArgument,
     Rook,
     attacks,
+    config_coverage,
     coverage_mask,
     covers,
 )
@@ -42,6 +43,7 @@ from rookpack.solve import (
     _overlap_update,
     _reach_cap,
     _repeat,
+    _unit_cap,
     check_witness,
     encode_ilp,
     exact_max_coverage,
@@ -325,6 +327,64 @@ def test_reaching_tables_match_coordinates():
             for j, r in enumerate(rooks):
                 assert (by_cov >> j & 1, by_att >> j & 1) == (covers(r, p, g), attacks(r, p, g)), (
                     g, u, j)
+
+
+def test_placement_masks_match_coordinates():
+    # the placement table against core.config_coverage of each one-rook
+    # configuration, on every grid with n^k <= 64 (n = 1, k = 1 and l = k
+    # included): looked up in a seeded random order, its length, and its
+    # iteration, which runs in index order whatever order filled it; and
+    # the strict two-packing cap against one over a full list of the masks
+    rng = random.Random(35)
+    grids = [(n, k, l) for k in range(1, 7) for n in range(1, 65) if n ** k <= 64
+             for l in range(1, k + 1)]
+    for n, k, l in grids:
+        g = GridParams(n, k, l)
+        inst = _Instance(g)
+        P, D = n ** k * math.comb(k, l), inst.D
+        want = [config_coverage(Configuration(g, [Rook(inst.points[i // D], inst.dirsets[i % D])])).bits
+                for i in range(P)]
+        assert len(inst.placements) == P, (n, k, l)
+        order = rng.sample(range(P), P // 2)
+        assert [inst.placements[i] for i in order] == [want[i] for i in order], (n, k, l)
+        assert list(inst.placements) == want and len(inst.placements) == P, (n, k, l)
+        if l >= 2 and n >= 2:  # a strict two-packing with n = 1 closes at its root
+            masks = [cov ^ 1 << i // D for i, cov in enumerate(want)]
+            unit = l * (n - 1)
+            cap = _unit_cap(_Instance(g), unit)  # on a table no lookup has filled
+            for _ in range(6):
+                # sparse and dense sets, for both of the cap's branches
+                cands = rng.getrandbits(P) & rng.getrandbits(P) & rng.getrandbits(P)
+                if rng.random() < 0.5:
+                    cands = rng.getrandbits(P) | rng.getrandbits(P)
+                ref = 0
+                for i in range(P):
+                    if cands >> i & 1:
+                        ref |= masks[i]
+                assert cap(cands) == ref.bit_count() // unit, (n, k, l, cands)
+
+
+def test_capped_coverings_build_few_placement_masks(monkeypatch):
+    # the placement table is filled on first lookup, so a capped covering
+    # builds the coverage ints of the rooks it tries and picks only: well
+    # under a tenth of a(10,3,2)'s 3,000 and a(6,4,3)'s 5,184
+    tables = []
+
+    class Recorded(solve_module._Table):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(solve_module, "_Table", Recorded)
+    for nkl, size in [((10, 3, 2), 3_000), ((6, 4, 3), 5_184)]:
+        tables.clear()
+        res = exact_min_covering(GridParams(*nkl), SolverBudget(2_000))
+        assert res.stats.nodes == 2_001 and check_witness(res.mode, res.witness, res.upper_bound)
+        [table] = tables
+        built = size - table.entries.count(0)
+        assert len(table) == size and 0 < built <= size // 10, (nkl, built)
 
 
 def test_solver_matches_oracles():
@@ -1056,10 +1116,11 @@ def test_budget_time_limit(monkeypatch):
     assert res.lower_bound <= res.upper_bound
     # the clock is read at nodes 1, 2, 4, ..., 4,096, also where that node
     # lies in a run of pruned children counted at once (4,096 does in
-    # both): a clock that stands still for the start and the reads at
-    # nodes 1 to 2,048 and has moved by the next one stops the search there
+    # both): a clock that stands still for the start, the read before the
+    # greedy (both grids run it) and the reads at nodes 1 to 2,048 and has
+    # moved by the next one stops the search there
     for nkl, pruned in [((4, 3, 2), 3_827), ((2, 5, 3), 3_967)]:
-        _clock_moving_after(monkeypatch, 13)
+        _clock_moving_after(monkeypatch, 14)
         res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
         assert (res.exact, res.stats.stop_reason) == (False, "time_cap"), nkl
         assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
@@ -1068,18 +1129,40 @@ def test_budget_time_limit(monkeypatch):
 def test_time_cap_holds_from_the_root(monkeypatch):
     # the clock is read at the root and at node 2, so a time cap spent by
     # either read stops each search there, once its tables and seed are
-    # built, in every mode: a clock that moves after the start stops it
-    # at the root, and one that moves after the root's read at node 2
-    solves = (lambda budget: exact_min_covering(GridParams(10, 3, 2), budget),
-              lambda budget: exact_max_packing(GridParams(6, 4, 2), budget),
-              lambda budget: exact_max_two_packing(GridParams(6, 4, 2), "closed", budget),
-              lambda budget: exact_max_coverage(GridParams(8, 3, 2), 30, budget))
-    for solve in solves:
+    # built, in every mode: a clock that moves after the start and the
+    # set-up's reads stops it at the root, and one that moves after the
+    # root's read at node 2.  Of these solves only the covering reads the
+    # clock in its set-up, once, before its greedy
+    solves = ((lambda budget: exact_min_covering(GridParams(10, 3, 2), budget), 1),
+              (lambda budget: exact_max_packing(GridParams(6, 4, 2), budget), 0),
+              (lambda budget: exact_max_two_packing(GridParams(6, 4, 2), "closed", budget), 0),
+              (lambda budget: exact_max_coverage(GridParams(8, 3, 2), 30, budget), 0))
+    for solve, setup_reads in solves:
         for node in (1, 2):
-            _clock_moving_after(monkeypatch, node)  # the start, and the root's read
+            _clock_moving_after(monkeypatch, node + setup_reads)
             res = solve(SolverBudget(max_seconds=0.5))
             assert (res.stats.nodes, res.stats.stop_reason, res.exact) == (node, "time_cap", False), res.mode
             assert res.lower_bound <= res.upper_bound, res.mode
+
+
+def test_time_cap_spent_in_the_set_up_skips_the_greedy(monkeypatch):
+    # the covering reads the clock once between by_cov and the greedy: a
+    # time cap spent by then skips the greedy, and the root's read stops
+    # the solve at node 1 with the modular diagonal as its incumbent.  A
+    # cap spent only after that read keeps the greedy seed
+    greedy_runs = []
+    monkeypatch.setattr(solve_module, "_greedy_covering",
+                        lambda inst: greedy_runs.append(inst.g) or _greedy_covering(inst))
+    g, diagonal = GridParams(10, 3, 2), 100
+    _clock_moving_after(monkeypatch, 1)  # the start only
+    res = exact_min_covering(g, SolverBudget(max_seconds=0.5))
+    assert (res.stats.nodes, res.stats.stop_reason) == (1, "time_cap")
+    assert (res.lower_bound, res.upper_bound, greedy_runs) == (53, diagonal, [])
+    assert verify_covering(res.witness).valid and len(res.witness) == diagonal
+    _clock_moving_after(monkeypatch, 2)  # the start and the read before the greedy
+    res = exact_min_covering(g, SolverBudget(max_seconds=0.5))
+    assert (res.stats.nodes, res.stats.stop_reason, greedy_runs) == (1, "time_cap", [g])
+    assert res.upper_bound < diagonal and len(res.witness) == res.upper_bound
 
 
 def _ledger(monkeypatch, ops, budget, bulk, still=None):
