@@ -241,16 +241,22 @@ def attack_mask(r: Rook, g: GridParams) -> int:
     return bits
 
 
-def config_coverage(c: Configuration) -> CoverageMap:
-    """Union of the closed coverage of every rook: the union of its l
-    lines, each marked by one strided slice assignment."""
+def _coverage_digits(c: Configuration) -> bytearray:
+    """The closed coverage of c as ASCII digits: byte x is b"1" where
+    point x is covered and b"0" where it is not.  Each rook marks its l
+    lines, each by one strided slice assignment."""
     g = c.params
     g.check_bitset()
     n, weights = g.n, g.weights
-    hit = bytearray(b"0") * g.num_points  # hit[x] is the digit of bit x
+    hit = bytearray(b"0") * g.num_points
     line = b"1" * n
     for r, base in zip(c.rooks, rook_indices(c)):
         for a in r.dirs:
             start = base - r.point[a] * weights[a]
             hit[start : start + n * weights[a] : weights[a]] = line
-    return CoverageMap(int(hit[::-1], 2))  # base 2 has no digit limit
+    return hit
+
+
+def config_coverage(c: Configuration) -> CoverageMap:
+    """Union of the closed coverage of every rook."""
+    return CoverageMap(int(_coverage_digits(c)[::-1], 2))  # base 2 has no digit limit

@@ -191,13 +191,10 @@ class _Instance:
         D, n, npts = self.D, self.g.n, self.npts
         table = [self.block << u * D for u in range(npts)]
         for pattern, w in zip(self.attackers, self.weights):
-            # an axis of weight w has its lines start at the first w
-            # points of every n*w
-            for slab in range(0, npts, n * w):
-                for start in range(slab, slab + w):
-                    m = pattern << start * D
-                    for u in range(start, start + n * w, w):
-                        table[u] |= m
+            for line in _axis_lines(n, npts, w):
+                m = pattern << line.start * D
+                for u in line:
+                    table[u] |= m
         if not own:
             for u in range(npts):
                 table[u] ^= self.block << u * D
@@ -212,6 +209,13 @@ class _Instance:
     def by_att(self):
         """by_att[u]: the placements attacking point u."""
         return self._reaching(False)
+
+
+def _axis_lines(n, npts, w):
+    """The lines of the axis of weight w, each a range of its n point
+    indices: they start at the first w points of every n*w."""
+    return [range(start, start + n * w, w)
+            for slab in range(0, npts, n * w) for start in range(slab, slab + w)]
 
 
 class _Memo(dict):
@@ -1214,33 +1218,53 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
     most one rook (k n^k rows; every conflicting pair shares one).
     max_two_pack: maximize sum y s.t. each point lies in at most one
     chosen closed coverage set.
+
+    Each row is joined from texts built once: at[u], the names of the D
+    placements at point u, and below[a][u] and above[a][u], the names of
+    the placements attacking along axis a from the points before and
+    after u on its axis-a line, built per line as prefixes and suffixes.
+    A clique row (q, a) is below[a][q], at[q], above[a][q]; a cover row p
+    is below over axes 0..k-1, at[p], then above over axes k-1..0.  That
+    is ascending placement index: an offset along axis a is at least w_a,
+    and one along any later axis at most (n-1) w_(a+1) < w_a.  So the
+    encoder reads no solver table, and its cost is linear in its output.
     """
     if mode not in ("min_cover", "max_pack", "max_two_pack"):
         raise InvalidArgument(f"unknown ilp mode {mode!r}")
-    inst = _Instance(g)
-    dirmasks = [sum(1 << a for a in d) for d in inst.dirsets]
-    names = [f"y_{p}_{m}" for p in range(inst.npts) for m in dirmasks]
-    # rows are (name, mask over placement indices, sense)
+    g.check_bitset()
+    n, npts, weights = g.n, g.num_points, g.weights
+    dirmasks = [sum(1 << a for a in d) for d in combinations(range(g.k), g.l)]
+    names = [f"y_{p}_{m}" for p in range(npts) for m in dirmasks]
+    D = len(dirmasks)
+    at = [" + ".join(names[u * D:u * D + D]) for u in range(npts)]
+    below, above = [], []
+    for a, w in enumerate(weights):
+        # the names at each point of the placements attacking along a
+        hits = [j for j, m in enumerate(dirmasks) if m >> a & 1]
+        attack = [" + ".join([names[u * D + j] for j in hits]) for u in range(npts)]
+        before, after = [""] * npts, [""] * npts
+        for line in _axis_lines(n, npts, w):
+            text = ""
+            for u in line:
+                before[u] = text
+                text = f"{text} + {attack[u]}" if text else attack[u]
+            text = ""
+            for u in reversed(line):
+                after[u] = text
+                text = f"{attack[u]} + {text}" if text else attack[u]
+        below.append(before)
+        above.append(after)
     if mode == "max_pack":
         # the (line, point) cliques of incidence_bound_b: the placements
         # at q and those attacking along q's axis-a line, at most one each
-        rows = [(f"clique_{q}_{a}", inst.line(a, q, pattern) | inst.block << q * inst.D, "<=")
-                for q in range(inst.npts) for a, pattern in enumerate(inst.attackers)]
+        rows = [f" clique_{q}_{a}: " + " + ".join(filter(None, (lo[q], at[q], hi[q]))) + " <= 1"
+                for q in range(npts) for a, (lo, hi) in enumerate(zip(below, above))]
     else:
         prefix, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
-        rows = [(f"{prefix}_{p}", m, sense) for p, m in enumerate(inst.by_cov)]
+        rows = [f" {prefix}_{p}: " + " + ".join(filter(None, parts)) + f" {sense} 1"
+                for p, parts in enumerate(zip(*below, at, *reversed(above)))]
     lines = ["Minimize" if mode == "min_cover" else "Maximize", " obj: " + " + ".join(names),
-             "Subject To"]
-    for name, m, sense in rows:
-        terms = []
-        while m:
-            low = m & -m
-            terms.append(names[low.bit_length() - 1])
-            m ^= low
-        lines.append(f" {name}: " + " + ".join(terms) + f" {sense} 1")
-    lines.append("Binary")
-    lines += [f" {name}" for name in names]
-    lines.append("End")
+             "Subject To", *rows, "Binary", *[f" {name}" for name in names], "End"]
     out.write("\n".join(lines) + "\n")
     return {"mode": mode, "variables": len(names), "constraints": len(rows)}
 

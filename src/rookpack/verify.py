@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import contains, itemgetter, mul, not_, sub
 
-from .core import Configuration, InvalidArgument, config_coverage, rook_indices
+from .core import Configuration, InvalidArgument, _coverage_digits, rook_indices
 
 VIOLATION_CAP = 64
 
@@ -45,15 +45,16 @@ class VerifyReport:
 
 
 def verify_covering(c: Configuration) -> VerifyReport:
-    """Valid iff every grid point lies in some rook's closed coverage."""
-    covered = config_coverage(c).bits  # refuses an over-cap grid first
-    missing = ((1 << c.params.num_points) - 1) & ~covered
-    violations = []
-    while missing and len(violations) < VIOLATION_CAP:
-        low = missing & -missing
-        violations.append(Violation("uncovered", point=low.bit_length() - 1))
-        missing ^= low
-    total = len(violations) + missing.bit_count()
+    """Valid iff every grid point lies in some rook's closed coverage.
+    The uncovered points are the b"0" digits of the coverage, found with
+    bytearray.find; only those past the listed ones are counted."""
+    hit = _coverage_digits(c)  # refuses an over-cap grid first
+    violations, p = [], hit.find(b"0")
+    while p >= 0 and len(violations) < VIOLATION_CAP:
+        violations.append(Violation("uncovered", point=p))
+        p = hit.find(b"0", p + 1)
+    # p is the first uncovered point past the listed ones, or -1
+    total = len(violations) + (hit.count(b"0", p) if p >= 0 else 0)
     return VerifyReport(tuple(violations), total)
 
 
@@ -114,9 +115,12 @@ def verify_two_packing(c: Configuration, mode: str = "closed") -> VerifyReport:
 
     Each point counts the rooks reaching it, saturating at 2, raised by
     one strided slice per rook line.  A rook's own point lies on all its
-    lines, so it is reset to its count before the rook plus one (closed)
-    or plus none (strict).  The doubled points are found with
-    bytearray.find, and only those past the listed ones are counted.
+    lines, so it is held at 2 while they are raised and then reset to its
+    count before the rook plus one (closed) or plus none (strict).  The
+    points at 2 are counted as they are made: the 1s on each raised line,
+    which a valid configuration's lines hold none of, and the own point's
+    change at its reset.  The listed ones are found with bytearray.find,
+    and a valid configuration, with none, is not searched.
     """
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
@@ -125,20 +129,25 @@ def verify_two_packing(c: Configuration, mode: str = "closed") -> VerifyReport:
     n, N, weights = g.n, g.num_points, g.weights
     index = rook_indices(c)
     reached = bytearray(N)
+    total, closed = 0, mode == "closed"  # total: the points at 2
     for r, b in zip(c.rooks, index):
         before = reached[b]
+        reached[b] = 2  # held out of the lines' counts until its reset
         for a in r.dirs:
             start = b - r.point[a] * weights[a]
             line = slice(start, start + n * weights[a], weights[a])
-            reached[line] = reached[line].translate(_SATURATING_INC)
-        reached[b] = min(before + (mode == "closed"), 2)
+            seg = reached[line]
+            if 1 in seg:  # each 1 on the line becomes a 2
+                total += seg.count(1)
+            reached[line] = seg.translate(_SATURATING_INC)
+        after = min(before + closed, 2)
+        total += (after == 2) - (before == 2)
+        reached[b] = after
 
-    lowest, p = [], reached.find(2)
+    lowest, p = [], reached.find(2) if total else -1
     while p >= 0 and len(lowest) < VIOLATION_CAP:
         lowest.append(p)
         p = reached.find(2, p + 1)
-    # p is the first doubled point past the listed ones, or -1
-    total = len(lowest) + (reached.count(2, p) if p >= 0 else 0)
 
     # owners of the listed doubled points: one more pass, by line id
     wanted = {}

@@ -118,6 +118,7 @@ def test_construct_verify_round_trip(capsys, tmp_path):
         assert code == 0, name
         summary = json.loads(out)
         assert summary["rooks"] >= 1
+        _validate(summary, "write_summary.schema.json")
         code, out, _ = run(capsys, "verify", kind, path, *flags)
         assert code == 0, name
         assert json.loads(out)["valid"]
@@ -130,6 +131,31 @@ def test_construct_slab_axis_report(capsys):
                        "--n1", "2", "--k", "3", "--l", "2")
     assert code == 0
     assert json.loads(out)["axis_report"] == [True, True, True]
+
+
+def test_write_summaries_match_their_schema(capsys, tmp_path):
+    # the {name|op, rooks, out} summary construct and compose print for
+    # --out, with axis_report for diagonal_slab_block alone; a field only
+    # the code or only the schema has fails
+    path = str(tmp_path / "slab.json")
+    code, out, _ = run(capsys, "construct", "diagonal_slab_block",
+                       "--n1", "2", "--k", "3", "--l", "2", "--out", path)
+    assert code == 0
+    slab = json.loads(out)
+    assert slab == {"name": "diagonal_slab_block", "rooks": 8, "out": path,
+                    "axis_report": [True, True, True]}
+    _validate(slab, "write_summary.schema.json")
+    code, out, _ = run(capsys, "compose", "extend", path, "--out", str(tmp_path / "extended.json"))
+    assert code == 0
+    extended = json.loads(out)
+    assert extended == {"op": "extend", "rooks": 15, "out": str(tmp_path / "extended.json")}
+    _validate(extended, "write_summary.schema.json")
+    if jsonschema is not None:
+        for bad in ({**extended, "note": ""}, {**extended, "name": "x"},
+                    {**extended, "axis_report": [True]}, {**slab, "name": "diagonal_covering"},
+                    {"rooks": 8, "out": path}, {**extended, "op": "rotate"}):
+            with pytest.raises(jsonschema.ValidationError):
+                _validate(bad, "write_summary.schema.json")
 
 
 def _usage_error(code, out, err):
@@ -489,8 +515,20 @@ def test_encode(capsys, tmp_path):
     code, out, _ = run(capsys, "encode", "min_cover", "--n", "2", "--k", "2", "--l", "2",
                        "--out", path)
     assert code == 0
-    assert json.loads(out)["variables"] == 4
+    summary = json.loads(out)
+    assert summary == {"mode": "min_cover", "variables": 4, "constraints": 4}
     assert "y_0_3" in open(path).read()
+    _validate(summary, "encode_summary.schema.json")
+    for mode, rows in (("max_pack", 8), ("max_two_pack", 4)):
+        code, out, _ = run(capsys, "encode", mode, "--n", "2", "--k", "2", "--l", "2",
+                           "--out", path)
+        assert code == 0 and json.loads(out) == {"mode": mode, "variables": 4, "constraints": rows}
+        _validate(json.loads(out), "encode_summary.schema.json")
+    if jsonschema is not None:  # a field only the code or only the schema has fails
+        for bad in ({**summary, "bytes": 10}, {**summary, "mode": "a"},
+                    {"mode": "min_cover", "variables": 4}):
+            with pytest.raises(jsonschema.ValidationError):
+                _validate(bad, "encode_summary.schema.json")
 
 
 def test_encode_rejected_instance_leaves_out_file(capsys, tmp_path, monkeypatch):
@@ -585,7 +623,8 @@ def test_compose_round_trips(capsys, tmp_path):
     blown = str(tmp_path / "blown.json")
     code, out, _ = run(capsys, "compose", "blowup", diag, "--kind", "cover",
                        "--n-inner", "3", "--out", blown)
-    assert code == 0 and json.loads(out)["rooks"] == 6
+    assert code == 0 and json.loads(out) == {"op": "blowup", "rooks": 6, "out": blown}
+    _validate(json.loads(out), "write_summary.schema.json")
     assert run(capsys, "compose", "blowup", diag, "--n-inner", "3",
                "--out", blown)[:2] == (0, out)  # --kind defaults to cover
     code, out, _ = run(capsys, "verify", "cover", blown)

@@ -6,6 +6,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
@@ -17,6 +18,7 @@ from rookpack.bounds import covering_lower, incidence_bound_b, singleton_bound_b
 from rookpack.core import (
     Configuration,
     GridParams,
+    InstanceTooLarge,
     InvalidArgument,
     Rook,
     attacks,
@@ -1276,6 +1278,49 @@ def test_encode_ilp_text_pinned():
                     encode_ilp(GridParams(n, k, l), mode, buf)
                     digest.update(buf.getvalue().encode())
     assert digest.hexdigest() == "cf2443c6aa32f573306656ede80b05e10924fc35fc79809227901f2791d482d4"
+
+
+def test_encode_ilp_text_pinned_on_larger_grids():
+    # sha256 of the programs on (4,4,2), (5,3,2) and (3,6,3), each written
+    # in the order min_cover, max_pack, max_two_pack: past n^k = 64 a cover
+    # row joins line texts over up to six axes, each up to five points long
+    digest = hashlib.sha256()
+    for g in (GridParams(4, 4, 2), GridParams(5, 3, 2), GridParams(3, 6, 3)):
+        for mode in ("min_cover", "max_pack", "max_two_pack"):
+            buf = io.StringIO()
+            encode_ilp(g, mode, buf)
+            digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == "ad76e0b3bcbf414df5b92ab98c5ee9ff289b7ea16ab64508a3cc6c8c66ab7ffe"
+
+
+def test_encode_ilp_reads_no_solver_table(monkeypatch):
+    # the encoder joins its rows from per-line name texts and builds no
+    # _Instance, on n = 1, k = 1 and l = k grids as on larger ones; an
+    # over-cap grid is refused before anything is allocated
+    def refuse(g):
+        pytest.fail(f"encode_ilp built the placement table of {g}")
+
+    monkeypatch.setattr(solve_module, "_Instance", refuse)
+    for n, k, l in [(1, 1, 1), (1, 4, 2), (1, 3, 3), (6, 1, 1), (2, 2, 2), (3, 3, 3),
+                    (2, 6, 6), (4, 3, 1), (2, 6, 3), (8, 2, 1), (4, 2, 2)]:
+        for mode in ("min_cover", "max_pack", "max_two_pack"):
+            buf = io.StringIO()
+            summary = encode_ilp(GridParams(n, k, l), mode, buf)
+            rows = n ** k * (k if mode == "max_pack" else 1)
+            assert summary == {"mode": mode, "variables": n ** k * math.comb(k, l),
+                               "constraints": rows}
+            # Minimize/Maximize, obj, Subject To, rows, Binary, variables, End
+            assert buf.getvalue().count("\n") == rows + summary["variables"] + 5
+    monkeypatch.delenv("ROOKPACK_POINT_CAP", raising=False)
+    sink = io.StringIO()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge):
+            encode_ilp(GridParams(2, 25, 1), "max_pack", sink)  # 2^25 points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and sink.getvalue() == ""
 
 
 def test_solves_free_their_tables_on_return():

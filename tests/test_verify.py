@@ -273,18 +273,51 @@ def random_configurations(seed, count):
         yield Configuration(g, [Rook(p, rng.sample(range(g.k), g.l)) for p in chosen])
 
 
+def _matches_reference(c):
+    got = {
+        "cover": verify_covering(c),
+        "pack": verify_packing(c),
+        "closed": verify_two_packing(c, "closed"),
+        "strict": verify_two_packing(c, "strict"),
+    }
+    for key, violations in reference_reports(c).items():
+        want = VerifyReport(tuple(violations[:VIOLATION_CAP]), len(violations))
+        assert got[key] == want, (c, key)
+
+
+def test_two_packing_counts_rooks_on_reached_points():
+    # a rook on a point reached once and another on a point reached twice:
+    # the own point's reset moves the running count of doubled points up,
+    # down or not at all, and differently in the two modes
+    g = GridParams(5, 2, 1)
+    lone = [Rook((0, 0), {1}), Rook((0, 3), {0})]  # (0, 3) reached once, then stood on
+    pair = [Rook((2, 1), {1}), Rook((3, 4), {0}), Rook((2, 4), {1})]  # (2, 4) reached twice
+    for rooks in (lone, pair, lone + pair, pair[::-1] + lone):
+        _matches_reference(Configuration(g, rooks))
+    c = Configuration(g, lone)
+    assert verify_two_packing(c, "closed").total_violations == 1
+    assert verify_two_packing(c, "strict").valid
+    c = Configuration(g, pair)  # strict does not count (2, 1)'s own rook on it
+    assert [v.point for v in verify_two_packing(c, "closed").violations] == [10, 11, 12, 13, 14]
+    assert [v.point for v in verify_two_packing(c, "strict").violations] == [10, 12, 13, 14]
+
+
+def test_covering_count_at_the_listing_cap():
+    # rooks on r rows and c columns of H(13, 2) leave (13 - r)(13 - c)
+    # points uncovered: 63, 64 and 65, around the listing cap
+    g = GridParams(13, 2, 1)
+    for rows, cols, missing in [(4, 6, 63), (5, 5, 64), (0, 8, 65)]:
+        rooks = [Rook((x, 0), {1}) for x in range(rows)] + [Rook((12, y), {0}) for y in range(cols)]
+        c = Configuration(g, rooks)
+        rep = verify_covering(c)
+        assert rep.total_violations == missing
+        assert rep.capped == (missing > VIOLATION_CAP)
+        _matches_reference(c)
+
+
 def test_verifiers_match_coordinate_reference():
     for c in random_configurations(17, 250):
-        ref = reference_reports(c)
-        got = {
-            "cover": verify_covering(c),
-            "pack": verify_packing(c),
-            "closed": verify_two_packing(c, "closed"),
-            "strict": verify_two_packing(c, "strict"),
-        }
-        for key, violations in ref.items():
-            want = VerifyReport(tuple(violations[:VIOLATION_CAP]), len(violations))
-            assert got[key] == want, (c, key)
+        _matches_reference(c)
 
 
 def random_automorphism(c, rng):
