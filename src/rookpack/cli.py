@@ -13,11 +13,12 @@ import contextlib
 import fcntl
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 
 from . import __version__
 from .core import (
@@ -72,6 +73,9 @@ def config_to_dict(cfg: Configuration) -> dict:
     }
 
 
+_DIRS, _RAW_DIRS = attrgetter("dirs"), itemgetter("dirs")
+
+
 def config_from_dict(d: dict) -> Configuration:
     """The Configuration a JSON document spells; GridParams and
     Configuration refuse a size, coordinate or axis that is not an int."""
@@ -80,17 +84,45 @@ def config_from_dict(d: dict) -> Configuration:
         if type(d["rooks"]) is not list:
             raise TypeError("rooks is not an array")
         rooks = [Rook(r["point"], r["dirs"]) for r in d["rooks"]]
-        for r, raw in zip(rooks, d["rooks"]):
-            # a set merges 0 with 0, and 1 with true: Rook would not see them
-            if len(r.dirs) != len(raw["dirs"]):
-                raise InvalidArgument(f"rook at {r.point} repeats an axis in {raw['dirs']}")
+        # a set merges 0 with 0, and 1 with true: Rook would not see them.  A
+        # set is never longer than its list, so equal totals repeat no axis
+        if sum(map(len, map(_DIRS, rooks))) != sum(map(len, map(_RAW_DIRS, d["rooks"]))):
+            for r, raw in zip(rooks, d["rooks"]):
+                if len(r.dirs) != len(raw["dirs"]):
+                    raise InvalidArgument(f"rook at {r.point} repeats an axis in {raw['dirs']}")
     except (KeyError, TypeError) as e:
         raise RookError(f"malformed configuration file: {e}")
     return Configuration(g, rooks)
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) plus a newline, byte for byte, written by
+    joining strings.  With an indent, json.dumps runs its pure-Python
+    iterencode generators (the C encoder serves indent=None only), and a
+    cache replay encodes a record to compare its bytes; so containers are
+    joined here, and json.dumps sees only the scalars this does not spell.
+    A key that is not a str raises TypeError."""
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj, indent: str) -> str:
+    """obj in json.dumps(indent=2) form, each line break followed by indent."""
+    if type(obj) is int:
+        return repr(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_dump(val, inner)}" for key, val in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_dump(val, inner) for val in obj]) + indent + "]"
+    return json.dumps(obj)  # float, bool, None, a subclass: the stdlib's spelling
 
 
 class _ParseError(Exception):
@@ -135,7 +167,8 @@ def _locked_cache():
     holds anything but their digest, every solve record is removed, since
     its stats describe another search, and the digest is written in."""
     directory = os.environ.get("ROOKPACK_CACHE", DEFAULT_CACHE_DIR)
-    os.makedirs(directory, exist_ok=True)
+    if not os.path.isdir(directory):  # on one that exists, makedirs raises and catches EEXIST
+        os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, ".lock"), "a+b") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         lock.seek(0)
@@ -296,7 +329,7 @@ def _load_cached(path, request, g, mode, N):
     """Record text if it is exactly what solve writes for the request,
     with an optimum whose witness still checks out, else None."""
     try:
-        with open(path) as f:
+        with open(path, newline="") as f:  # untranslated: a CRLF record is a miss
             text = f.read()
         record = json.loads(text)
         value = record["optimum"]
@@ -312,14 +345,13 @@ def _load_cached(path, request, g, mode, N):
 
 def cmd_encode(args) -> int:
     g = GridParams(args.n, args.k, args.l)
-    text = io.StringIO()
-    summary = encode_ilp(g, args.mode, text)  # a rejected instance leaves --out untouched
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text.getvalue())
-        sys.stdout.write(dump_json(summary))
-    else:
-        sys.stdout.write(text.getvalue())
+    g.check_bitset()  # a rejected instance leaves --out untouched
+    if not args.out:
+        encode_ilp(g, args.mode, sys.stdout)
+        return EXIT_OK
+    with open(args.out, "w") as f:
+        summary = encode_ilp(g, args.mode, f)
+    sys.stdout.write(dump_json(summary))
     return EXIT_OK
 
 

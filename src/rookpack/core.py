@@ -178,7 +178,7 @@ class Configuration:
     def sorted_rooks(self):
         """Rooks in canonical order: by point tuple, which is the big-endian
         point-index order without re-checking the points."""
-        return sorted(self.rooks, key=lambda r: r.point)
+        return sorted(self.rooks, key=_POINT)
 
 
 @dataclass(frozen=True)

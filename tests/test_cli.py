@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
+import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,8 +16,9 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from rookpack import __version__
-from rookpack.cli import EXIT_BUDGET, _build_parser, main
-from rookpack.core import GridParams, InvalidArgument
+from rookpack.cli import EXIT_BUDGET, _build_parser, config_to_dict, dump_json, main
+from rookpack.constructions import diagonal_slab_block
+from rookpack.core import Configuration, GridParams, InvalidArgument
 from rookpack.solve import (
     SolverBudget,
     exact_max_packing,
@@ -430,6 +434,96 @@ def test_solve_record_of_other_instance_recomputed(capsys, tmp_path):
         assert code == 0
         assert '"n": 2,' in again
         assert rec_path.read_text() == again
+
+
+def test_solve_replays_only_the_canonical_bytes(capsys, tmp_path, monkeypatch):
+    # a record holding the same values in another layout is a miss, and the
+    # search writes the canonical bytes back; a fixed clock makes them equal
+    monkeypatch.setattr("rookpack.solve.time", SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = ("solve", "a", "--n", "3", "--k", "2", "--l", "2")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    record = tmp_path / "cache" / "solve_a_3_2_2.json"
+    doc = json.loads(first)
+    layouts = [
+        json.dumps(doc, separators=(",", ":")),
+        json.dumps(doc, indent=4) + "\n",
+        first.replace("\n", "\r\n"),
+        first[:-1],
+        json.dumps({"n": doc["n"], "mode": doc["mode"], **doc}, indent=2) + "\n",
+    ]
+    for text in layouts:
+        assert json.loads(text) == doc and text != first
+        record.write_bytes(text.encode())
+        code, again, err = run(capsys, *argv)
+        assert (code, again, err) == (0, first, f"cache miss: wrote {record}\n"), text
+        assert record.read_bytes() == first.encode()
+
+
+def _random_text(rng):
+    # control characters, printable ASCII, and any other code point
+    return "".join(chr(rng.choice((rng.randrange(32), rng.randrange(32, 127),
+                                   rng.randrange(127, 0x110000))))
+                   for _ in range(rng.randrange(6)))
+
+
+def _random_value(rng, depth=0):
+    """Nested dicts, lists and tuples, empty ones too, of every scalar whose
+    spelling json.dumps fixes."""
+    if depth < 4 and rng.random() < 0.4:
+        size = rng.randrange(4)
+        if rng.random() < 0.4:
+            return {_random_text(rng): _random_value(rng, depth + 1) for _ in range(size)}
+        items = [_random_value(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if rng.random() < 0.3 else items
+    return rng.choice((rng.randint(-10**6, 10**6), 2 ** 100, -(2 ** 100), 0.0, -0.0, 0.1,
+                       1e300, 2.5e-05, math.nan, math.inf, -math.inf, True, False, None,
+                       _random_text(rng)))
+
+
+def test_dump_json_writes_the_bytes_of_json_dumps(capsys, tmp_path, monkeypatch):
+    # solve replays a record only when its bytes are dump_json's, so every
+    # document the CLI writes is pinned to json.dumps(indent=2)'s bytes
+    docs = []
+    monkeypatch.setattr("rookpack.cli.dump_json", lambda doc: docs.append(doc) or dump_json(doc))
+    capped = [("a", "--n", "3", "--k", "3", "--l", "2"), ("b", "--n", "3", "--k", "3", "--l", "2"),
+              ("c", "--n", "3", "--k", "3", "--l", "2"),
+              ("c", "--n", "3", "--k", "3", "--l", "2", "--strict"),
+              ("coverage", "--n", "3", "--k", "3", "--l", "2", "--N", "4")]
+    exact = [("a", "--n", "2", "--k", "2", "--l", "2"), ("b", "--n", "2", "--k", "2", "--l", "1"),
+             ("c", "--n", "2", "--k", "3", "--l", "2"),
+             ("c", "--n", "2", "--k", "3", "--l", "2", "--strict"),
+             ("coverage", "--n", "3", "--k", "2", "--l", "2", "--N", "2")]
+    empty, clash = tmp_path / "empty.json", tmp_path / "clash.json"
+    empty.write_text(json.dumps({"n": 2, "k": 2, "l": 1, "rooks": []}))
+    clash.write_text(json.dumps({"n": 2, "k": 2, "l": 1, "rooks": [
+        {"point": [0, 0], "dirs": [0]}, {"point": [1, 0], "dirs": [0]}]}))
+    slab = ("construct", "diagonal_slab_block", "--n1", "2", "--k", "3", "--l", "2")
+    commands = [
+        *[("solve", *argv) for argv in exact],
+        *[("solve", *argv, "--max-nodes", "2") for argv in capped],  # optimum null
+        ("bounds", "--n", "3", "--k", "3", "--l", "2"),  # "27/2" and "81/7"
+        ("construct", "diagonal_covering", "--n", "3", "--k", "2"),
+        slab,
+        (*slab, "--out", str(tmp_path / "slab.json")),  # the file, then the summary
+        ("verify", "cover", str(empty)),  # uncovered points, rooks null
+        ("verify", "pack", str(clash)),  # an attacking pair
+        ("encode", "max_pack", "--n", "2", "--k", "2", "--l", "1", "--out", str(tmp_path / "p.lp")),
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] in (0, 1, EXIT_BUDGET), argv
+    assert len(docs) == len(commands) + 1
+    assert [doc["optimum"] for doc in docs[:10]] == [2, 2, 2, 4, 8] + [None] * 5
+    assert docs[-3]["violations"][0]["rooks"] is None and docs[-2]["violations"][0]["rooks"]
+    rng = random.Random(1)
+    docs += [config_to_dict(Configuration(GridParams(2, 2, 1), ())),
+             {"axis_report": diagonal_slab_block(2, 3, 2)[1]},
+             *[_random_value(rng) for _ in range(400)]]
+    for doc in docs:
+        assert dump_json(doc) == json.dumps(doc, indent=2) + "\n", doc
+    for bad in ({1: 2}, [{"rooks": {None: []}}], {("n",): 1}):
+        with pytest.raises(TypeError):
+            dump_json(bad)
 
 
 def test_solve_budget_exit(capsys, tmp_path):
