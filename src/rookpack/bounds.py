@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GridParams, InvalidArgument, RookError
+from .core import GridParams, InvalidArgument, RookError, _smallest_factor, is_prime  # noqa: F401
 
 
 class NotApplicable(RookError):
@@ -115,21 +115,6 @@ def improved_covering_lower_bound(k: int, l: int) -> float:
         raise InvalidArgument("need l <= k")
     inner = 1.0 - 4.0 * (l - 1) / (l * l * math.comb(k, l))
     return 2.0 / (l * (1.0 + math.sqrt(inner)))
-
-
-def _smallest_factor(q: int) -> int:
-    if q % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return f
-        f += 2
-    return q
-
-
-def is_prime(q: int) -> bool:
-    return q >= 2 and _smallest_factor(q) == q
 
 
 def is_prime_power(q: int) -> bool:

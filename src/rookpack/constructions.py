@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import reduce
 from itertools import chain, combinations, permutations, product, repeat, starmap
-from operator import add, attrgetter, xor
+from operator import add, attrgetter
 
 from .core import (
     Configuration,
@@ -21,6 +20,7 @@ from .core import (
     Rook,
     config_coverage,
 )
+from . import families
 from .bounds import is_prime, largest_prime_power
 from .verify import verify_covering, verify_packing, verify_two_packing
 
@@ -38,21 +38,18 @@ def _sorted_config(g, rooks):
     return Configuration(g, sorted(rooks, key=attrgetter("point")))
 
 
-def _diagonal_points(n, k):
-    """Points of H(n, k) with coordinate sum divisible by n; hits every
-    axis line exactly once."""
-    for prefix in product(range(n), repeat=k - 1):
-        yield prefix + ((-sum(prefix)) % n,)
+def _family_config(family, g):
+    """family's configuration on the grid g (see rookpack.families)."""
+    g.check_bitset()
+    return Configuration(g, starmap(Rook, family.rooks(g)))  # already in point order
 
 
 def diagonal_covering(n: int, k: int) -> Configuration:
-    """n^(k-1) full rooks on the modular diagonal; a covering of H(n, k)."""
+    """n^(k-1) full rooks on the modular diagonal (families.ZERO_SUM); a
+    covering of H(n, k) with one rook on every axis line."""
     if n < 1 or k < 1:
         raise InvalidParams("need n >= 1 and k >= 1")
-    g = GridParams(n, k, k)
-    g.check_bitset()
-    full = frozenset(range(k))
-    return _sorted_config(g, (Rook(p, full) for p in _diagonal_points(n, k)))
+    return _family_config(families.ZERO_SUM, GridParams(n, k, k))
 
 
 def diagonal_slab_block(n1: int, k: int, l: int) -> tuple:
@@ -86,68 +83,40 @@ def diagonal_slab_block(n1: int, k: int, l: int) -> tuple:
 
 
 def distance3_code(p: int, k: int) -> Configuration:
-    """p^(k-2) full rooks whose points form a distance-3 code in H(p, k):
-    the last two coordinates are the plain and weighted digit sums of the
-    first k-2 (mod p)."""
+    """p^(k-2) full rooks whose points form a distance-3 code in H(p, k)
+    (families.DISTANCE3), a closed two-packing."""
     if k < 2:
         raise InvalidParams("need k >= 2")
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
     if p < k:
         raise InvalidParams(f"need p >= k, got p={p}, k={k}")
-    g = GridParams(p, k, k)
-    g.check_bitset()
-    full = frozenset(range(k))
-    rooks = []
-    for prefix in product(range(p), repeat=k - 2):
-        check1 = sum(prefix) % p
-        check2 = sum((i + 1) * x for i, x in enumerate(prefix)) % p
-        rooks.append(Rook(prefix + (check1, check2), full))
-    return _sorted_config(g, rooks)
+    return _family_config(families.DISTANCE3, GridParams(p, k, k))
 
 
 def latin_covering(n: int) -> Configuration:
-    """ceil(n^2 / 2) full rooks covering H(n, 3), Rodemich's bound: the
-    values split into a low block of n // 2 and a high block of the
-    rest, and the block of size s at offset o holds the Latin square
-    (o+x, o+y, o+((-x-y) mod s)) for x, y < s.  Two coordinates of every
-    point lie in one block, whose rook agreeing there covers it."""
-    g = GridParams(n, 3, 3)
-    g.check_bitset()
-    full, h = frozenset(range(3)), n // 2
-    rooks = [Rook((o + x, o + y, o + (-x - y) % s), full)
-             for o, s in ((0, h), (h, n - h)) for x in range(s) for y in range(s)]
-    return _sorted_config(g, rooks)
+    """ceil(n^2 / 2) full rooks covering H(n, 3), Rodemich's bound: a Latin
+    square in each of two blocks of values (families.LATIN)."""
+    return _family_config(families.LATIN, GridParams(n, 3, 3))
 
 
-def _hamming_syndromes(k, l):
-    """The grid H(2, k) of l-rooks, k = 2^m - 1, and its (point, syndrome)
-    pairs in point order: a point's syndrome is the XOR of the 1-based
-    positions of its set coordinates, and the Hamming code is the points
-    of syndrome 0."""
+def _hamming_config(family, k, l):
     if k < 1 or k & (k + 1):
         raise InvalidParams(f"need k = 2^m - 1, got {k}")
-    g = GridParams(2, k, l)
-    g.check_bitset()
-    return g, ((p, reduce(xor, (a + 1 for a, x in enumerate(p) if x), 0))
-               for p in product(range(2), repeat=k))
+    return _family_config(family, GridParams(2, k, l))
 
 
 def hamming_code(k: int) -> Configuration:
-    """The binary Hamming code of length k = 2^m - 1 as 2^(k-m) full rooks.
-    Its radius-1 balls tile H(2, k), so it is both a covering and a closed
-    two-packing, and meets both sphere bounds."""
-    g, points = _hamming_syndromes(k, k)
-    full = frozenset(range(k))
-    return Configuration(g, [Rook(p, full) for p, s in points if not s])
+    """The binary Hamming code of length k = 2^m - 1 as 2^(k-m) full rooks
+    (families.HAMMING): a covering and a closed two-packing of H(2, k)."""
+    return _hamming_config(families.HAMMING, k, k)
 
 
 def hamming_complement(k: int) -> Configuration:
     """A packing of 2^k - 2^(k-m) 1-rooks in H(2, k), k = 2^m - 1, the
-    incidence bound: every point off the Hamming code attacks along the
-    axis whose flip takes it into the code, so it attacks no rook."""
-    g, points = _hamming_syndromes(k, 1)
-    return Configuration(g, [Rook(p, frozenset((s - 1,))) for p, s in points if s])
+    incidence bound: the points off the Hamming code
+    (families.HAMMING_COMPLEMENT)."""
+    return _hamming_config(families.HAMMING_COMPLEMENT, k, 1)
 
 
 def block_packing(n: int, k: int, t: int) -> Configuration:
@@ -361,7 +330,8 @@ def _diagonal_blowup(outer: Configuration, n_inner: int, verify, kind: str) -> C
         raise InvalidParams("need n_inner >= 1")
     if not verify(outer).valid:
         raise InvalidInput(f"outer configuration is not a {kind}")
-    return _blowup(outer, _diagonal_points(n_inner, outer.params.k), n_inner)
+    k = outer.params.k
+    return _blowup(outer, (p for p, _ in families.ZERO_SUM.rooks(GridParams(n_inner, k, k))), n_inner)
 
 
 def blowup_covering(outer: Configuration, n_inner: int) -> Configuration:

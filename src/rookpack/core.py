@@ -260,3 +260,18 @@ def _coverage_digits(c: Configuration) -> bytearray:
 def config_coverage(c: Configuration) -> CoverageMap:
     """Union of the closed coverage of every rook."""
     return CoverageMap(int(_coverage_digits(c)[::-1], 2))  # base 2 has no digit limit
+
+
+def _smallest_factor(q: int) -> int:
+    if q % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
+            return f
+        f += 2
+    return q
+
+
+def is_prime(q: int) -> bool:
+    return q >= 2 and _smallest_factor(q) == q

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 from .core import (
     Configuration,
@@ -36,6 +37,7 @@ from .bounds import (
     sphere_bound_c,
 )
 from .verify import verify_covering, verify_packing, verify_two_packing
+from . import families
 
 
 @dataclass(frozen=True)
@@ -380,49 +382,30 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     return SolveResult(mode, lower if lower == upper else None, witness, stats, lower, upper)
 
 
-def _closed_form_seed(inst: _Instance, mode):
-    """The placements of a configuration meeting the solve's own bound on
-    one of these families, or None off them:
+# Per solve mode, the families whose configuration seeds the root where
+# its size is the solve's own bound, tried in this order: where two meet
+# it, b(2,2,1) takes CROSS and b(2,1,1) ZERO_SUM.
+_SEEDS = {
+    "min_cover": (families.LATIN, families.HAMMING),
+    "max_pack": (families.CROSS, families.ZERO_SUM, families.HAMMING_COMPLEMENT),
+    "max_two_pack_closed": (families.HAMMING, families.DISTANCE3),
+}
 
-    - b(n,2,1) = 2n - 2: (0, j) along axis 0 and (i, 0) along axis 1 for
-      i, j >= 1, each alone on its line; the incidence bound;
-    - a(n,3,3) = ceil(n^2 / 2): with the values split into a low block
-      of n // 2 and a high block of the rest, the full rooks
-      (o+x, o+y, o+z) with x + y + z = 0 mod s in each block of size s at
-      offset o; Rodemich's bound.  Two of a point's three coordinates
-      lie in one block, and that block's rook agreeing there covers it;
-    - at n = 2 with (k - l)^2 < k, b(2,k,l) = 2^(k-1), Huang's hypercube
-      bound, from the even-weight points attacking along axes 0..l-1:
-      two of them differ in two coordinates or more, so no line holds two;
-    - at n = 2 and k = 2^m - 1, the binary Hamming code T, the points
-      whose set coordinates' 1-based positions XOR to 0: a(2,k,k) and
-      c(2,k,k) closed = |T| = 2^(k-m), the sphere bounds, and
-      b(2,k,1) = 2^k - |T|, the incidence bound, from the complement of
-      T, each point attacking along the axis whose flip takes it into T.
 
-    A family's n = 1 grid holds no b(n,2,1) rook, which misses the bound.
-    """
-    g, n, D = inst.g, inst.g.n, inst.D
-    if mode == "max_pack" and g.k == 2 and g.l == 1:
-        # point (x, y) is index x n + y, and dirsets[a] is (a,) when l = 1
-        return [j * D for j in range(1, n)] + [i * n * D + 1 for i in range(1, n)]
-    if mode == "min_cover" and g.k == g.l == 3:
-        h = n // 2
-        return [((o + x) * n + o + y) * n + o + (-x - y) % s
-                for o, s in ((0, h), (h, n - h)) for x in range(s) for y in range(s)]
-    if mode == "max_pack" and n == 2 and (g.k - g.l) ** 2 < g.k:
-        # dirsets[0] is (0, ..., l-1); a point's index has its coordinates as bits
-        return [q * D for q in range(inst.npts) if not q.bit_count() & 1]
-    if n == 2 and g.k & (g.k + 1) == 0:
-        # syndromes[q]: the XOR of the 1-based positions of point q's set
-        # coordinates, axis 0 being q's most significant bit
-        syndromes = [0]
-        for a in reversed(range(g.k)):
-            syndromes += [s ^ a + 1 for s in syndromes]
-        if mode == "max_pack" and g.l == 1:
-            return [q * D + s - 1 for q, s in enumerate(syndromes) if s]
-        if mode in ("min_cover", "max_two_pack_closed") and g.l == g.k:
-            return [q for q, s in enumerate(syndromes) if not s]
+def _placements(inst: _Instance, family):
+    """The placement indices of family's configuration on inst's grid."""
+    index = {frozenset(d): j for j, d in enumerate(inst.dirsets)}
+    D, weights = inst.D, inst.weights
+    return [sum(map(mul, p, weights)) * D + index[axes] for p, axes in family.rooks(inst.g)]
+
+
+def _closed_form_seed(inst: _Instance, mode, bound):
+    """The placements of the first of the mode's _SEEDS families that
+    applies to the grid with bound rooks, or None.  A covering or packing
+    meeting the solve's bound is optimal, so the root closes on it."""
+    for family in _SEEDS.get(mode, ()):
+        if family.applies(inst.g) and family.size(inst.g) == bound:
+            return _placements(inst, family)
     return None
 
 
@@ -487,15 +470,13 @@ def exact_min_covering(
     symmetry_breaking: bool = False,
 ) -> SolveResult:
     """Minimum number of l-rooks covering H(n, k), by depth-first
-    branch-and-bound on the first uncovered point, seeded with a
-    closed-form covering meeting covering_lower where one is known
-    (_closed_form_seed: a(n,3,3) and the binary Hamming codes), else with
-    the modular diagonal of n^(k-1) rooks, or with the greedy covering
-    (_greedy_covering) where that is smaller.  The greedy runs only where
-    the diagonal exceeds covering_lower, as no covering is smaller: not on
-    any l = 1 grid, where n^(k-1) is the sphere bound, nor on any
-    a(n,2,2), where it is Rodemich's, and not where by_cov, built first,
-    has spent the time cap (see SolverBudget).  The greedy reads the
+    branch-and-bound on the first uncovered point, seeded with a covering
+    of rookpack.families meeting covering_lower where one is known
+    (_closed_form_seed), else with the modular diagonal (families.ZERO_SUM)
+    or with the greedy covering (_greedy_covering) where that is smaller.
+    The greedy runs only where the diagonal exceeds covering_lower, as no
+    covering is smaller, and not where by_cov, built first, has spent the
+    time cap (see SolverBudget).  The greedy reads the
     coverage ints of the rooks it picks only, and the search those of the
     candidates it tries.  The root closes when the seed meets
     covering_lower, before the per-point table, the value orbits and the
@@ -559,17 +540,14 @@ def exact_min_covering(
 
     def search(inst, tick, stats, best):
         D = inst.D
-        seed = _closed_form_seed(inst, "min_cover")
-        if seed is None or len(seed) > lower:
-            # the modular diagonal attacking along axes 0..l-1 (direction
-            # set 0): every axis-0 line holds one point of coordinate sum 0 mod n
-            seed = [q * D for q, p in enumerate(inst.points) if sum(p) % g.n == 0]
-            if len(seed) > lower:  # no covering is smaller than lower
-                # the greedy's table first: a time cap it spends skips the
-                # greedy, and the root's read below stops the solve
-                inst.by_cov
-                if not tick.late():
-                    seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
+        seed = (_closed_form_seed(inst, "min_cover", lower)
+                or _placements(inst, families.ZERO_SUM))  # the modular diagonal
+        if len(seed) > lower:  # no covering is smaller than lower
+            # the greedy's table first: a time cap it spends skips the
+            # greedy, and the root's read below stops the solve
+            inst.by_cov
+            if not tick.late():
+                seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties
         best[:] = [len(seed), seed]
         tick()  # the root, pruned when the seed meets lower
         if best[0] <= lower:
@@ -744,11 +722,11 @@ _CONFLICTS = {
 def _max_independent(g, mode, budget, cap_for, upper):
     """Include/exclude search over placements for max_two_pack (closed
     and strict; exact_max_packing searches points instead), seeded with
-    the closed-form configuration of _closed_form_seed where it meets
-    upper, else with the greedy pick in placement order.  A seed
-    that meets upper closes the solve at its root, which reports (nodes,
-    pruned) = (1, 0), before the conflict memo (for a closed-form seed),
-    the cap and the value orbits are built.
+    the configuration of rookpack.families that meets upper where one
+    does (_closed_form_seed), else with the greedy pick in placement
+    order.  A seed that meets upper closes the solve at its root, which
+    reports (nodes, pruned) = (1, 0), before the conflict memo (for a
+    family's seed), the cap and the value orbits are built.
 
     Candidate sets are ints over placement indices: the head is the lowest
     set bit, and the include child keeps the tail minus the head's
@@ -774,8 +752,8 @@ def _max_independent(g, mode, budget, cap_for, upper):
     def search(inst, tick, stats, best):
         P, D = inst.npts * inst.D, inst.D
         full = (1 << P) - 1
-        seed = _closed_form_seed(inst, mode)
-        if seed is None or len(seed) < upper:
+        seed = _closed_form_seed(inst, mode, upper)
+        if seed is None:
             allowed = _Memo(lambda i: full ^ conflicts(inst, i))
             seed, cands = [], full
             while cands:
@@ -1040,9 +1018,8 @@ class _PointPacking:
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
     """Maximum number of l-rooks with no rook attacking another; upper is
     the clique bound incidence_bound_b, lowered to Huang's hypercube bound
-    where that applies.  A closed-form seed meeting upper closes b(n,2,1)
-    = 2n - 2 for n >= 2, b(2,k,l) = 2^(k-1) for (k - l)^2 < k, and
-    b(2,k,1) = 2^k - 2^k / (k + 1) for k = 2^m - 1 at the root.
+    where that applies.  A packing of rookpack.families meeting upper
+    closes the solve at the root (_closed_form_seed).
 
     Elsewhere an include/exclude search runs over the n^k points on
     _PointPacking's masks, seeded with the greedy pick in point order; the
@@ -1059,8 +1036,8 @@ def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> Solv
         pass
 
     def search(inst, tick, stats, best):
-        seed = _closed_form_seed(inst, "max_pack")
-        if seed is None or len(seed) < upper:
+        seed = _closed_form_seed(inst, "max_pack", upper)
+        if seed is None:
             kernel = _PointPacking(inst)
             cands, chosen, empty, single, locked = kernel.root
             seed = []
@@ -1131,9 +1108,9 @@ def exact_max_two_packing(
 ) -> SolveResult:
     """Maximum number of l-rooks with no grid point reached twice; upper
     is the lesser of the plane and sphere bounds for closed coverage sets,
-    and the count of disjoint attack sets for strict ones.  Closed
-    c(2,k,k) for k = 2^m - 1 meets the sphere bound with the binary
-    Hamming code and closes at the root."""
+    and the count of disjoint attack sets for strict ones.  A closed
+    two-packing of rookpack.families meeting upper closes the solve at the
+    root (see _max_independent)."""
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     if g.l < 2:

@@ -103,6 +103,52 @@ def test_bounds_documents_are_pinned(capsys):
         "52d1b8115b6c3a4479fe02a0e80031e02270f152a93c7bae76e55eefc8b2d625")
 
 
+def test_family_constructions_are_pinned(capsys, tmp_path):
+    # the bytes construct writes for the generators that return a
+    # rookpack.families configuration, per name, and those of a diagonal
+    # blowup; one refused parameter set per name keeps its exit and message
+    cases = {
+        "diagonal_covering": ([("--n", "3", "--k", "4"), ("--n", "7", "--k", "3"),
+                               ("--n", "1", "--k", "5"), ("--n", "5", "--k", "1")],
+                              "c90c34d22b8e697faa13ed79ebcf586c7589198c69f328a5d14fbe5818941c62"),
+        "latin_covering": ([("--n", str(n)) for n in range(1, 10)],
+                           "f817f82f37584effb087c5844c3c0df4ce3fbd0dbf8a2f0932d0c988c7a5c8da"),
+        "hamming_code": ([("--k", "1"), ("--k", "3"), ("--k", "7")],
+                         "b69f8155efefdc60d3fff16e7f1e57f6017ccdc1d37537d3f9ca3b6677f0ed91"),
+        "hamming_complement": ([("--k", "1"), ("--k", "3"), ("--k", "7")],
+                               "165ddf1de6884ab527539a8f44f3ff232751201a89ab33dfa00f52e9bb1e9a29"),
+        "distance3_code": ([("--p", "5", "--k", "4"), ("--p", "7", "--k", "3"),
+                            ("--p", "2", "--k", "2"), ("--p", "3", "--k", "3")],
+                           "2c3b635bbc6a1aab726e5cb7bd210edb2a533116209dc573a81be3033d133dff"),
+    }
+    for name, (argsets, want) in cases.items():
+        digest = hashlib.sha256()
+        for argv in argsets:
+            code, out, err = run(capsys, "construct", name, *argv)
+            assert (code, err) == (0, ""), (name, argv)
+            digest.update(out.encode())
+        assert digest.hexdigest() == want, name
+    diag = str(tmp_path / "diag.json")
+    assert run(capsys, "construct", "diagonal_covering", "--n", "3", "--k", "2", "--out", diag)[0] == 0
+    digest = hashlib.sha256()
+    for kind, n_inner in (("cover", "4"), ("pack", "2"), ("cover", "1")):
+        code, out, err = run(capsys, "compose", "blowup", diag, "--kind", kind, "--n-inner", n_inner)
+        assert (code, err) == (0, ""), kind
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "bd071270a7a24529e9ed3df516dd7bb9f5098a64b7442a109a202360b6c1ddce")
+    for argv, message in [
+        (("diagonal_covering", "--n", "0", "--k", "3"), "need n >= 1 and k >= 1"),
+        (("latin_covering", "--n", "0"), "side must be >= 1, got 0"),
+        (("hamming_code", "--k", "4"), "need k = 2^m - 1, got 4"),
+        (("hamming_complement", "--k", "0"), "need k = 2^m - 1, got 0"),
+        (("distance3_code", "--p", "4", "--k", "3"), "4 is not prime"),
+        (("distance3_code", "--p", "3", "--k", "5"), "need p >= k, got p=3, k=5"),
+        (("distance3_code", "--p", "5", "--k", "1"), "need k >= 2"),
+    ]:
+        assert run(capsys, "construct", *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     cases = [
         ("diagonal_covering", ["--n", "3", "--k", "2"], "cover", []),

@@ -6,7 +6,14 @@ import math
 
 import pytest
 
-from rookpack.bounds import covering_lower, incidence_bound_b, sphere_bound_c
+from rookpack import families
+from rookpack.bounds import (
+    covering_lower,
+    hypercube_bound_b,
+    incidence_bound_b,
+    singleton_bound_c,
+    sphere_bound_c,
+)
 from rookpack.core import Configuration, GridParams, InstanceTooLarge, InvalidArgument, Rook
 from rookpack.constructions import (
     CONSTRUCTIONS,
@@ -29,7 +36,7 @@ from rookpack.constructions import (
     latin_covering,
     stack,
 )
-from rookpack.solve import _closed_form_seed, _Instance
+from rookpack.solve import _Instance, _placements
 from rookpack.verify import verify_covering, verify_packing, verify_two_packing
 
 
@@ -149,23 +156,61 @@ def test_code_constructions_meet_their_bounds():
         latin_covering(0)
 
 
-def _seed_rooks(g, mode):
-    inst = _Instance(g)
-    return {(r.point, r.dirs) for r in inst.config(_closed_form_seed(inst, mode)).rooks}
+def _family_claims(family, g):
+    """The verifiers that family's configuration on g passes, and the
+    bounds its size equals there: those the solver compares it with,
+    rounded down as the solver does."""
+    two_packing = [lambda c: verify_two_packing(c, "closed")]
+    if family is families.CROSS:
+        return [verify_packing], [int(incidence_bound_b(g))] if g.n >= 2 else []
+    if family is families.LATIN:
+        return [verify_covering], [covering_lower(g)[0]]
+    if family is families.ZERO_SUM:
+        bounds = [covering_lower(g)[0]] if g.l == 1 or g.k == 2 else []
+        if g.l == g.k:
+            bounds.append(incidence_bound_b(g))
+        if g.n == 2 and (g.k - g.l) ** 2 < g.k:
+            bounds.append(hypercube_bound_b(g))
+        return [verify_covering, verify_packing], bounds
+    if family is families.HAMMING:
+        if g.k == 1:
+            return [verify_covering], [covering_lower(g)[0]]
+        return [verify_covering] + two_packing, [covering_lower(g)[0], sphere_bound_c(g)]
+    if family is families.HAMMING_COMPLEMENT:
+        return [verify_packing], [incidence_bound_b(g)]
+    assert family is families.DISTANCE3
+    return two_packing, [min(singleton_bound_c(g), sphere_bound_c(g))]
 
 
-def test_solver_seeds_are_the_generators_rooks():
-    # the solver cannot import constructions, so it builds the same
-    # configurations from its own placement indices
-    for n in range(1, 13):
-        want = {(r.point, r.dirs) for r in latin_covering(n).rooks}
-        assert _seed_rooks(GridParams(n, 3, 3), "min_cover") == want, n
-    for k in (3, 7):
-        code = {(r.point, r.dirs) for r in hamming_code(k).rooks}
-        assert _seed_rooks(GridParams(2, k, k), "min_cover") == code, k
-        assert _seed_rooks(GridParams(2, k, k), "max_two_pack_closed") == code, k
-        rest = {(r.point, r.dirs) for r in hamming_complement(k).rooks}
-        assert _seed_rooks(GridParams(2, k, 1), "max_pack") == rest, k
+def test_each_family_meets_its_bound():
+    # on every grid with n <= 15 and n^k <= 243, and with l = k up to
+    # 3,125 points, where a family applies: its configuration lists
+    # size(g) rooks in point order, passes the verifiers and has each
+    # bound's size, and the solver's seed (_placements) is that
+    # configuration rook for rook
+    names = ("CROSS", "LATIN", "ZERO_SUM", "HAMMING", "HAMMING_COMPLEMENT", "DISTANCE3")
+    checked = dict.fromkeys(names, 0)
+    for k in range(1, 8):
+        n = 1
+        while n <= 15 and n ** k <= 3125:
+            for l in range(1, k + 1) if n ** k <= 243 else [k]:
+                g = GridParams(n, k, l)
+                inst = _Instance(g)
+                for name in names:
+                    family = getattr(families, name)
+                    if not family.applies(g):
+                        continue
+                    cfg = Configuration(g, itertools.starmap(Rook, family.rooks(g)))
+                    points = [r.point for r in cfg.rooks]
+                    assert points == sorted(points) and len(cfg) == family.size(g), (name, g)
+                    assert inst.config(_placements(inst, family)).rooks == cfg.rooks, (name, g)
+                    verifiers, bounds = _family_claims(family, g)
+                    assert all(verify(cfg).valid for verify in verifiers), (name, g)
+                    assert all(len(cfg) == bound for bound in bounds), (name, g)
+                    checked[name] += 1
+            n += 1
+    assert checked == {"CROSS": 15, "LATIN": 14, "ZERO_SUM": 132, "HAMMING": 3,
+                       "HAMMING_COMPLEMENT": 3, "DISTANCE3": 14}
 
 
 # --- block packings ---

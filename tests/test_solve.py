@@ -213,10 +213,11 @@ def test_root_closing_coverings_never_build_the_coverage_table(monkeypatch):
 
 
 def test_closed_form_families_close_at_the_root(monkeypatch):
-    # b(n,2,1), a(n,3,3), b(2,k,l) with (k - l)^2 < k, and at n = 2 and
-    # k = 2^m - 1 a(2,k,k), c(2,k,k) closed and b(2,k,1) each have a
-    # closed-form seed meeting the solve's own bound, so the solve ends at
-    # its root before any table, greedy, cap, memo or value orbit is built
+    # b(n,2,1), a(n,3,3), b(n,k,k), b(2,k,l) with (k - l)^2 < k, closed
+    # c(p,k,k) for a prime p >= k, and at n = 2 and k = 2^m - 1 a(2,k,k),
+    # c(2,k,k) closed and b(2,k,1) each have a closed-form seed meeting
+    # the solve's own bound (rookpack.families), so the solve ends at its
+    # root before any table, greedy, cap, memo or value orbit is built
     def refuse(*args):
         pytest.fail("a solve closing at the root built a table")
 
@@ -229,6 +230,12 @@ def test_closed_form_families_close_at_the_root(monkeypatch):
     # Huang's hypercube bound, met by the even-weight points
     runs += [(exact_max_packing, (2, k, l), 2 ** (k - 1))
              for k in range(1, 16) for l in range(1, k + 1) if (k - l) ** 2 < k]
+    # the incidence bound, met by the zero-sum points, and the plane bound
+    # of closed two-packings, met by the distance-3 code
+    runs += [(exact_max_packing, (n, k, k), n ** (k - 1))
+             for n, k in [(6, 3), (3, 5), (7, 3), (9, 3), (5, 4), (3, 6), (40, 3)]]
+    runs += [(exact_max_two_packing, (p, k, k), p ** (k - 2))
+             for p, k in [(5, 4), (5, 5), (7, 5), (7, 4)]]
     for k in (3, 7, 15):
         code = 2 ** k // (k + 1)
         runs += [(exact_min_covering, (2, k, k), code), (exact_max_two_packing, (2, k, k), code),
@@ -927,7 +934,7 @@ def test_packing_trees_pinned_at_budget_edges():
                         digest.update(repr((res.stats.nodes, res.stats.pruned, res.exact,
                                             res.lower_bound, res.upper_bound, rooks)).encode())
     assert digest.hexdigest() == (
-        "c434d0fff1174cf7554f8522e772391ffe74319e9328abe3de37741e3b86968a")
+        "cea8c59397f405adec8c4b737913f0e9df631a82c0e9af77aa5862f50ea6de57")
 
 
 def test_searches_and_oracles_agree(monkeypatch):
@@ -976,7 +983,7 @@ def test_searches_and_oracles_agree(monkeypatch):
     # closes a(4,3,3) at the root, so the seed is withheld for the search
     # to run; no grid with n^k <= 729 whose search runs shows that fault
     # within 50,000 nodes
-    monkeypatch.setattr(solve_module, "_closed_form_seed", lambda inst, mode: None)
+    monkeypatch.setattr(solve_module, "_closed_form_seed", lambda inst, mode, bound: None)
     res = exact_min_covering(GridParams(4, 3, 3), budget)
     assert (res.exact, res.optimum, res.stats.nodes) == (True, 8, 28_500)
 
