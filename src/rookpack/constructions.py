@@ -331,7 +331,8 @@ def _diagonal_blowup(outer: Configuration, n_inner: int, verify, kind: str) -> C
     if not verify(outer).valid:
         raise InvalidInput(f"outer configuration is not a {kind}")
     k = outer.params.k
-    return _blowup(outer, (p for p, _ in families.ZERO_SUM.rooks(GridParams(n_inner, k, k))), n_inner)
+    inner = (p for p, _ in families.ZERO_SUM.rooks(GridParams(n_inner, k, k)))
+    return _blowup(outer, inner, n_inner)
 
 
 def blowup_covering(outer: Configuration, n_inner: int) -> Configuration:

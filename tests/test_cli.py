@@ -129,10 +129,12 @@ def test_family_constructions_are_pinned(capsys, tmp_path):
             digest.update(out.encode())
         assert digest.hexdigest() == want, name
     diag = str(tmp_path / "diag.json")
-    assert run(capsys, "construct", "diagonal_covering", "--n", "3", "--k", "2", "--out", diag)[0] == 0
+    code, _, _ = run(capsys, "construct", "diagonal_covering", "--n", "3", "--k", "2", "--out", diag)
+    assert code == 0
     digest = hashlib.sha256()
     for kind, n_inner in (("cover", "4"), ("pack", "2"), ("cover", "1")):
-        code, out, err = run(capsys, "compose", "blowup", diag, "--kind", kind, "--n-inner", n_inner)
+        code, out, err = run(capsys, "compose", "blowup", diag, "--kind", kind,
+                             "--n-inner", n_inner)
         assert (code, err) == (0, ""), kind
         digest.update(out.encode())
     assert digest.hexdigest() == (
