@@ -276,8 +276,8 @@ class _ValueOrbits:
     whose point has its axis-a value in the bitset vals.  ptmask, orbital
     and each at_values[a] are memos filled on first lookup, so a solve
     builds only the entries it reaches, and frees them when it returns.
-    cover_orbit and pack_orbit give the orbits of exact_min_covering, and
-    of _max_independent and the point search of exact_max_packing.
+    cover_orbit and pack_orbit give the orbits of exact_min_covering and
+    of _max_independent.
     """
 
     def __init__(self, inst: _Instance, D: int):
@@ -708,7 +708,7 @@ def _closed_conflicts(inst, i):
 
 
 # The placements that cannot coexist with placement i, i included, as a
-# mask over placement indices, in each mode of _max_independent.
+# mask over placement indices, in each mode of _PlacementPacking.
 _CONFLICTS = {
     "max_two_pack_closed": _closed_conflicts,
     # rooks attacking a point i attacks, and rooks on i's point
@@ -719,72 +719,103 @@ _CONFLICTS = {
 }
 
 
-def _max_independent(g, mode, budget, cap_for, upper):
-    """Include/exclude search over placements for max_two_pack (closed
-    and strict; exact_max_packing searches points instead), seeded with
-    the configuration of rookpack.families that meets upper where one
-    does (_closed_form_seed), else with the greedy pick in placement
-    order.  A seed that meets upper closes the solve at its root, which
-    reports (nodes, pruned) = (1, 0), before the conflict memo (for a
-    family's seed), the cap and the value orbits are built.
+class _PlacementPacking:
+    """The two-packing search's kernel, on masks over placement indices
+    (D = inst.D), with no state: the include child keeps the candidates
+    left minus the head's _CONFLICTS[mode] mask, computed once per head,
+    so its hit is always empty and restore is never called.  cap_for(inst)
+    gives the cap, _reach_cap or _unit_cap, which ignores the state; it is
+    built on first use, and a placement leaving lowers it by at most
+    step = 1.  The chosen placements are their own witness."""
 
-    Candidate sets are ints over placement indices: the head is the lowest
-    set bit, and the include child keeps the tail minus the head's
-    _CONFLICTS[mode] mask, computed once per head.  cap_for(inst) gives
-    cap(cands), a bound on the rooks any subset of cands can hold that
-    never exceeds the candidate count and falls by at most one when a
-    candidate leaves.  upper is the closed-form bound reported when the
-    budget runs out; an incumbent that meets it is proven optimal, so the
-    search stops there (_Proven).
+    step, restore = 1, None
+
+    def __init__(self, inst: _Instance, mode, cap_for):
+        conflicts, full = _CONFLICTS[mode], (1 << inst.npts * inst.D) - 1
+        allowed = _Memo(lambda i: full ^ conflicts(inst, i))
+        self.inst, self.cap_for, self.D, self.root = inst, cap_for, inst.D, (full, None)
+        self.include = lambda i, cands, state: (cands & allowed[i], state, ())
+
+    @cached_property
+    def cap(self):
+        return self.cap_for(self.inst)
+
+    @staticmethod
+    def witness(chosen, state):
+        return list(chosen)
+
+
+def _max_independent(g, mode, budget, upper, kernel_for):
+    """Include/exclude search for max_pack and max_two_pack (closed and
+    strict), on the kernel kernel_for(inst) builds, seeded with the
+    configuration of rookpack.families that meets upper where one does
+    (_closed_form_seed), else with the greedy pick: the lowest candidate,
+    included until none is left.  A seed that meets upper closes the solve
+    at its root, which reports (nodes, pruned) = (1, 0), before the kernel
+    (for a family's seed), the cap and the value orbits are built.  upper
+    is the closed-form bound reported when the budget runs out; an
+    incumbent that meets it is proven optimal, so the search stops there
+    (_Proven).
+
+    Candidate sets are ints over the kernel's items, D to a point: points
+    (D = 1, _PointPacking) or placements (D = inst.D, _PlacementPacking).
+    The head is the lowest candidate.  root is (cands, state) at the empty
+    set.  include(i, cands, state) -> (cands, state, hit) gives the
+    include child's, from the candidates left beside i; restore(hit)
+    undoes what the child changed outside its state once its subtree is
+    done, and is called only when hit is non-empty.  cap(cands, state)
+    bounds the items cands can add, and a candidate leaving lowers it by
+    at most step.  witness(chosen, state) gives the placements of the
+    chosen items.
 
     Orbital branching: the value permutations of each axis that fix the
     chosen points map the conflicts onto themselves.  The orbit of the
-    head (q, d) is d at every point q' with q'_a = q_a on the axes where a
+    head, at point q, is the item at every point q' (with the head's
+    direction set, for placements) with q'_a = q_a on the axes where a
     chosen point uses q_a, and q'_a unused on the others; after the
     include child, the exclude step drops the orbit from cands and lowers
-    lo by its size.  That keeps an optimum: of the optimal sets, the one
-    first in placement order (the lowest index where two differ is in
-    it) is never cut, since a permutation that moves one of its rooks
-    onto a dropped head gives an optimal set earlier in that order.
+    lo by step per item.  That keeps an optimum: of the optimal sets, the
+    one first in item order (the lowest index where two differ is in it)
+    is never cut, since a permutation that moves one of its items onto a
+    dropped head gives an optimal set earlier in that order.
     """
-    conflicts = _CONFLICTS[mode]
 
     def search(inst, tick, stats, best):
-        P, D = inst.npts * inst.D, inst.D
-        full = (1 << P) - 1
         seed = _closed_form_seed(inst, mode, upper)
         if seed is None:
-            allowed = _Memo(lambda i: full ^ conflicts(inst, i))
-            seed, cands = [], full
+            kernel = kernel_for(inst)
+            include, witness, (cands, state) = kernel.include, kernel.witness, kernel.root
+            seed = []
             while cands:
-                i = (cands & -cands).bit_length() - 1
-                seed.append(i)
-                cands &= allowed[i]
+                low = cands & -cands
+                seed.append(low.bit_length() - 1)
+                cands, state, _ = include(seed[-1], cands ^ low, state)
+            seed = witness(seed, state)
         best[:] = [len(seed), seed]
         if best[0] >= upper:  # proven at the root, before any cap or orbit
             tick()
             raise _Proven
 
-        cap = cap_for(inst)
+        restore, cap, step, D = kernel.restore, kernel.cap, kernel.step, kernel.D
         orbits = _ValueOrbits(inst, D)
         ptmask, is_orbital, pack_orbit = orbits.ptmask, orbits.orbital, orbits.pack_orbit
-        chosen = []
+        size, chosen = inst.npts * D, []
 
-        def dfs(cands, depth, free):
-            # A node is pruned when depth + cap(cands) <= best.  The cap
-            # never exceeds the candidate count, so count <= slack prunes
-            # without a recount.  Dropping a candidate lowers the cap by at
-            # most one, so lo..hi brackets it along the exclude chain (the
-            # next turn of the loop); a turn recounts only when the bracket
+        def dfs(cands, depth, free, state):
+            # A node is pruned when depth + cap(cands, state) <= best, or
+            # when depth plus the candidate count is, since each candidate
+            # adds one item at most: count <= slack prunes without a cap.
+            # lo..hi brackets the cap along the exclude chain (the next
+            # turn of the loop); a turn recounts only when the bracket
             # cannot decide.  free holds the values no chosen point uses
             # (see _ValueOrbits); with at most one on every axis, each
             # orbit is its head alone.
             orbital = is_orbital[free]
-            lo, hi = 0, P
+            lo, hi = 0, size
             while True:
                 tick()
                 if depth > best[0]:
-                    best[:] = [depth, list(chosen)]
+                    best[:] = [depth, witness(chosen, state)]
                 if best[0] >= upper:
                     raise _Proven
                 if not cands:
@@ -794,24 +825,27 @@ def _max_independent(g, mode, budget, cap_for, upper):
                     stats.pruned += 1
                     return
                 if lo <= slack:
-                    lo = hi = cap(cands)
+                    lo = hi = cap(cands, state)
                     if hi <= slack:
                         stats.pruned += 1
                         return
                 low = cands & -cands
                 cands ^= low
                 i = low.bit_length() - 1
+                sub, below, hit = include(i, cands, state)
                 chosen.append(i)
-                dfs(cands & allowed[i], depth + 1, free & ~ptmask[i // D])
+                dfs(sub, depth + 1, free & ~ptmask[i // D], below)
                 chosen.pop()
-                lo -= 1
+                if hit:
+                    restore(hit)
+                lo -= step
                 if orbital:
                     orbit = cands & pack_orbit(free, i)
                     cands ^= orbit
-                    lo -= orbit.bit_count()
+                    lo -= step * orbit.bit_count()
 
         try:
-            dfs(full, 0, orbits.all_free)
+            dfs(kernel.root[0], 0, orbits.all_free, kernel.root[1])
         finally:
             del dfs  # dfs calls itself through its cell: free it
 
@@ -826,7 +860,7 @@ def _unit_cap(inst, unit):
     masks = _Memo(lambda i: covs[i] ^ 1 << i // D)
     npts = len(by_point)
 
-    def cap(cands):
+    def cap(cands, state):
         # few candidates: OR their masks; many: test every point, dropping
         # each AND as it is counted
         if 3 * cands.bit_count() < 2 * npts:
@@ -874,7 +908,7 @@ def _reach_cap(inst, unit):
         axes.append((_repeat(along, D, npts), blocks, _window(w * D, n)))
     starts, fold = _repeat(1, D, npts), _window(1, D)
 
-    def cap(cands):
+    def cap(cands, state):
         reached = 0
         for along, blocks, line in axes:
             heads = cands & along
@@ -902,8 +936,8 @@ def _at_least(masks, m):
 
 
 class _PointPacking:
-    """The packing search's kernel, on masks over the n^k points: bit p
-    stands for point p.
+    """The packing search's kernel, on masks over the n^k points (D = 1):
+    bit p stands for point p.
 
     A point set S is a packing iff every point of S is alone in S on at
     least l of its k lines, its lonely lines.  It then attacks along its
@@ -917,13 +951,10 @@ class _PointPacking:
     point is a candidate iff it is off locked and at least l of its lines
     are empty: those become its lonely lines, and a point of S sharing a
     line with it (two points share one at most) had more than l, or the
-    line would be locked, so it keeps l.  root is (all points, *state of
-    the empty S).
-
-    include(p, cands, *state) -> (cands, *state, hit): p joins S.  cands
-    are the candidates left beside p, the child's are those that stay
-    candidates, and hit lists the points of S that lost a lonely line;
-    restore(hit) gives their counts back when the child's subtree is done.
+    line would be locked, so it keeps l.  root is (all points, state of
+    the empty S).  include(p, cands, state) keeps the candidates of the
+    child among cands, and its hit lists the points of S that lost a
+    lonely line; restore(hit) gives their counts back.
 
     counts(cands, empty) -> (lines, cliques): the empty lines holding a
     candidate, over all axes, and the cliques (a, q) meeting the
@@ -934,17 +965,19 @@ class _PointPacking:
     on axis a number n lines_a plus the candidates on occ[a].  A rook
     added below holds l empty lines alone, and meets l(n-1)+k of those
     cliques, k at its point and n-1 along each line it attacks along,
-    which no other rook meets; so cap(cands, empty) = min(lines // l,
+    which no other rook meets; so cap(cands, state) = min(lines // l,
     cliques // (l(n-1)+k)) bounds the rooks cands can add, and at the root
     it is the incidence bound.  One point leaving takes at most k lines
     and kn cliques with it, so lowers the cap by at most step.
     """
 
+    D = 1
+
     def __init__(self, inst: _Instance):
         g, npts, weights, D = inst.g, inst.npts, inst.weights, inst.D
         n, k, l = g.n, g.k, g.l
         full = (1 << npts) - 1
-        self.root = (full, 0, [full] * k, [0] * k, 0)
+        self.root = (full, (0, [full] * k, [0] * k, 0))
         lonely = [0] * npts
         points, axes = inst.points, range(k)
         # the axis-a line through point 0, the points with x_a = 0 (the
@@ -952,7 +985,8 @@ class _PointPacking:
         line0 = [_repeat(1, w, n) for w in weights]
         heads = [(_repeat((1 << w) - 1, n * w, npts // (n * w)), _window(w, n)) for w in weights]
         per_rook = l * (n - 1) + k
-        self.step = max(-(-k // l), -(-k * n // per_rook))
+        # ceil(k/l): the kn cliques take at most kn/per_rook <= k/l, as k >= l
+        self.step = -(-k // l)
         index = {d: j for j, d in enumerate(inst.dirsets)}
 
         if l <= k - l + 1:  # count empty lines up to l, or occupied ones past k - l
@@ -962,7 +996,8 @@ class _PointPacking:
             def fit(cands, empty):
                 return cands & ~_at_least([~e for e in empty], k - l + 1)
 
-        def include(p, cands, chosen, empty, single, locked):
+        def include(p, cands, state):
+            chosen, empty, single, locked = state
             x, empty, single, own, hit = points[p], empty[:], single[:], [], []
             for a in axes:
                 if empty[a] >> p & 1:
@@ -985,7 +1020,7 @@ class _PointPacking:
             if len(own) == l:
                 for line in own:
                     locked |= line
-            return fit(cands & ~locked, empty), chosen | 1 << p, empty, single, locked, hit
+            return fit(cands & ~locked, empty), (chosen | 1 << p, empty, single, locked), hit
 
         def restore(hit):
             for q in hit:
@@ -1001,13 +1036,14 @@ class _PointPacking:
                 lines += (x & plane).bit_count()
             return lines, n * lines + k * cands.bit_count() + cliques
 
-        def cap(cands, empty):
-            lines, cliques = counts(cands, empty)
+        def cap(cands, state):
+            lines, cliques = counts(cands, state[1])
             return min(lines // l, cliques // per_rook)
 
-        def witness(chosen, single):
+        def witness(chosen, state):
             """The placements of the points chosen, each along its lowest
             l lonely axes."""
+            single = state[2]
             return [q * D + index[tuple([a for a in axes if single[a] >> q & 1][:l])]
                     for q in chosen]
 
@@ -1016,101 +1052,25 @@ class _PointPacking:
 
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:
-    """Maximum number of l-rooks with no rook attacking another; upper is
-    the clique bound incidence_bound_b, lowered to Huang's hypercube bound
-    where that applies.  A packing of rookpack.families meeting upper
-    closes the solve at the root (_closed_form_seed).
-
-    Elsewhere an include/exclude search runs over the n^k points on
-    _PointPacking's masks, seeded with the greedy pick in point order; the
-    witness takes each point's lowest l lonely axes.  The head is the
-    lowest candidate, a node is pruned when depth + cap(cands) <= best,
-    and the search stops once best meets upper.  Orbital branching is
-    _max_independent's, on points: after the include child, the exclude
-    step drops the head's pack_orbit from cands.
-    """
+    """Maximum number of l-rooks with no rook attacking another, by
+    _max_independent on points (_PointPacking); upper is the clique bound
+    incidence_bound_b, lowered to Huang's hypercube bound where that
+    applies."""
     upper = int(incidence_bound_b(g))
     try:
         upper = min(upper, hypercube_bound_b(g))
     except NotApplicable:
         pass
-
-    def search(inst, tick, stats, best):
-        seed = _closed_form_seed(inst, "max_pack", upper)
-        if seed is None:
-            kernel = _PointPacking(inst)
-            cands, chosen, empty, single, locked = kernel.root
-            seed = []
-            while cands:
-                p = (cands & -cands).bit_length() - 1
-                seed.append(p)
-                cands, chosen, empty, single, locked, _ = kernel.include(
-                    p, cands ^ 1 << p, chosen, empty, single, locked)
-            seed = kernel.witness(seed, single)
-        best[:] = [len(seed), seed]
-        if best[0] >= upper:  # proven at the root, before any cap or orbit
-            tick()
-            raise _Proven
-
-        include, restore, cap, witness, step = (
-            kernel.include, kernel.restore, kernel.cap, kernel.witness, kernel.step)
-        orbits = _ValueOrbits(inst, 1)
-        ptmask, is_orbital, pack_orbit = orbits.ptmask, orbits.orbital, orbits.pack_orbit
-        path = []
-
-        def dfs(cands, depth, free, chosen, empty, single, locked):
-            # free holds the values no chosen point uses (see _ValueOrbits);
-            # lo..hi brackets the cap along the exclude chain, as a point
-            # leaving cands lowers it by at most step
-            orbital = is_orbital[free]
-            lo, hi = 0, inst.npts
-            while True:
-                tick()
-                if depth > best[0]:
-                    best[:] = [depth, witness(path, single)]
-                if best[0] >= upper:
-                    raise _Proven
-                if not cands:
-                    return
-                slack = best[0] - depth
-                if cands.bit_count() <= slack or hi <= slack:
-                    stats.pruned += 1
-                    return
-                if lo <= slack:
-                    lo = hi = cap(cands, empty)
-                    if hi <= slack:
-                        stats.pruned += 1
-                        return
-                low = cands & -cands
-                cands ^= low
-                p = low.bit_length() - 1
-                sub, below, em, si, lk, hit = include(p, cands, chosen, empty, single, locked)
-                path.append(p)
-                dfs(sub, depth + 1, free & ~ptmask[p], below, em, si, lk)
-                path.pop()
-                restore(hit)
-                lo -= step
-                if orbital:
-                    orbit = cands & pack_orbit(free, p)
-                    cands ^= orbit
-                    lo -= step * orbit.bit_count()
-
-        try:
-            dfs(kernel.root[0], 0, orbits.all_free, *kernel.root[1:])
-        finally:
-            del dfs  # dfs calls itself through its cell: free it
-
-    return _solve(g, "max_pack", budget, search, lambda value: (value, upper))
+    return _max_independent(g, "max_pack", budget, upper, _PointPacking)
 
 
 def exact_max_two_packing(
     g: GridParams, mode: str = "closed", budget: SolverBudget | None = None
 ) -> SolveResult:
-    """Maximum number of l-rooks with no grid point reached twice; upper
-    is the lesser of the plane and sphere bounds for closed coverage sets,
-    and the count of disjoint attack sets for strict ones.  A closed
-    two-packing of rookpack.families meeting upper closes the solve at the
-    root (see _max_independent)."""
+    """Maximum number of l-rooks with no grid point reached twice, by
+    _max_independent on placements (_PlacementPacking); upper is the
+    lesser of the plane and sphere bounds for closed coverage sets, and
+    the count of disjoint attack sets for strict ones."""
     if mode not in ("closed", "strict"):
         raise InvalidArgument(f"unknown two-packing mode {mode!r}")
     if g.l < 2:
@@ -1122,9 +1082,9 @@ def exact_max_two_packing(
         unit, cap = g.l * (g.n - 1), _unit_cap
         # strict attack sets are pairwise disjoint, each of unit points
         upper = g.num_points // unit if unit else g.num_points
-    return _max_independent(
-        g, f"max_two_pack_{mode}", budget, lambda inst: cap(inst, unit), upper
-    )
+    mode = f"max_two_pack_{mode}"
+    return _max_independent(g, mode, budget, upper, lambda inst: _PlacementPacking(
+        inst, mode, lambda inst: cap(inst, unit)))
 
 
 def exact_max_coverage(
@@ -1240,9 +1200,10 @@ def encode_ilp(g: GridParams, mode: str, out) -> dict:
         prefix, sense = ("cover", ">=") if mode == "min_cover" else ("cover2", "<=")
         rows = [f" {prefix}_{p}: " + " + ".join(filter(None, parts)) + f" {sense} 1"
                 for p, parts in enumerate(zip(*below, at, *reversed(above)))]
+    del at, below, above  # the rows hold every text they need
     lines = ["Minimize" if mode == "min_cover" else "Maximize", " obj: " + " + ".join(names),
-             "Subject To", *rows, "Binary", *[f" {name}" for name in names], "End"]
-    out.write("\n".join(lines) + "\n")
+             "Subject To", *rows, "Binary", *[f" {name}" for name in names], "End", ""]
+    out.write("\n".join(lines))
     return {"mode": mode, "variables": len(names), "constraints": len(rows)}
 
 

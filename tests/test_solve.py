@@ -38,6 +38,7 @@ from rookpack.solve import (
     _CONFLICTS,
     SolverBudget,
     _Instance,
+    _PlacementPacking,
     _PointPacking,
     _ValueOrbits,
     _gain_deficit,
@@ -223,7 +224,8 @@ def test_closed_form_families_close_at_the_root(monkeypatch):
 
     monkeypatch.setattr(_Instance, "placements", property(refuse))
     monkeypatch.setattr(_Instance, "by_cov", property(refuse))
-    for name in ("_ValueOrbits", "_Memo", "_greedy_covering", "_PointPacking", "_reach_cap"):
+    for name in ("_ValueOrbits", "_Memo", "_greedy_covering", "_PointPacking",
+                 "_PlacementPacking", "_reach_cap"):
         monkeypatch.setattr(solve_module, name, refuse)
     runs = [(exact_max_packing, (n, 2, 1), 2 * n - 2) for n in range(2, 201)]
     runs += [(exact_min_covering, (n, 3, 3), -(-n * n // 2)) for n in range(1, 41)]
@@ -370,7 +372,7 @@ def test_placement_masks_match_coordinates():
                 for i in range(P):
                     if cands >> i & 1:
                         ref |= masks[i]
-                assert cap(cands) == ref.bit_count() // unit, (n, k, l, cands)
+                assert cap(cands, None) == ref.bit_count() // unit, (n, k, l, cands)
 
 
 def test_capped_coverings_build_few_placement_masks(monkeypatch):
@@ -534,12 +536,12 @@ def test_point_packing_kernel_matches_coordinates():
 
         for _ in range(3):
             kernel = _PointPacking(inst)
-            cands, *state = kernel.root
+            cands, state = kernel.root
             chosen = []
             while cands:
                 p = rng.choice([i for i in everywhere if cands >> i & 1])
                 chosen.append(p)
-                cands, *state, _ = kernel.include(p, full ^ state[0] ^ 1 << p, *state)
+                cands, state, _ = kernel.include(p, full ^ state[0] ^ 1 << p, state)
                 want = [i for i in everywhere
                         if i not in chosen and verify_packing(as_rooks(chosen + [i])).valid]
                 assert [i for i in everywhere if cands >> i & 1] == want, (g, chosen)
@@ -549,7 +551,7 @@ def test_point_packing_kernel_matches_coordinates():
                 cliques = {(a, q) for a in range(k) for q in want}
                 cliques |= {(a, q) for a, i in free for q in on_line[i][a]}
                 assert kernel.counts(cands, state[1]) == (len(lines), len(cliques)), (g, chosen)
-                witness = inst.config(kernel.witness(chosen, state[2]))
+                witness = inst.config(kernel.witness(chosen, state))
                 assert witness == as_rooks(chosen) and verify_packing(witness).valid, (g, chosen)
 
 
@@ -571,7 +573,56 @@ def test_reach_cap_matches_coordinates():
             for _ in range(4):
                 chosen = [i for i in range(P) if rng.random() < density]
                 want = len(set().union(*(covered[i] for i in chosen)))
-                assert reach(sum(1 << i for i in chosen)) == want, (g, chosen)
+                assert reach(sum(1 << i for i in chosen), None) == want, (g, chosen)
+
+
+def test_packing_kernels_keep_the_bracket_contract():
+    # what _max_independent's pruning and lo..hi bracket rely on, for the
+    # point kernel and the placement kernel at both caps, at seeded random
+    # states reached through include chains, on random halves of their
+    # candidates: no include chain from cands adds more than cap(cands,
+    # state) items (a search pruned by the candidate count alone), and
+    # dropping one candidate never raises the cap nor lowers it by more
+    # than step
+    rng = random.Random(39)
+
+    def adds(kernel, cands, state, need):
+        # whether some include chain from cands adds need items
+        while cands.bit_count() >= need > 0:
+            low = cands & -cands
+            cands ^= low
+            sub, below, hit = kernel.include(low.bit_length() - 1, cands, state)
+            found = adds(kernel, sub, below, need - 1)
+            if hit:
+                kernel.restore(hit)
+            if found:
+                return True
+        return need <= 0
+
+    for n, k, l in [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 1), (2, 3, 2),
+                    (2, 3, 3), (3, 3, 1), (3, 3, 2), (2, 4, 2)]:
+        g = GridParams(n, k, l)
+        inst = _Instance(g)
+        kernels = [_PointPacking(inst)]
+        if l >= 2:
+            kernels += [
+                _PlacementPacking(inst, "max_two_pack_closed", lambda i: _reach_cap(i, g.ball)),
+                _PlacementPacking(inst, "max_two_pack_strict", lambda i: _unit_cap(i, l * (n - 1))),
+            ]
+        for kernel in kernels:
+            size = inst.npts * kernel.D
+            for _ in range(40):
+                cands, state = kernel.root
+                for _ in range(rng.randrange(4)):
+                    if cands:
+                        i = rng.choice([i for i in range(size) if cands >> i & 1])
+                        cands, state, _ = kernel.include(i, cands ^ 1 << i, state)
+                cands &= rng.getrandbits(size)
+                cap = kernel.cap(cands, state)
+                assert not adds(kernel, cands, state, cap + 1), (g, kernel, cands)
+                for i in [i for i in range(size) if cands >> i & 1]:
+                    less = kernel.cap(cands ^ 1 << i, state)
+                    assert cap - kernel.step <= less <= cap, (g, kernel, cands, i)
 
 
 def test_incidence_bound_b_counting_proof():
@@ -1330,6 +1381,21 @@ def test_encode_ilp_reads_no_solver_table(monkeypatch):
     assert peak < 1 << 20 and sink.getvalue() == ""
 
 
+def test_encode_ilp_keeps_few_copies_of_the_program():
+    # the encoder frees its per-line texts before it joins the rows, and
+    # joins the program once: on (6,4,2) min_cover (1.07 MB) its peak
+    # allocation stays under four times the program's length
+    written = []
+    sink = SimpleNamespace(write=lambda text: written.append(len(text)))
+    tracemalloc.start()
+    try:
+        encode_ilp(GridParams(6, 4, 2), "min_cover", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == [1_070_969] and peak < 4 * written[0]
+
+
 def test_solves_free_their_tables_on_return():
     # a solve's instance, masks and memos go when it returns, by reference
     # counting alone: with the cyclic collector off, nothing is left for it
@@ -1344,7 +1410,13 @@ def test_solves_free_their_tables_on_return():
         ("depth", lambda: exact_max_packing(GridParams(6, 5, 1), SolverBudget(5_000, 1e9))),
         ("proven", lambda: exact_max_two_packing(GridParams(3, 3, 2), "closed")),
         ("node_cap", lambda: exact_max_two_packing(GridParams(3, 4, 2), "closed", SolverBudget(1_000, 1e9))),
+        ("time_cap", lambda: exact_max_two_packing(GridParams(3, 4, 2), "closed",
+                                                   SolverBudget(max_seconds=0.0))),
         ("proven", lambda: exact_max_two_packing(GridParams(3, 3, 2), "strict")),
+        ("node_cap", lambda: exact_max_two_packing(GridParams(3, 4, 2), "strict",
+                                                   SolverBudget(1_000, 1e9))),
+        ("time_cap", lambda: exact_max_two_packing(GridParams(3, 4, 2), "strict",
+                                                   SolverBudget(max_seconds=0.0))),
         ("proven", lambda: exact_max_coverage(GridParams(4, 2, 2), 3)),
         ("node_cap", lambda: exact_max_coverage(GridParams(8, 3, 2), 30, SolverBudget(1_000, 1e9))),
         ("depth", lambda: exact_max_coverage(GridParams(34, 2, 1), 1_100, SolverBudget(5_000, 1e9))),
