@@ -41,7 +41,7 @@ def _sorted_config(g, rooks):
 def _family_config(family, g):
     """family's configuration on the grid g (see rookpack.families)."""
     g.check_bitset()
-    return Configuration(g, starmap(Rook, family.rooks(g)))  # already in point order
+    return families.configuration(family, g)
 
 
 def diagonal_covering(n: int, k: int) -> Configuration:

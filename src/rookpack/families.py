@@ -6,11 +6,16 @@ rook count; and rooks(g), a generator of its (point, axes) pairs in point
 order, which reads nothing until it is iterated."""
 
 from collections import namedtuple
-from itertools import product
+from itertools import product, starmap
 
-from .core import is_prime
+from .core import Configuration, Rook, is_prime
 
 Family = namedtuple("Family", "applies size rooks")
+
+
+def configuration(family, g):
+    """family's configuration on the grid g, its rooks in point order."""
+    return Configuration(g, starmap(Rook, family.rooks(g)))
 
 
 def _cross(g):

@@ -18,15 +18,8 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from operator import mul
 
-from .core import (
-    Configuration,
-    GridParams,
-    InvalidArgument,
-    Rook,
-    config_coverage,
-)
+from .core import Configuration, GridParams, InvalidArgument, Rook, config_coverage
 from .bounds import (
     NotApplicable,
     covering_lower,
@@ -119,14 +112,14 @@ class _Instance:
     first lookup: a capped covering reads few of them (246 of a(10,3,2)'s
     3,000 at 2,000 nodes), so no solve builds the whole table before its
     root.  It keeps a list's len() and iteration in index order, which the
-    benchmark's table check (perfbench's table_op) reads."""
+    benchmark's table check (perfbench's table_op) reads.  points is built
+    on first use too: a root closing on a family's seed never lists them."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
         self.g = g
         self.npts = g.num_points
         self.full = (1 << self.npts) - 1
-        self.points = list(product(range(g.n), repeat=g.k))
         self.dirsets = list(combinations(range(g.k), g.l))
         self.D = D = len(self.dirsets)
         self.block = (1 << D) - 1
@@ -138,12 +131,15 @@ class _Instance:
         return pattern << (pidx - self.points[pidx][a] * self.weights[a]) * self.D
 
     def config(self, chosen):
-        D = self.D
-        return Configuration(
-            self.g, [Rook(self.points[i // D], self.dirsets[i % D]) for i in chosen]
-        )
+        points, dirsets, D = self.points, self.dirsets, self.D
+        return Configuration(self.g, [Rook(points[i // D], dirsets[i % D]) for i in chosen])
 
-    # The patterns and tables below are built on first use.
+    # The point list, patterns and tables below are built on first use.
+
+    @cached_property
+    def points(self):
+        """points[q]: the k-tuple of point index q."""
+        return list(product(range(self.g.n), repeat=self.g.k))
 
     @cached_property
     def along(self):
@@ -343,7 +339,8 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     capped_bounds(best value), and the result is exact, with optimum
     lower, when they meet.  Bounds that meet always have the witness of
     best: the seeds see to that, as max coverage's capped bounds
-    (max(best, 0), upper) meet at 0 when N = 0 only.
+    (max(best, 0), upper) meet at 0 when N = 0 only.  The witness is a
+    family seed's Configuration as built, else inst.config(placements).
     """
     budget = budget or SolverBudget()
     stats = SolveStats()
@@ -377,7 +374,8 @@ def _solve(g, mode, budget, search, capped_bounds) -> SolveResult:
     except RecursionError:
         stats.stop_reason = "depth"
     stats.wall_time = time.perf_counter() - start
-    witness = inst.config(best[1]) if best[0] >= 0 else None
+    witness = (None if best[0] < 0 else best[1] if isinstance(best[1], Configuration)
+               else inst.config(best[1]))
     lower, upper = (best[0], best[0]) if stats.stop_reason == "proven" else capped_bounds(best[0])
     return SolveResult(mode, lower if lower == upper else None, witness, stats, lower, upper)
 
@@ -392,20 +390,13 @@ _SEEDS = {
 }
 
 
-def _placements(inst: _Instance, family):
-    """The placement indices of family's configuration on inst's grid."""
-    index = {frozenset(d): j for j, d in enumerate(inst.dirsets)}
-    D, weights = inst.D, inst.weights
-    return [sum(map(mul, p, weights)) * D + index[axes] for p, axes in family.rooks(inst.g)]
-
-
-def _closed_form_seed(inst: _Instance, mode, bound):
-    """The placements of the first of the mode's _SEEDS families that
-    applies to the grid with bound rooks, or None.  A covering or packing
-    meeting the solve's bound is optimal, so the root closes on it."""
+def _closed_form_seed(g, mode, bound):
+    """The configuration of the first of the mode's _SEEDS families that
+    applies to the grid g with bound rooks, or None.  A covering or
+    packing meeting the solve's bound is optimal, so the root closes on it."""
     for family in _SEEDS.get(mode, ()):
-        if family.applies(inst.g) and family.size(inst.g) == bound:
-            return _placements(inst, family)
+        if family.applies(g) and family.size(g) == bound:
+            return families.configuration(family, g)
     return None
 
 
@@ -540,8 +531,8 @@ def exact_min_covering(
 
     def search(inst, tick, stats, best):
         D = inst.D
-        seed = (_closed_form_seed(inst, "min_cover", lower)
-                or _placements(inst, families.ZERO_SUM))  # the modular diagonal
+        seed = (_closed_form_seed(g, "min_cover", lower)
+                or families.configuration(families.ZERO_SUM, g))  # the modular diagonal
         if len(seed) > lower:  # no covering is smaller than lower
             # the greedy's table first: a time cap it spends skips the
             # greedy, and the root's read below stops the solve
@@ -781,7 +772,7 @@ def _max_independent(g, mode, budget, upper, kernel_for):
     """
 
     def search(inst, tick, stats, best):
-        seed = _closed_form_seed(inst, mode, upper)
+        seed = _closed_form_seed(g, mode, upper)
         if seed is None:
             kernel = kernel_for(inst)
             include, witness, (cands, state) = kernel.include, kernel.witness, kernel.root

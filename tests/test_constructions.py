@@ -36,7 +36,7 @@ from rookpack.constructions import (
     latin_covering,
     stack,
 )
-from rookpack.solve import _Instance, _placements
+from rookpack.solve import _SEEDS, _closed_form_seed
 from rookpack.verify import verify_covering, verify_packing, verify_two_packing
 
 
@@ -186,16 +186,16 @@ def test_each_family_meets_its_bound():
     # on every grid with n <= 15 and n^k <= 243, and with l = k up to
     # 3,125 points, where a family applies: its configuration lists
     # size(g) rooks in point order, passes the verifiers and has each
-    # bound's size, and the solver's seed (_placements) is that
+    # bound's size, and the solver's seed (_closed_form_seed) in each mode
+    # that lists the family first among those meeting that size is that
     # configuration rook for rook
     names = ("CROSS", "LATIN", "ZERO_SUM", "HAMMING", "HAMMING_COMPLEMENT", "DISTANCE3")
-    checked = dict.fromkeys(names, 0)
+    checked, seeded = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
     for k in range(1, 8):
         n = 1
         while n <= 15 and n ** k <= 3125:
             for l in range(1, k + 1) if n ** k <= 243 else [k]:
                 g = GridParams(n, k, l)
-                inst = _Instance(g)
                 for name in names:
                     family = getattr(families, name)
                     if not family.applies(g):
@@ -203,7 +203,12 @@ def test_each_family_meets_its_bound():
                     cfg = Configuration(g, itertools.starmap(Rook, family.rooks(g)))
                     points = [r.point for r in cfg.rooks]
                     assert points == sorted(points) and len(cfg) == family.size(g), (name, g)
-                    assert inst.config(_placements(inst, family)).rooks == cfg.rooks, (name, g)
+                    for mode, seeds in _SEEDS.items():
+                        meeting = [f for f in seeds if f.applies(g) and f.size(g) == len(cfg)]
+                        if meeting and meeting[0] is family:
+                            seed = _closed_form_seed(g, mode, len(cfg))
+                            assert seed.rooks == cfg.rooks, (name, mode, g)
+                            seeded[name] += 1
                     verifiers, bounds = _family_claims(family, g)
                     assert all(verify(cfg).valid for verify in verifiers), (name, g)
                     assert all(len(cfg) == bound for bound in bounds), (name, g)
@@ -211,6 +216,9 @@ def test_each_family_meets_its_bound():
             n += 1
     assert checked == {"CROSS": 15, "LATIN": 14, "ZERO_SUM": 132, "HAMMING": 3,
                        "HAMMING_COMPLEMENT": 3, "DISTANCE3": 14}
+    # b(2,2,1) seeds CROSS, b(2,1,1) ZERO_SUM and a(2,3,3) LATIN
+    assert seeded == {"CROSS": 15, "LATIN": 14, "ZERO_SUM": 131, "HAMMING": 5,
+                      "HAMMING_COMPLEMENT": 2, "DISTANCE3": 14}
 
 
 # --- block packings ---

@@ -217,18 +217,25 @@ def test_closed_form_families_close_at_the_root(monkeypatch):
     # b(n,2,1), a(n,3,3), b(n,k,k), b(2,k,l) with (k - l)^2 < k, closed
     # c(p,k,k) for a prime p >= k, and at n = 2 and k = 2^m - 1 a(2,k,k),
     # c(2,k,k) closed and b(2,k,1) each have a closed-form seed meeting
-    # the solve's own bound (rookpack.families), so the solve ends at its
-    # root before any table, greedy, cap, memo or value orbit is built
+    # the solve's own bound (rookpack.families), as the covering's modular
+    # diagonal does at a(n,k,1) and a(n,2,2), so the solve ends at its root
+    # before any point list, table, greedy, cap, memo or value orbit is
+    # built
     def refuse(*args):
         pytest.fail("a solve closing at the root built a table")
 
-    monkeypatch.setattr(_Instance, "placements", property(refuse))
-    monkeypatch.setattr(_Instance, "by_cov", property(refuse))
+    for table in ("points", "placements", "by_cov"):
+        monkeypatch.setattr(_Instance, table, property(refuse))
     for name in ("_ValueOrbits", "_Memo", "_greedy_covering", "_PointPacking",
                  "_PlacementPacking", "_reach_cap"):
         monkeypatch.setattr(solve_module, name, refuse)
     runs = [(exact_max_packing, (n, 2, 1), 2 * n - 2) for n in range(2, 201)]
     runs += [(exact_min_covering, (n, 3, 3), -(-n * n // 2)) for n in range(1, 41)]
+    # the sphere bound at l = 1 and Rodemich's at a(n,2,2), met by the
+    # zero-sum points
+    runs += [(exact_min_covering, (n, k, 1), n ** (k - 1))
+             for n, k in [(1, 3), (2, 6), (3, 4), (5, 2), (7, 3), (40, 3)]]
+    runs += [(exact_min_covering, (n, 2, 2), n) for n in (1, 2, 3, 6, 11, 50)]
     # Huang's hypercube bound, met by the even-weight points
     runs += [(exact_max_packing, (2, k, l), 2 ** (k - 1))
              for k in range(1, 16) for l in range(1, k + 1) if (k - l) ** 2 < k]
@@ -246,6 +253,41 @@ def test_closed_form_families_close_at_the_root(monkeypatch):
         res = solve(GridParams(*nkl))
         assert (res.exact, res.optimum, res.stats.nodes) == (True, value, 1), (solve, nkl)
         assert check_witness(res.mode, res.witness, value), (solve, nkl)
+
+
+def test_root_closings_pinned_at_budget_edges(monkeypatch):
+    # a solve that closes on its seed counts the root under any budget: a
+    # node cap of 0 or a spent clock stops it there, exact all the same,
+    # and only a proven covering books the root as pruned.  The witness is
+    # the family's configuration: the construct generator's where there is
+    # one, else the family's rooks, listed here by hand
+    from rookpack.constructions import diagonal_covering, distance3_code, latin_covering
+
+    def diagonal(n, k, l):  # the zero-sum points, each attacking along axes 0..l-1
+        return tuple(Rook(r.point, range(l)) for r in diagonal_covering(n, k).rooks)
+
+    cross = tuple([Rook((0, j), {0}) for j in range(1, 10)]
+                  + [Rook((i, 0), {1}) for i in range(1, 10)])
+    runs = [(exact_max_packing, (10, 2, 1), cross),
+            (exact_max_packing, (2, 7, 5), diagonal(2, 7, 5)),
+            (exact_min_covering, (4, 3, 3), latin_covering(4).rooks),
+            (exact_min_covering, (5, 3, 1), diagonal(5, 3, 1)),
+            (exact_min_covering, (6, 2, 2), diagonal_covering(6, 2).rooks),
+            (lambda g, b: exact_max_two_packing(g, "closed", b), (5, 4, 4),
+             distance3_code(5, 4).rooks)]
+    for solve, nkl, rooks in runs:
+        for budget, pin in [(SolverBudget(0, 1e9), (1, 0, "node_cap")),
+                            (SolverBudget(5, 0.0), (1, 0, "time_cap")),
+                            (None, (1, int(solve is exact_min_covering), "proven"))]:
+            res = solve(GridParams(*nkl), budget)
+            stats = res.stats
+            assert (stats.nodes, stats.pruned, stats.stop_reason) == pin, (nkl, budget)
+            assert res.exact and res.optimum == len(rooks) and res.witness.rooks == rooks, \
+                (nkl, budget)
+    monkeypatch.setenv("ROOKPACK_POINT_CAP", "50")
+    for solve, nkl in [(exact_max_packing, (10, 2, 1)), (exact_min_covering, (8, 3, 3))]:
+        with pytest.raises(InstanceTooLarge):
+            solve(GridParams(*nkl))
 
 
 def test_literature_values_at_l_equal_k():
@@ -1034,7 +1076,7 @@ def test_searches_and_oracles_agree(monkeypatch):
     # closes a(4,3,3) at the root, so the seed is withheld for the search
     # to run; no grid with n^k <= 729 whose search runs shows that fault
     # within 50,000 nodes
-    monkeypatch.setattr(solve_module, "_closed_form_seed", lambda inst, mode, bound: None)
+    monkeypatch.setattr(solve_module, "_closed_form_seed", lambda g, mode, bound: None)
     res = exact_min_covering(GridParams(4, 3, 3), budget)
     assert (res.exact, res.optimum, res.stats.nodes) == (True, 8, 28_500)
 
