@@ -7,10 +7,10 @@ are binary64 floats good to about 1e-12 relative error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GridParams, InvalidArgument, RookError, _smallest_factor, is_prime  # noqa: F401
+from .core import (GridParams, InvalidArgument, RookError, _Frozen, _set,  # noqa: F401
+                   _smallest_factor, is_prime)
 
 
 class NotApplicable(RookError):
@@ -167,21 +167,20 @@ def a32_profile(t: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """All closed-form bounds applicable to one instance, plus the
     asymptotic-density constants for its (k, l).  a_lower is
     covering_lower's bound and a_lower_by its name."""
 
-    a_lower: int
-    a_lower_by: str
-    a_upper: int
-    b_upper: Fraction
-    b_incidence: Fraction
-    b_hypercube: int | None
-    c_upper: Fraction | None
-    c_sphere: int | None
-    asymptotic: dict
+    __slots__ = _fields = ("a_lower", "a_lower_by", "a_upper", "b_upper", "b_incidence",
+                           "b_hypercube", "c_upper", "c_sphere", "asymptotic")
+
+    def __init__(self, a_lower: int, a_lower_by: str, a_upper: int, b_upper: Fraction,
+                 b_incidence: Fraction, b_hypercube: int | None, c_upper: Fraction | None,
+                 c_sphere: int | None, asymptotic: dict):
+        for name, value in zip(self._fields, (a_lower, a_lower_by, a_upper, b_upper, b_incidence,
+                                              b_hypercube, c_upper, c_sphere, asymptotic)):
+            _set(self, name, value)
 
 
 def bound_report(g: GridParams) -> BoundReport:

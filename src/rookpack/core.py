@@ -14,7 +14,6 @@ used as bitsets over the n^k point indices.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, mul
 
@@ -48,29 +47,72 @@ def point_cap() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class GridParams:
+_set = object.__setattr__  # frozen records set their fields through it
+
+
+class _Record:
+    """A record over the attributes named in _fields, compared and shown
+    as a dataclass is: == holds only between instances of one class with
+    equal field tuples, and repr reads Name(field=value, ...)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return self.__class__, self._values()
+
+
+class _Frozen(_Record):
+    """A _Record whose fields are set once, in __init__, and that hashes
+    by their values."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GridParams(_Frozen):
     """Instance descriptor: side n, dimension k, rook arity l."""
 
-    n: int
-    k: int
-    l: int
+    __slots__ = _fields = ("n", "k", "l")
 
-    def __post_init__(self):
-        for x in (self.n, self.k, self.l):
+    def __init__(self, n: int, k: int, l: int):
+        for x in (n, k, l):
             if type(x) is not int:  # bool and float would pass the range checks
                 raise InvalidArgument(f"grid size {x!r} is not an integer")
-        if self.n < 1:
-            raise InvalidArgument(f"side must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise InvalidArgument(f"dimension must be >= 1, got {self.k}")
-        if not 1 <= self.l <= self.k:
-            raise InvalidArgument(f"arity must satisfy 1 <= l <= k, got l={self.l}, k={self.k}")
+        if n < 1:
+            raise InvalidArgument(f"side must be >= 1, got {n}")
+        if k < 1:
+            raise InvalidArgument(f"dimension must be >= 1, got {k}")
+        if not 1 <= l <= k:
+            raise InvalidArgument(f"arity must satisfy 1 <= l <= k, got l={l}, k={k}")
         # from this k on 2^k > MAX_INDEX: refuse it, n = 1 too, before computing n^k
-        if self.k >= MAX_INDEX.bit_length():
-            raise InstanceTooLarge(f"dimension {self.k} exceeds the index width")
-        if self.n**self.k > MAX_INDEX:
-            raise InstanceTooLarge(f"{self.n}^{self.k} exceeds the index width")
+        if k >= MAX_INDEX.bit_length():
+            raise InstanceTooLarge(f"dimension {k} exceeds the index width")
+        if n**k > MAX_INDEX:
+            raise InstanceTooLarge(f"{n}^{k} exceeds the index width")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "l", l)
 
     @property
     def num_points(self) -> int:
@@ -112,19 +154,19 @@ class GridParams:
                 raise InvalidArgument(f"rook at {point} has axes outside 0..{self.k - 1}")
 
 
-_set = object.__setattr__  # frozen dataclasses set their fields through it
-
-
-@dataclass(frozen=True, slots=True)  # constructions hold 10^5 of them
-class Rook:
+class Rook(_Frozen):  # slotted: constructions hold 10^5 of them
     """A lattice point plus the set of axes it attacks along."""
 
-    point: tuple
-    dirs: frozenset
+    __slots__ = _fields = ("point", "dirs")
 
     def __init__(self, point, dirs):
-        _set(self, "point", tuple(point))
-        _set(self, "dirs", frozenset(dirs))
+        _set_point(self, tuple(point))
+        _set_dirs(self, frozenset(dirs))
+
+
+# the slots' own setters: object.__setattr__ walks Rook's MRO on every
+# call, so it slows as the bases deepen
+_set_point, _set_dirs = Rook.point.__set__, Rook.dirs.__set__
 
 
 _POINT, _DIRS = attrgetter("point"), attrgetter("dirs")
@@ -150,14 +192,12 @@ def _all_valid(g, rooks) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Frozen):
     """An ordered set of rooks on one grid; rook points are distinct."""
 
-    params: GridParams
-    rooks: tuple
+    __slots__ = _fields = ("params", "rooks")
 
-    def __init__(self, params, rooks):
+    def __init__(self, params: GridParams, rooks):
         rooks = tuple(rooks)
         g = params
         if not _all_valid(g, rooks):
@@ -169,8 +209,8 @@ class Configuration:
                 if r.point in seen:
                     raise InvalidArgument(f"duplicate rook point {r.point}")
                 seen.add(r.point)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "rooks", rooks)
+        _set(self, "params", params)
+        _set(self, "rooks", rooks)
 
     def __len__(self):
         return len(self.rooks)
@@ -181,11 +221,13 @@ class Configuration:
         return sorted(self.rooks, key=_POINT)
 
 
-@dataclass(frozen=True)
-class CoverageMap:
+class CoverageMap(_Frozen):
     """Bitset over the n^k point indices of one grid."""
 
-    bits: int
+    __slots__ = _fields = ("bits",)
+
+    def __init__(self, bits: int):
+        _set(self, "bits", bits)
 
     def popcount(self) -> int:
         return self.bits.bit_count()

@@ -8,18 +8,18 @@ over points, since a packing is determined by its point set.
 
 All solvers run under a mandatory budget: exceeding it returns the best
 bounds found so far flagged inexact, never a wrong optimum.  The budget
-is read on the schedule SolverBudget states: at search nodes, and once
+is read on the schedule SolverBudget states: at search nodes, and twice
 in the covering's set-up.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from .core import Configuration, GridParams, InvalidArgument, Rook, config_coverage
+from .core import (Configuration, GridParams, InvalidArgument, Rook, _Frozen, _Record, _set,
+                   config_coverage)
 from .bounds import (
     NotApplicable,
     covering_lower,
@@ -33,51 +33,55 @@ from .verify import verify_covering, verify_packing, verify_two_packing
 from . import families
 
 
-@dataclass(frozen=True)
-class SolverBudget:
+class SolverBudget(_Frozen):
     """Caps on a solve: max_nodes search nodes and max_seconds of wall
     time.  Both are read at the search's nodes: node max_nodes + 1 stops
     it, and the clock is read at nodes 1, 2, 4, ..., 4,096 and then at
-    every 4,096th node.  The clock is read once more in the set-up, by
-    the covering search between its per-point table and its greedy seed:
-    a max_seconds already spent there skips the greedy, and the root's
-    read then stops the solve with the modular diagonal as its incumbent.
-    So a seed depends on the speed of the machine only in a solve that
-    its time cap stops at the root, and a run whose cap is never reached
-    is the same on every machine.  Every other table and seed built
-    before the root runs to its end, so a solve can overrun a small
-    max_seconds by one phase of its set-up and, past the root, by fewer
-    nodes than it has run, and never by 4,096."""
+    every 4,096th node.  The clock is read twice more in the set-up, by
+    the covering search before its per-point table and before its greedy
+    seed: a max_seconds already spent at the first read skips both, one
+    spent at the second skips the greedy, and the root's read then stops
+    the solve with the modular diagonal as its incumbent.  So a seed
+    depends on the speed of the machine only in a solve that its time
+    cap stops at the root, and a run whose cap is never reached is the
+    same on every machine.  Every other table and seed built before the
+    root runs to its end, so a solve can overrun a small max_seconds by
+    one phase of its set-up and, past the root, by fewer nodes than it
+    has run, and never by 4,096."""
 
-    max_nodes: int = 5_000_000
-    max_seconds: float = 60.0
+    # class attributes, not slots: the command line reads the defaults here
+    _fields = ("max_nodes", "max_seconds")
+    max_nodes = 5_000_000
+    max_seconds = 60.0
 
-    def __post_init__(self):
+    def __init__(self, max_nodes: int = max_nodes, max_seconds: float = max_seconds):
         # type() refuses bool; NaN fails the comparison; 0 and inf are valid caps
-        if not (type(self.max_nodes) is int and type(self.max_seconds) in (int, float)
-                and self.max_nodes >= 0 and self.max_seconds >= 0):
+        if not (type(max_nodes) is int and type(max_seconds) in (int, float)
+                and max_nodes >= 0 and max_seconds >= 0):
             raise InvalidArgument(f"budget needs an int max_nodes >= 0 and max_seconds >= 0, "
-                                  f"got {self.max_nodes!r} and {self.max_seconds!r}")
+                                  f"got {max_nodes!r} and {max_seconds!r}")
+        _set(self, "max_nodes", max_nodes)
+        _set(self, "max_seconds", max_seconds)
 
 
-@dataclass
-class SolveStats:
-    nodes: int = 0
-    wall_time: float = 0.0
-    pruned: int = 0
-    # why the search stopped: "proven" when it ran to the end, else
-    # "node_cap", "time_cap" or "depth" (too deep for the stack)
-    stop_reason: str = "proven"
+class SolveStats(_Record):
+    __slots__ = _fields = ("nodes", "wall_time", "pruned", "stop_reason")
+
+    # stop_reason says why the search stopped: "proven" when it ran to
+    # the end, else "node_cap", "time_cap" or "depth" (too deep for the stack)
+    def __init__(self, nodes: int = 0, wall_time: float = 0.0, pruned: int = 0,
+                 stop_reason: str = "proven"):
+        self.nodes, self.wall_time, self.pruned, self.stop_reason = (
+            nodes, wall_time, pruned, stop_reason)
 
 
-@dataclass
-class SolveResult:
-    mode: str
-    optimum: int | None
-    witness: Configuration | None
-    stats: SolveStats
-    lower_bound: int
-    upper_bound: int
+class SolveResult(_Record):
+    __slots__ = _fields = ("mode", "optimum", "witness", "stats", "lower_bound", "upper_bound")
+
+    def __init__(self, mode: str, optimum: int | None, witness: Configuration | None,
+                 stats: SolveStats, lower_bound: int, upper_bound: int):
+        self.mode, self.optimum, self.witness = mode, optimum, witness
+        self.stats, self.lower_bound, self.upper_bound = stats, lower_bound, upper_bound
 
     @property
     def exact(self) -> bool:
@@ -466,8 +470,8 @@ def exact_min_covering(
     (_closed_form_seed), else with the modular diagonal (families.ZERO_SUM)
     or with the greedy covering (_greedy_covering) where that is smaller.
     The greedy runs only where the diagonal exceeds covering_lower, as no
-    covering is smaller, and not where by_cov, built first, has spent the
-    time cap (see SolverBudget).  The greedy reads the
+    covering is smaller, and not where the time cap is spent before
+    by_cov, built first, or in it (see SolverBudget).  The greedy reads the
     coverage ints of the rooks it picks only, and the search those of the
     candidates it tries.  The root closes when the seed meets
     covering_lower, before the per-point table, the value orbits and the
@@ -533,9 +537,10 @@ def exact_min_covering(
         D = inst.D
         seed = (_closed_form_seed(g, "min_cover", lower)
                 or families.configuration(families.ZERO_SUM, g))  # the modular diagonal
-        if len(seed) > lower:  # no covering is smaller than lower
-            # the greedy's table first: a time cap it spends skips the
-            # greedy, and the root's read below stops the solve
+        # no covering is smaller than lower; a time cap spent before the
+        # greedy's table skips both, one spent in it the greedy, and the
+        # root's read below stops the solve
+        if len(seed) > lower and not tick.late():
             inst.by_cov
             if not tick.late():
                 seed = min(seed, _greedy_covering(inst), key=len)  # the seed on ties

@@ -8,32 +8,35 @@ rook index so output is deterministic; only the listed ones are built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import contains, itemgetter, mul, not_, sub
 
-from .core import Configuration, InvalidArgument, _coverage_digits, rook_indices
+from .core import Configuration, InvalidArgument, _coverage_digits, _Frozen, _set, rook_indices
 
 VIOLATION_CAP = 64
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """One diagnostic record.
 
     kind is one of "uncovered" (point index set), "attack" (pair of rook
     indices) or "double" (point index plus the two rook indices).
     """
 
-    kind: str
-    point: int | None = None
-    rooks: tuple | None = None
+    __slots__ = _fields = ("kind", "point", "rooks")
+
+    def __init__(self, kind: str, point: int | None = None, rooks: tuple | None = None):
+        _set(self, "kind", kind)
+        _set(self, "point", point)
+        _set(self, "rooks", rooks)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    violations: tuple
-    total_violations: int
+class VerifyReport(_Frozen):
+    __slots__ = _fields = ("violations", "total_violations")
+
+    def __init__(self, violations: tuple, total_violations: int):
+        _set(self, "violations", violations)
+        _set(self, "total_violations", total_violations)
 
     @property
     def valid(self) -> bool:

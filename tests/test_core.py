@@ -1,10 +1,16 @@
 """Geometry and coverage semantics."""
 
+import copy
 import itertools
+import json
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
+from rookpack import cli
+from rookpack.bounds import BoundReport
 from rookpack.core import (
     Configuration,
     GridParams,
@@ -14,11 +20,14 @@ from rookpack.core import (
     Rook,
     attack_mask,
     attacks,
+    CoverageMap,
     config_coverage,
     coverage_mask,
     covers,
     point_index,
 )
+from rookpack.solve import SolverBudget, SolveResult, SolveStats, exact_min_covering
+from rookpack.verify import VerifyReport, Violation
 
 
 def test_point_index_examples():
@@ -242,3 +251,84 @@ def test_attack_never_exceeds_cover():
     for q in itertools.product(range(3), repeat=2):
         if attacks(r, q, g):
             assert covers(r, q, g)
+
+
+_G, _ROOK = GridParams(2, 2, 1), Rook((0, 1), frozenset((0,)))
+_CFG, _STATS = Configuration(_G, (_ROOK,)), SolveStats(7, 0.5, 3, "node_cap")
+# per record class: its fields with a value each, in constructor order,
+# the repr they give, and one field changed
+_RECORDS = [
+    (GridParams, dict(n=2, k=2, l=1), "GridParams(n=2, k=2, l=1)", dict(l=2)),
+    (Rook, dict(point=(0, 1), dirs=frozenset((0,))), "Rook(point=(0, 1), dirs=frozenset({0}))",
+     dict(dirs=frozenset((1,)))),
+    (Configuration, dict(params=_G, rooks=(_ROOK,)),
+     "Configuration(params=GridParams(n=2, k=2, l=1), rooks=(Rook(point=(0, 1), dirs=frozenset({0})),))",
+     dict(rooks=())),
+    (CoverageMap, dict(bits=5), "CoverageMap(bits=5)", dict(bits=6)),
+    (Violation, dict(kind="double", point=3, rooks=(0, 2)), "Violation(kind='double', point=3, rooks=(0, 2))",
+     dict(rooks=None)),
+    (VerifyReport, dict(violations=(Violation("attack", None, (0, 1)),), total_violations=9),
+     "VerifyReport(violations=(Violation(kind='attack', point=None, rooks=(0, 1)),), total_violations=9)",
+     dict(total_violations=1)),
+    (BoundReport, dict(a_lower=2, a_lower_by="sphere", a_upper=3, b_upper=Fraction(5, 2),
+                       b_incidence=Fraction(3), b_hypercube=None, c_upper=None, c_sphere=1, asymptotic=()),
+     "BoundReport(a_lower=2, a_lower_by='sphere', a_upper=3, b_upper=Fraction(5, 2), "
+     "b_incidence=Fraction(3, 1), b_hypercube=None, c_upper=None, c_sphere=1, asymptotic=())",
+     dict(c_sphere=2)),
+    (SolverBudget, dict(max_nodes=10, max_seconds=1.5), "SolverBudget(max_nodes=10, max_seconds=1.5)",
+     dict(max_seconds=2.5)),
+    (SolveStats, dict(nodes=7, wall_time=0.5, pruned=3, stop_reason="node_cap"),
+     "SolveStats(nodes=7, wall_time=0.5, pruned=3, stop_reason='node_cap')", dict(stop_reason="proven")),
+    (SolveResult, dict(mode="min_cover", optimum=None, witness=_CFG, stats=_STATS, lower_bound=1, upper_bound=2),
+     "SolveResult(mode='min_cover', optimum=None, witness=Configuration(params=GridParams(n=2, k=2, l=1), "
+     "rooks=(Rook(point=(0, 1), dirs=frozenset({0})),)), stats=SolveStats(nodes=7, wall_time=0.5, pruned=3, "
+     "stop_reason='node_cap'), lower_bound=1, upper_bound=2)", dict(upper_bound=1)),
+]
+
+
+def test_record_contract():
+    # the records compare, hash, print, copy and refuse assignment as
+    # frozen dataclasses do (SolveStats and SolveResult as plain, mutable
+    # ones), and are neither tuples nor equal to one
+    for cls, fields, text, change in _RECORDS:
+        values = tuple(fields.values())
+        rec, by_name = cls(*values), cls(**fields)
+        assert tuple(getattr(rec, f) for f in fields) == values, cls
+        assert rec == by_name and not rec != by_name and repr(rec) == repr(by_name) == text, cls
+        assert rec != cls(**{**fields, **change}), cls
+        twin = type(cls.__name__, (cls,), {})(*values)  # equal fields, another class
+        assert rec != twin and rec.__eq__(twin) is NotImplemented, cls
+        assert rec != values and not isinstance(rec, tuple), cls
+        assert pickle.loads(pickle.dumps(rec)) == copy.copy(rec) == rec, cls
+        if cls in (SolveStats, SolveResult):
+            with pytest.raises(TypeError):
+                hash(rec)
+            continue
+        assert hash(rec) == hash(by_name) == hash(values), cls
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, f, fields[f])
+            with pytest.raises(AttributeError):
+                delattr(rec, f)
+        assert tuple(getattr(rec, f) for f in fields) == values, cls
+
+
+def test_record_defaults():
+    assert (SolverBudget.max_nodes, SolverBudget.max_seconds) == (5_000_000, 60.0)  # the CLI's defaults
+    assert SolverBudget() == SolverBudget(5_000_000, 60.0)
+    assert SolverBudget(max_seconds=2) == SolverBudget(5_000_000, 2)
+    assert SolveStats() == SolveStats(0, 0.0, 0, "proven")
+    assert Violation("uncovered", point=4) == Violation("uncovered", 4, None)
+    res = SolveResult("max_pack", 4, None, SolveStats(), 4, 4)
+    res.optimum += 1  # the results stay mutable
+    res.stats.nodes += 2
+    assert (res.optimum, res.stats.nodes, res.exact) == (5, 2, True)
+
+
+def test_cached_stats_rebuild():
+    # a cache replay rebuilds a record's stats by SolveStats(**record["stats"])
+    res = exact_min_covering(GridParams(3, 2, 2))
+    record = json.loads(cli._record({"mode": "a"}, res))
+    assert SolveStats(**record["stats"]) == res.stats
+    with pytest.raises(TypeError):
+        SolveStats(**record["stats"], depth=1)

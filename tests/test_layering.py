@@ -46,3 +46,10 @@ def test_cli_loads_only_the_standard_library():
     # tests only, so the whole command line must run without them
     tops = {m.split(".")[0] for m in _imported("rookpack.cli")} - {"rookpack"}
     assert tops <= sys.stdlib_module_names, tops - sys.stdlib_module_names
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # every command is a fresh process, so start-up is most of a cached
+    # solve's time: dataclasses alone would pull in inspect, and the
+    # class processing it runs at import
+    assert not _imported("rookpack.cli") & {"dataclasses", "inspect"}

@@ -54,6 +54,7 @@ from rookpack.solve import (
     exact_max_two_packing,
     exact_min_covering,
 )
+from rookpack import families
 from rookpack import solve as solve_module
 from rookpack.verify import verify_covering, verify_packing, verify_two_packing
 
@@ -1218,11 +1219,11 @@ def test_budget_time_limit(monkeypatch):
     assert res.lower_bound <= res.upper_bound
     # the clock is read at nodes 1, 2, 4, ..., 4,096, also where that node
     # lies in a run of pruned children counted at once (4,096 does in
-    # both): a clock that stands still for the start, the read before the
-    # greedy (both grids run it) and the reads at nodes 1 to 2,048 and has
-    # moved by the next one stops the search there
+    # both): a clock that stands still for the start, the reads before
+    # by_cov and before the greedy (both grids run it) and the reads at
+    # nodes 1 to 2,048 and has moved by the next one stops the search there
     for nkl, pruned in [((4, 3, 2), 3_827), ((2, 5, 3), 3_967)]:
-        _clock_moving_after(monkeypatch, 14)
+        _clock_moving_after(monkeypatch, 15)
         res = exact_min_covering(GridParams(*nkl), SolverBudget(max_seconds=0.0))
         assert (res.exact, res.stats.stop_reason) == (False, "time_cap"), nkl
         assert (res.stats.nodes, res.stats.pruned) == (4_096, pruned), nkl
@@ -1234,8 +1235,8 @@ def test_time_cap_holds_from_the_root(monkeypatch):
     # built, in every mode: a clock that moves after the start and the
     # set-up's reads stops it at the root, and one that moves after the
     # root's read at node 2.  Of these solves only the covering reads the
-    # clock in its set-up, once, before its greedy
-    solves = ((lambda budget: exact_min_covering(GridParams(10, 3, 2), budget), 1),
+    # clock in its set-up, twice: before by_cov and before its greedy
+    solves = ((lambda budget: exact_min_covering(GridParams(10, 3, 2), budget), 2),
               (lambda budget: exact_max_packing(GridParams(6, 4, 2), budget), 0),
               (lambda budget: exact_max_two_packing(GridParams(6, 4, 2), "closed", budget), 0),
               (lambda budget: exact_max_coverage(GridParams(8, 3, 2), 30, budget), 0))
@@ -1248,23 +1249,41 @@ def test_time_cap_holds_from_the_root(monkeypatch):
 
 
 def test_time_cap_spent_in_the_set_up_skips_the_greedy(monkeypatch):
-    # the covering reads the clock once between by_cov and the greedy: a
-    # time cap spent by then skips the greedy, and the root's read stops
-    # the solve at node 1 with the modular diagonal as its incumbent.  A
-    # cap spent only after that read keeps the greedy seed
+    # the covering reads the clock before by_cov and again before the
+    # greedy: a time cap spent by either read skips the greedy, and the
+    # root's read stops the solve at node 1 with the modular diagonal as
+    # its incumbent.  A cap spent only after both reads keeps the greedy seed
     greedy_runs = []
     monkeypatch.setattr(solve_module, "_greedy_covering",
                         lambda inst: greedy_runs.append(inst.g) or _greedy_covering(inst))
     g, diagonal = GridParams(10, 3, 2), 100
-    _clock_moving_after(monkeypatch, 1)  # the start only
-    res = exact_min_covering(g, SolverBudget(max_seconds=0.5))
-    assert (res.stats.nodes, res.stats.stop_reason) == (1, "time_cap")
-    assert (res.lower_bound, res.upper_bound, greedy_runs) == (53, diagonal, [])
-    assert verify_covering(res.witness).valid and len(res.witness) == diagonal
-    _clock_moving_after(monkeypatch, 2)  # the start and the read before the greedy
+    for still in (1, 2):  # the start only, then the start and the read before by_cov
+        _clock_moving_after(monkeypatch, still)
+        res = exact_min_covering(g, SolverBudget(max_seconds=0.5))
+        assert (res.stats.nodes, res.stats.stop_reason) == (1, "time_cap")
+        assert (res.lower_bound, res.upper_bound, greedy_runs) == (53, diagonal, [])
+        assert verify_covering(res.witness).valid and len(res.witness) == diagonal
+    _clock_moving_after(monkeypatch, 3)  # the start and both set-up reads
     res = exact_min_covering(g, SolverBudget(max_seconds=0.5))
     assert (res.stats.nodes, res.stats.stop_reason, greedy_runs) == (1, "time_cap", [g])
     assert res.upper_bound < diagonal and len(res.witness) == res.upper_bound
+
+
+def test_spent_time_cap_builds_no_covering_table(monkeypatch):
+    # a covering whose diagonal exceeds covering_lower, under a time cap
+    # spent before its set-up, stops at the root on the modular diagonal
+    # without building by_cov, which only the greedy and the search read
+    def refuse(*args):
+        pytest.fail("a covering stopped by its time cap built a table")
+
+    monkeypatch.setattr(_Instance, "by_cov", property(refuse))
+    monkeypatch.setattr(solve_module, "_greedy_covering", refuse)
+    for nkl in [(10, 3, 2), (30, 3, 2), (4, 3, 2)]:
+        g = GridParams(*nkl)
+        res = exact_min_covering(g, SolverBudget(max_seconds=0))
+        assert (res.stats.nodes, res.stats.stop_reason, res.exact) == (1, "time_cap", False), nkl
+        assert (res.lower_bound, res.upper_bound) == (covering_lower(g)[0], g.n ** (g.k - 1)), nkl
+        assert res.witness == families.configuration(families.ZERO_SUM, g), nkl
 
 
 def _ledger(monkeypatch, ops, budget, bulk, still=None):
