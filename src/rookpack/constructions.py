@@ -38,18 +38,12 @@ def _sorted_config(g, rooks):
     return Configuration(g, sorted(rooks, key=attrgetter("point")))
 
 
-def _family_config(family, g):
-    """family's configuration on the grid g (see rookpack.families)."""
-    g.check_bitset()
-    return families.configuration(family, g)
-
-
 def diagonal_covering(n: int, k: int) -> Configuration:
     """n^(k-1) full rooks on the modular diagonal (families.ZERO_SUM); a
     covering of H(n, k) with one rook on every axis line."""
     if n < 1 or k < 1:
         raise InvalidParams("need n >= 1 and k >= 1")
-    return _family_config(families.ZERO_SUM, GridParams(n, k, k))
+    return families.configuration(families.ZERO_SUM, GridParams(n, k, k))
 
 
 def diagonal_slab_block(n1: int, k: int, l: int) -> tuple:
@@ -91,19 +85,19 @@ def distance3_code(p: int, k: int) -> Configuration:
         raise InvalidParams(f"{p} is not prime")
     if p < k:
         raise InvalidParams(f"need p >= k, got p={p}, k={k}")
-    return _family_config(families.DISTANCE3, GridParams(p, k, k))
+    return families.configuration(families.DISTANCE3, GridParams(p, k, k))
 
 
 def latin_covering(n: int) -> Configuration:
     """ceil(n^2 / 2) full rooks covering H(n, 3), Rodemich's bound: a Latin
     square in each of two blocks of values (families.LATIN)."""
-    return _family_config(families.LATIN, GridParams(n, 3, 3))
+    return families.configuration(families.LATIN, GridParams(n, 3, 3))
 
 
 def _hamming_config(family, k, l):
     if k < 1 or k & (k + 1):
         raise InvalidParams(f"need k = 2^m - 1, got {k}")
-    return _family_config(family, GridParams(2, k, l))
+    return families.configuration(family, GridParams(2, k, l))
 
 
 def hamming_code(k: int) -> Configuration:

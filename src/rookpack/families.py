@@ -14,7 +14,8 @@ Family = namedtuple("Family", "applies size rooks")
 
 
 def configuration(family, g):
-    """family's configuration on the grid g, its rooks in point order."""
+    """family's configuration on g, its rooks in point order; refused over the point cap."""
+    g.check_bitset()
     return Configuration(g, starmap(Rook, family.rooks(g)))
 
 

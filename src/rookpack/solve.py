@@ -104,9 +104,9 @@ class _Instance:
     the D-bit block of placements block << p*D.
 
     A rook reaches the points of its l axis lines, so every mask of
-    placements on a line is a per-axis pattern shifted into place by
-    line(): attackers[a] holds along[a] at each point of the axis-a line
-    through point 0, and occupants[a] the whole block there.  Likewise
+    placements on a line is a per-axis pattern shifted onto the line's
+    first point: attackers[a] holds along[a] at each point of the axis-a
+    line through point 0, and occupants[a] the whole block there.  Likewise
     planes[a][b], for b != a, holds attackers[b] at each point of the
     axis-a line through point 0: the placements attacking along b in the
     (a, b) plane through point 0.  The packing search reads none of these:
@@ -128,11 +128,6 @@ class _Instance:
         self.D = D = len(self.dirsets)
         self.block = (1 << D) - 1
         self.weights = g.weights
-
-    def line(self, a, pidx, pattern):
-        """pattern, laid along the axis-a line through point 0, moved onto
-        the axis-a line through point pidx."""
-        return pattern << (pidx - self.points[pidx][a] * self.weights[a]) * self.D
 
     def config(self, chosen):
         points, dirsets, D = self.points, self.dirsets, self.D
@@ -495,7 +490,7 @@ def exact_min_covering(
     covering with a lesser sequence.  The same argument lets the root keep
     only the placements that are least in their orbit under the axis
     permutations.  symmetry_breaking is ignored; it is kept until the
-    benchmark stops passing it (ROADMAP item 1).
+    benchmark stops passing it (ROADMAP item 2).
 
     The bound.  A child at depth + 1 may add at most left = best - depth
     - 2 rooks, each covering its fresh gain: ball less its overlap with
@@ -695,8 +690,8 @@ def _closed_conflicts(inst, i):
     q, m = i // D, 0
     p = inst.points[q]
     for a in inst.dirsets[i % D]:
-        m |= inst.line(a, q, inst.occupants[a])
         corner = q - p[a] * weights[a]
+        m |= inst.occupants[a] << corner * D
         for b, plane in enumerate(inst.planes[a]):
             if b != a:
                 m |= plane << (corner - p[b] * weights[b]) * D
@@ -985,13 +980,6 @@ class _PointPacking:
         self.step = -(-k // l)
         index = {d: j for j, d in enumerate(inst.dirsets)}
 
-        if l <= k - l + 1:  # count empty lines up to l, or occupied ones past k - l
-            def fit(cands, empty):
-                return cands & _at_least(empty, l)
-        else:
-            def fit(cands, empty):
-                return cands & ~_at_least([~e for e in empty], k - l + 1)
-
         def include(p, cands, state):
             chosen, empty, single, locked = state
             x, empty, single, own, hit = points[p], empty[:], single[:], [], []
@@ -1016,7 +1004,8 @@ class _PointPacking:
             if len(own) == l:
                 for line in own:
                     locked |= line
-            return fit(cands & ~locked, empty), (chosen | 1 << p, empty, single, locked), hit
+            return (cands & _at_least(empty, l) & ~locked,
+                    (chosen | 1 << p, empty, single, locked), hit)
 
         def restore(hit):
             for q in hit:

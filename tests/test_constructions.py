@@ -560,8 +560,9 @@ def test_registry_names_and_arity():
 
 
 def test_generators_and_compose_refuse_grids_over_the_point_cap(monkeypatch):
-    # every generator and compose op checks its grid against the bitset cap
-    # before it builds a rook; each grid here has more than 100 points
+    # every generator and compose op, and families.configuration, checks
+    # its grid against the bitset cap before it builds a rook; each grid
+    # here has more than 100 points
     cover, pack, two = diagonal_covering(10, 2), diagonal_covering(5, 2), distance3_code(3, 2)
     monkeypatch.setenv("ROOKPACK_POINT_CAP", "100")
     over = {
@@ -582,7 +583,8 @@ def test_generators_and_compose_refuse_grids_over_the_point_cap(monkeypatch):
             CONSTRUCTIONS[name][0](*args)
     ops = [lambda: blowup_covering(cover, 2), lambda: blowup_packing(pack, 3),
            lambda: blowup_two_packing(two, 5), lambda: stack(pack),
-           lambda: extend_covering(cover)]
+           lambda: extend_covering(cover),
+           lambda: families.configuration(families.ZERO_SUM, GridParams(11, 2, 2))]
     for op in ops:
         with pytest.raises(InstanceTooLarge, match="cap 100"):
             op()

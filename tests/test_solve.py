@@ -559,7 +559,8 @@ def test_point_packing_kernel_matches_coordinates():
     # the witness rule gives S as a packing; n = 1, k = 1 and l = k included
     rng = random.Random(34)
     grids = [(1, 1, 1), (1, 3, 2), (6, 1, 1), (3, 2, 1), (4, 2, 2), (8, 2, 1), (2, 3, 1),
-             (3, 3, 2), (3, 3, 3), (4, 3, 1), (2, 4, 2), (2, 4, 4), (2, 5, 3), (2, 6, 4)]
+             (3, 3, 2), (3, 3, 3), (4, 3, 1), (2, 4, 2), (2, 4, 4), (2, 5, 3), (2, 6, 4),
+             (3, 4, 3)]
     for n, k, l in grids:
         g = GridParams(n, k, l)
         inst = _Instance(g)
@@ -1005,6 +1006,23 @@ def test_overlap_update_matches_coordinates():
             grown = (meeting(covered | covs[i], 1), meeting(covered | covs[i], 2))
             for _ in range(2):
                 assert update(o0, o1, covs[i] & ~covered) == grown, (g, points, i)
+
+
+def test_packing_trees_pinned_where_most_lines_must_be_empty():
+    # b(n,k,l) with l > k - l + 1 at 20,000 nodes: (nodes, pruned, lower,
+    # upper) and a digest of the witness rooks; every grid on this side
+    # with n^k <= 64 closes at its root, so no other pin runs its search
+    pins = {
+        (3, 4, 3): (20_001, 9_981, 28, 32, "55d64ec3be6419dc"),
+        (3, 5, 4): (20_001, 9_975, 63, 93, "354a8d1963cd67e4"),
+        (4, 4, 3): (20_001, 9_979, 64, 78, "6b288acfb24d737e"),
+    }
+    for nkl, pin in pins.items():
+        res = exact_max_packing(GridParams(*nkl), SolverBudget(20_000, 1e9))
+        rooks = hashlib.sha256(repr(_rooks(res)).encode()).hexdigest()[:16]
+        assert (res.stats.nodes, res.stats.pruned, res.lower_bound, res.upper_bound,
+                rooks) == pin, nkl
+        assert verify_packing(res.witness).valid, nkl
 
 
 def test_packing_trees_pinned_at_budget_edges():
