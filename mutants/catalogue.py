@@ -34,6 +34,7 @@ PINNED = "tests/test_solve.py::test_packing_trees_pinned_at_budget_edges"
 SEARCH = "tests/test_solve.py::test_packing_search_tree_pinned"
 EMPTY = "tests/test_solve.py::test_packing_trees_pinned_where_most_lines_must_be_empty"
 BRACKET = "tests/test_solve.py::test_packing_kernels_keep_the_bracket_contract"
+PURE = "tests/test_solve.py::test_packing_kernels_are_pure"
 CONFLICTS = "tests/test_solve.py::test_conflict_masks_match_coordinates"
 CAP = ("tests/test_constructions.py::"
        "test_generators_and_compose_refuse_grids_over_the_point_cap")
@@ -52,13 +53,13 @@ REPLAY = "tests/test_cli.py::test_solve_replays_only_the_canonical_bytes"
 CATALOGUE = [
     # _PointPacking, the packing search's kernel
     Mutant("lock a point of S at l + 1 lonely lines", SOLVE,
-           "if lonely[q] == l:", "if lonely[q] == l + 1:", [KERNEL, EMPTY]),
+           "if len(alone) == l:", "if len(alone) == l + 1:", [KERNEL, EMPTY]),
     Mutant("lock the new point at l + 1 lonely lines", SOLVE,
            "if len(own) == l:", "if len(own) == l + 1:", [KERNEL]),
     Mutant("take a lonely line on any occupied line (not empty for single)", SOLVE,
            "elif single[a] >> p & 1:", "elif not empty[a] >> p & 1:", [KERNEL]),
     Mutant("lock a point's lines read from empty", SOLVE,
-           "if single[b] >> q & 1:", "if empty[b] >> q & 1:", [KERNEL, EMPTY]),
+           "if single[b] >> q & 1]", "if empty[b] >> q & 1]", [KERNEL, EMPTY]),
     Mutant("drop the candidates from the clique count", SOLVE,
            "return lines, n * lines + k * cands.bit_count() + cliques",
            "return lines, n * lines", [KERNEL]),
@@ -70,7 +71,8 @@ CATALOGUE = [
            "_at_least(empty, l) & ~locked", "_at_least(empty, l - 1) & ~locked",
            [KERNEL]),
     Mutant("step = 1", SOLVE, "self.step = -(-k // l)", "self.step = 1", [BRACKET]),
-    Mutant("drop restore", SOLVE, "lonely[q] += 1", "lonely[q] += 0", [PINNED, SEARCH]),
+    Mutant("include does not copy single", SOLVE,
+           "empty[:], single[:], []", "empty[:], single, []", [PINNED, SEARCH, EMPTY, PURE]),
     # _closed_conflicts
     Mutant("occupants shifted by points, not placements", SOLVE,
            "m |= inst.occupants[a] << corner * D", "m |= inst.occupants[a] << corner",

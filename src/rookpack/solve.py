@@ -115,9 +115,10 @@ class _Instance:
     placements, the coverage ints, is a _Table built entry by entry on
     first lookup: a capped covering reads few of them (246 of a(10,3,2)'s
     3,000 at 2,000 nodes), so no solve builds the whole table before its
-    root.  It keeps a list's len() and iteration in index order, which the
-    benchmark's table check (perfbench's table_op) reads.  points is built
-    on first use too: a root closing on a family's seed never lists them."""
+    root.  Its len() is read by perfbench's table_op, its iteration in
+    index order by test_placement_masks_match_coordinates.  points is
+    built on first use too: a root closing on a family's seed never lists
+    them."""
 
     def __init__(self, g: GridParams):
         g.check_bitset()
@@ -713,19 +714,18 @@ _CONFLICTS = {
 class _PlacementPacking:
     """The two-packing search's kernel, on masks over placement indices
     (D = inst.D), with no state: the include child keeps the candidates
-    left minus the head's _CONFLICTS[mode] mask, computed once per head,
-    so its hit is always empty and restore is never called.  cap_for(inst)
-    gives the cap, _reach_cap or _unit_cap, which ignores the state; it is
-    built on first use, and a placement leaving lowers it by at most
-    step = 1.  The chosen placements are their own witness."""
+    left minus the head's _CONFLICTS[mode] mask, computed once per head.
+    cap_for(inst) gives the cap, _reach_cap or _unit_cap, which ignores
+    the state; it is built on first use, and a placement leaving lowers it
+    by at most step = 1.  The chosen placements are their own witness."""
 
-    step, restore = 1, None
+    step = 1
 
     def __init__(self, inst: _Instance, mode, cap_for):
         conflicts, full = _CONFLICTS[mode], (1 << inst.npts * inst.D) - 1
         allowed = _Memo(lambda i: full ^ conflicts(inst, i))
         self.inst, self.cap_for, self.D, self.root = inst, cap_for, inst.D, (full, None)
-        self.include = lambda i, cands, state: (cands & allowed[i], state, ())
+        self.include = lambda i, cands, state: (cands & allowed[i], state)
 
     @cached_property
     def cap(self):
@@ -751,13 +751,12 @@ def _max_independent(g, mode, budget, upper, kernel_for):
     Candidate sets are ints over the kernel's items, D to a point: points
     (D = 1, _PointPacking) or placements (D = inst.D, _PlacementPacking).
     The head is the lowest candidate.  root is (cands, state) at the empty
-    set.  include(i, cands, state) -> (cands, state, hit) gives the
-    include child's, from the candidates left beside i; restore(hit)
-    undoes what the child changed outside its state once its subtree is
-    done, and is called only when hit is non-empty.  cap(cands, state)
-    bounds the items cands can add, and a candidate leaving lowers it by
-    at most step.  witness(chosen, state) gives the placements of the
-    chosen items.
+    set.  include(i, cands, state) -> (cands, state) gives the include
+    child's, from the candidates left beside i, and changes neither
+    argument, so a subtree needs no undo.  cap(cands, state) bounds the
+    items cands can add, and a candidate leaving lowers it by at most
+    step.  witness(chosen, state) gives the placements of the chosen
+    items.
 
     Orbital branching: the value permutations of each axis that fix the
     chosen points map the conflicts onto themselves.  The orbit of the
@@ -780,14 +779,14 @@ def _max_independent(g, mode, budget, upper, kernel_for):
             while cands:
                 low = cands & -cands
                 seed.append(low.bit_length() - 1)
-                cands, state, _ = include(seed[-1], cands ^ low, state)
+                cands, state = include(seed[-1], cands ^ low, state)
             seed = witness(seed, state)
         best[:] = [len(seed), seed]
         if best[0] >= upper:  # proven at the root, before any cap or orbit
             tick()
             raise _Proven
 
-        restore, cap, step, D = kernel.restore, kernel.cap, kernel.step, kernel.D
+        cap, step, D = kernel.cap, kernel.step, kernel.D
         orbits = _ValueOrbits(inst, D)
         ptmask, is_orbital, pack_orbit = orbits.ptmask, orbits.orbital, orbits.pack_orbit
         size, chosen = inst.npts * D, []
@@ -823,12 +822,10 @@ def _max_independent(g, mode, budget, upper, kernel_for):
                 low = cands & -cands
                 cands ^= low
                 i = low.bit_length() - 1
-                sub, below, hit = include(i, cands, state)
+                sub, below = include(i, cands, state)
                 chosen.append(i)
                 dfs(sub, depth + 1, free & ~ptmask[i // D], below)
                 chosen.pop()
-                if hit:
-                    restore(hit)
                 lo -= step
                 if orbital:
                     orbit = cands & pack_orbit(free, i)
@@ -938,14 +935,14 @@ class _PointPacking:
     axis a, the points whose axis-a line holds no point of S (empty[a],
     the complement of occ[a]) and exactly one (single[a]); and locked, the
     lines of the points of S left with exactly l lonely lines, which no
-    point may join.  lonely[q] counts the lonely lines of each q in S.  A
-    point is a candidate iff it is off locked and at least l of its lines
-    are empty: those become its lonely lines, and a point of S sharing a
-    line with it (two points share one at most) had more than l, or the
-    line would be locked, so it keeps l.  root is (all points, state of
-    the empty S).  include(p, cands, state) keeps the candidates of the
-    child among cands, and its hit lists the points of S that lost a
-    lonely line; restore(hit) gives their counts back.
+    point may join; the lonely lines of q in S lie on the axes a with q
+    in single[a].  A point is a candidate iff it is off locked and at
+    least l of its lines are empty: those become its lonely lines, and a
+    point of S sharing a line with it (two points share one at most) had
+    more than l, or the line would be locked, so it keeps l.  root is
+    (all points, state of the empty S).  include(p, cands, state) gives
+    the child's candidates among cands and its state, on copies of the
+    masks it changes.
 
     counts(cands, empty) -> (lines, cliques): the empty lines holding a
     candidate, over all axes, and the cliques (a, q) meeting the
@@ -969,7 +966,6 @@ class _PointPacking:
         n, k, l = g.n, g.k, g.l
         full = (1 << npts) - 1
         self.root = (full, (0, [full] * k, [0] * k, 0))
-        lonely = [0] * npts
         points, axes = inst.points, range(k)
         # the axis-a line through point 0, the points with x_a = 0 (the
         # first w of every n*w), and the shifts gathering a line onto them
@@ -982,7 +978,7 @@ class _PointPacking:
 
         def include(p, cands, state):
             chosen, empty, single, locked = state
-            x, empty, single, own, hit = points[p], empty[:], single[:], [], []
+            x, empty, single, own = points[p], empty[:], single[:], []
             for a in axes:
                 if empty[a] >> p & 1:
                     line = line0[a] << p - x[a] * weights[a]
@@ -993,23 +989,16 @@ class _PointPacking:
                     line = line0[a] << p - x[a] * weights[a]
                     single[a] ^= line
                     q = (chosen & line).bit_length() - 1
-                    lonely[q] -= 1
-                    hit.append(q)
-                    if lonely[q] == l:  # q's other lines are off p's: final
+                    alone = [b for b in axes if single[b] >> q & 1]
+                    if len(alone) == l:  # q's other lines are off p's: final
                         y = points[q]
-                        for b in axes:
-                            if single[b] >> q & 1:
-                                locked |= line0[b] << q - y[b] * weights[b]
-            lonely[p] = len(own)
+                        for b in alone:
+                            locked |= line0[b] << q - y[b] * weights[b]
             if len(own) == l:
                 for line in own:
                     locked |= line
             return (cands & _at_least(empty, l) & ~locked,
-                    (chosen | 1 << p, empty, single, locked), hit)
-
-        def restore(hit):
-            for q in hit:
-                lonely[q] += 1
+                    (chosen | 1 << p, empty, single, locked))
 
         def counts(cands, empty):
             lines = cliques = 0
@@ -1032,8 +1021,7 @@ class _PointPacking:
             return [q * D + index[tuple([a for a in axes if single[a] >> q & 1][:l])]
                     for q in chosen]
 
-        self.include, self.restore, self.counts, self.cap, self.witness = (
-            include, restore, counts, cap, witness)
+        self.include, self.counts, self.cap, self.witness = include, counts, cap, witness
 
 
 def exact_max_packing(g: GridParams, budget: SolverBudget | None = None) -> SolveResult:

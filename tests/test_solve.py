@@ -1,5 +1,6 @@
 """Exact solver, enumeration oracles, and the ILP encoder."""
 
+import copy
 import gc
 import hashlib
 import io
@@ -578,14 +579,14 @@ def test_point_packing_kernel_matches_coordinates():
                 rooks.append(Rook(points[i], (lonely + [a for a in range(k) if a not in lonely])[:l]))
             return Configuration(g, rooks)
 
+        kernel = _PointPacking(inst)
         for _ in range(3):
-            kernel = _PointPacking(inst)
             cands, state = kernel.root
             chosen = []
             while cands:
                 p = rng.choice([i for i in everywhere if cands >> i & 1])
                 chosen.append(p)
-                cands, state, _ = kernel.include(p, full ^ state[0] ^ 1 << p, state)
+                cands, state = kernel.include(p, full ^ state[0] ^ 1 << p, state)
                 want = [i for i in everywhere
                         if i not in chosen and verify_packing(as_rooks(chosen + [i])).valid]
                 assert [i for i in everywhere if cands >> i & 1] == want, (g, chosen)
@@ -635,11 +636,8 @@ def test_packing_kernels_keep_the_bracket_contract():
         while cands.bit_count() >= need > 0:
             low = cands & -cands
             cands ^= low
-            sub, below, hit = kernel.include(low.bit_length() - 1, cands, state)
-            found = adds(kernel, sub, below, need - 1)
-            if hit:
-                kernel.restore(hit)
-            if found:
+            sub, below = kernel.include(low.bit_length() - 1, cands, state)
+            if adds(kernel, sub, below, need - 1):
                 return True
         return need <= 0
 
@@ -660,13 +658,51 @@ def test_packing_kernels_keep_the_bracket_contract():
                 for _ in range(rng.randrange(4)):
                     if cands:
                         i = rng.choice([i for i in range(size) if cands >> i & 1])
-                        cands, state, _ = kernel.include(i, cands ^ 1 << i, state)
+                        cands, state = kernel.include(i, cands ^ 1 << i, state)
                 cands &= rng.getrandbits(size)
                 cap = kernel.cap(cands, state)
                 assert not adds(kernel, cands, state, cap + 1), (g, kernel, cands)
                 for i in [i for i in range(size) if cands >> i & 1]:
                     less = kernel.cap(cands ^ 1 << i, state)
                     assert cap - kernel.step <= less <= cap, (g, kernel, cands, i)
+
+
+def test_packing_kernels_are_pure():
+    # what lets _max_independent keep no undo, for the point kernel and both
+    # placement kernels, at seeded random states reached through include
+    # chains, n = 1 and l = k included: including every candidate of the
+    # state twice over, then in reverse order, gives each time the child
+    # that a freshly built kernel gives after the same chain, and leaves
+    # the state equal to a deep copy taken before
+    rng = random.Random(43)
+    makers = [_PointPacking] + [
+        lambda inst, mode=mode: _PlacementPacking(inst, mode, None) for mode in _CONFLICTS]
+    for n, k, l in [(1, 1, 1), (1, 3, 2), (1, 3, 3), (4, 1, 1), (3, 2, 1), (3, 2, 2),
+                    (2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 3, 1), (3, 3, 2), (2, 4, 2),
+                    (2, 4, 4)]:
+        inst = _Instance(GridParams(n, k, l))
+        for make in makers:
+            kernel = make(inst)
+            size = inst.npts * kernel.D
+            for _ in range(30):
+                cands, state = kernel.root
+                chain = []
+                for _ in range(rng.randrange(5)):
+                    if cands:
+                        chain.append(rng.choice([i for i in range(size) if cands >> i & 1]))
+                        cands, state = kernel.include(chain[-1], cands ^ 1 << chain[-1], state)
+                heads = [i for i in range(size) if cands >> i & 1]
+                want = {}
+                for i in heads:
+                    fresh = make(inst)
+                    sub, below = fresh.root
+                    for j in chain:
+                        sub, below = fresh.include(j, sub ^ 1 << j, below)
+                    want[i] = fresh.include(i, cands ^ 1 << i, below)
+                before = copy.deepcopy(state)
+                for i in heads + heads + heads[::-1]:
+                    assert kernel.include(i, cands ^ 1 << i, state) == want[i], (n, k, l, chain, i)
+                assert state == before, (n, k, l, chain)
 
 
 def test_incidence_bound_b_counting_proof():
